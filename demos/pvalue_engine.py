@@ -29,7 +29,7 @@ print(__doc__)
 print("m = 1, k = 0")
 print("  objective(p) = p(1-p): maximal at p = 1/2, value 1/4")
 p_star, value = maximize_objective(1, 0)
-print(f"  search result: argmax {p_star:.12f}, p-value {value:.12f}")
+print(f"  engine result: argmax {p_star:.12f}, p-value {value:.12f}")
 print(f"  binary_irp_pvalue(1, 0) = {binary_irp_pvalue(1, 0)}")
 print(f"  the rank-based p-value with m = 1 would be 1/2, twice as large")
 print()
@@ -48,8 +48,8 @@ print()
 print("Closed-form argmax for k = 1")
 for m in (10, 100, 1000):
     quadratic = optimal_p_k1(m)
-    searched, _ = maximize_objective(m, 1)
-    print(f"  m = {m:5d}: quadratic root {quadratic:.10f}, search {searched:.10f}")
+    solved, _ = maximize_objective(m, 1)
+    print(f"  m = {m:5d}: quadratic root {quadratic:.10f}, engine {solved:.10f}")
 print()
 
 # the objective is a low polynomial in p; show its shape at m = 20, k = 2

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from typing import Optional, Tuple
 
@@ -33,7 +34,6 @@ from .pvalues import (
     binary_irp_pvalue,
     binary_irp_pvariable,
     dominating_pvariable,
-    icp_pvalue,
     icp_pvariable,
 )
 from .summaries import ClassifierSpec, RegressorSpec
@@ -233,7 +233,7 @@ def pvalue(m: int, k: int, finite: bool, as_json: bool) -> None:
     """Engine p-value at (m, k) next to the rank-based one."""
     if k > m:
         raise click.UsageError(f"--k must not exceed --m (got k={k}, m={m})")
-    icp = icp_pvalue([1] * k + [0] * (m - k), 1)
+    icp = Fraction(k + 1, m + 1)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "pvalue",

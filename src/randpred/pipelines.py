@@ -10,6 +10,7 @@ the one-count k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Union
 
 from .core import (
@@ -20,7 +21,7 @@ from .core import (
     Interval,
     PredictionSet,
 )
-from .pvalues import EngineConfig, binary_irp_pvalue, icp_pvalue
+from .pvalues import binary_irp_pvalue
 from .summaries import (
     ClassifierSpec,
     FittedMarginMeasure,
@@ -99,13 +100,11 @@ class FittedRegressionPipeline:
         h = self.measure.half_width
         return Interval(center - h, center + h)
 
-    def predict(
-        self, test_x, method: str = "irp", cfg: Optional[EngineConfig] = None
-    ) -> HedgedPrediction:
+    def predict(self, test_x, method: str = "irp") -> HedgedPrediction:
         if method == "irp":
-            incertitude = binary_irp_pvalue(self.m, self.k, cfg)
+            incertitude = binary_irp_pvalue(self.m, self.k)
         elif method == "icp":
-            incertitude = float(icp_pvalue([1] * self.k + [0] * (self.m - self.k), 1))
+            incertitude = float(Fraction(self.k + 1, self.m + 1))
         else:
             raise ValueError(f"method must be 'irp' or 'icp', got {method!r}")
         return HedgedPrediction(
@@ -131,14 +130,12 @@ class FittedClassificationPipeline:
             return frozenset({1 if score > 0 else -1})
         return ALL_LABELS
 
-    def predict(
-        self, test_x, method: str = "irp", cfg: Optional[EngineConfig] = None
-    ) -> HedgedPrediction:
+    def predict(self, test_x, method: str = "irp") -> HedgedPrediction:
         labels = self.label_set(test_x)
         if method == "irp":
-            incertitude = binary_irp_pvalue(self.m, self.k, cfg)
+            incertitude = binary_irp_pvalue(self.m, self.k)
         elif method == "icp":
-            incertitude = float(icp_pvalue([1] * self.k + [0] * (self.m - self.k), 1))
+            incertitude = float(Fraction(self.k + 1, self.m + 1))
         else:
             raise ValueError(f"method must be 'irp' or 'icp', got {method!r}")
         return HedgedPrediction(
@@ -181,7 +178,6 @@ def fit_classification_pipeline(
 def irp_predict_regression(
     split: DataSplit,
     test_x,
-    cfg: Optional[EngineConfig] = None,
     predictor_spec: Optional[RegressorSpec] = None,
 ) -> HedgedPrediction:
     """Predict an interval around the fitted point prediction.
@@ -191,7 +187,7 @@ def irp_predict_regression(
     observed calibration one-count.  With k = 0 (the typical regime under
     bounded noise) that is m^m/(m+1)^(m+1), roughly 0.37/m.
     """
-    return fit_regression_pipeline(split, predictor_spec).predict(test_x, "irp", cfg)
+    return fit_regression_pipeline(split, predictor_spec).predict(test_x, "irp")
 
 
 def icp_predict_regression(
@@ -206,7 +202,6 @@ def icp_predict_regression(
 def irp_predict_classification(
     split: DataSplit,
     test_x,
-    cfg: Optional[EngineConfig] = None,
     classifier_spec: Optional[ClassifierSpec] = None,
 ) -> HedgedPrediction:
     """Predict a label set from the margin classifier.
@@ -215,7 +210,7 @@ def irp_predict_classification(
     score inside the margin yields both labels, flagged vacuous (the
     incertitude is still reported — it excludes no label).
     """
-    return fit_classification_pipeline(split, classifier_spec).predict(test_x, "irp", cfg)
+    return fit_classification_pipeline(split, classifier_spec).predict(test_x, "irp")
 
 
 def icp_predict_classification(

@@ -4,18 +4,34 @@ Given m calibration summaries containing k ones and a nonconforming test
 summary, the worst-case IID probability of seeing something at least as
 extreme is
 
-    max_{p in [0,1]}  sum_{i=0}^{k} C(m,i) p^(i+1) (1-p)^(m-i),
+    max_{p in [0,1]}  p F(k; m, p),   F(k; m, p) = sum_{i=0}^{k} b(i; m, p),
 
-the supremum over Bernoulli(p) product measures of the probability that
-the test summary is 1 and at most k calibration summaries are.  This
-module maximizes that objective robustly (dense grid bracket, then
-golden-section refinement), provides the closed forms available at k=0
-and k=1, computes the asymptotic constants a_k with
-m * pvalue(m, k) -> a_k, and implements the rank-based conformal p-value
-together with a construction that strictly dominates it.
+with b(i; m, p) = C(m,i) p^i (1-p)^(m-i): the supremum over Bernoulli(p)
+product measures of the probability that the test summary is 1 and at
+most k calibration summaries are.
 
-The maximizer does not assume unimodality: the grid locates the global
-maximum bracket first, and refinement only sharpens it.
+The maximizer is the root of one equation.  With q = 1 - p,
+d/dp F(k; m, p) = -(m-k)/q b(k; m, p), so the objective is stationary
+where q F = p (m-k) b(k; m, p).  In r = q/p that reads
+
+    r R(r) = m - k,   R(r) = F/b(k) = sum_{j=0}^{k} prod_{i=k-j+1}^{k} i r/(m-i+1).
+
+R is a polynomial in r with positive coefficients, so the left side
+increases strictly from 0 to infinity: the root is unique and the
+objective is unimodal.  In s = log r the residual
+psi(s) = s + log R - log(m-k) is convex and increasing with psi' >= 1,
+so Newton's method in s converges from any start.  With p = c/m and m
+growing, the equation tends to the Poisson one solved by
+asymptotic_constant (see _stationarity_residual).
+
+Binomial terms come from Loader's saddle-point form (stirlerr and bd0;
+C. Loader, Fast and Accurate Computation of Binomial Probabilities,
+2000), and F is summed outward from min(k, mode), where its largest term
+sits, so no term overflows and the sum stops once terms no longer count.
+The module also provides the closed forms available at k=0 and k=1,
+the asymptotic constants a_k with m * pvalue(m, k) -> a_k, and the
+rank-based conformal p-value together with a construction that strictly
+dominates it.
 """
 
 from __future__ import annotations
@@ -48,36 +64,57 @@ __all__ = [
     "dominating_pvariable",
 ]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+_LN_2PI = math.log(2.0 * math.pi)
+
+# stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 0..15, from a
+# 40-digit evaluation; larger n use the Stirling series in _stirlerr,
+# whose first omitted term is below 2e-16 for n >= 16.
+_STIRLERR = (
+    0.0,
+    0.08106146679532726,
+    0.0413406959554093,
+    0.02767792568499834,
+    0.020790672103765093,
+    0.016644691189821193,
+    0.013876128823070748,
+    0.01189670994589177,
+    0.010411265261972096,
+    0.009255462182712733,
+    0.00833056343336287,
+    0.007573675487951841,
+    0.00694284010720953,
+    0.006408994188004207,
+    0.0059513701127588475,
+    0.005554733551962801,
+)
+
+# A term of F below this fraction of the running sum ends the summation
+# in its direction: every later term is smaller still.
+_TAIL = 2.0**-60
+# Newton stops at a step in s below _STEP_TOL.  The objective is flat at
+# its maximum, so the value there is off by the square of that.
+_STEP_TOL = 1e-12
+_MAX_NEWTON = 100
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Numerical knobs for the p-value engine.
+    """Numerical knobs for the asymptotic-constant solver.
+
+    The finite-m engine has none: it solves its stationarity equation to
+    rounding.
 
     Parameters
     ----------
-    grid_points : int
-        Size of the initial dense grid over p used to bracket the global
-        maximum.  At least 64.
-    refine_tol : float
-        Absolute bracket width at which golden-section refinement stops.
     constant_tol : float
         Relative tolerance for the stationarity residual of the
         asymptotic-constant solver (relative to the dominant term of the
         stationarity equation, whose magnitude grows like c^(k+1)/k!).
     """
 
-    grid_points: int = 4096
-    refine_tol: float = 1e-14
     constant_tol: float = 1e-13
 
     def __post_init__(self):
-        if self.grid_points < 64:
-            raise ValueError(f"grid_points must be >= 64, got {self.grid_points}")
-        if not self.refine_tol > 0:
-            raise ValueError(f"refine_tol must be positive, got {self.refine_tol}")
         if not self.constant_tol > 0:
             raise ValueError(f"constant_tol must be positive, got {self.constant_tol}")
 
@@ -106,122 +143,189 @@ def _validate_mk(m: int, k: int) -> None:
         raise ValueError(f"k must be an integer in [0, m={m}], got {k!r}")
 
 
-@lru_cache(maxsize=65536)
-def _log_binom(m: int, i: int) -> float:
-    return math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1)
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n), the error of Stirling's formula."""
+    if n <= 15:
+        return _STIRLERR[n]
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188) / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, mean: float) -> float:
+    """The deviance x log(x/mean) + mean - x, by its series near x = mean."""
+    if abs(x - mean) < 0.1 * (x + mean):
+        v = (x - mean) / (x + mean)
+        total = (x - mean) * v
+        term = 2.0 * x * v
+        v *= v
+        j = 3
+        while True:
+            term *= v
+            new = total + term / j
+            if new == total:
+                return total
+            total = new
+            j += 2
+    return x * math.log(x / mean) + mean - x
+
+
+def _log_pmf(i: int, m: int, p: float, q: float) -> float:
+    """log b(i; m, p) for 0 <= i < m, with q = 1 - p passed in separately.
+
+    Loader's form: Stirling remainders and deviances, each small near the
+    mode, in place of differences of large log-factorials.
+    """
+    if i == 0:
+        return m * (math.log1p(-p) if p < 0.5 else math.log(q))
+    return (
+        _stirlerr(m)
+        - _stirlerr(i)
+        - _stirlerr(m - i)
+        - _bd0(i, m * p)
+        - _bd0(m - i, m * q)
+        - 0.5 * (_LN_2PI + math.log(i * (m - i) / m))
+    )
+
+
+def _mode_sums(m: int, k: int, p: float, q: float) -> Tuple[int, float, float]:
+    """F(k; m, p) and its first moment about k, relative to the top term.
+
+    Returns (i0, total, moment) with i0 = min(k, mode),
+    total = sum_{i<=k} b(i)/b(i0) and moment = sum_{i<=k} (k-i) b(i)/b(i0).
+    The terms fall monotonically away from the mode, so each direction
+    stops at the first term too small to count.  Requires 0 < p < 1, k < m.
+    """
+    i0 = min(k, int((m + 1) * p))
+    total = 1.0
+    moment = float(k - i0)
+    ratio = q / p
+    term = 1.0
+    for i in range(i0, 0, -1):
+        term *= i * ratio / (m - i + 1)
+        total += term
+        moment += (k - i + 1) * term
+        if term < _TAIL * total:
+            break
+    ratio = p / q
+    term = 1.0
+    for i in range(i0, k):
+        term *= (m - i) * ratio / (i + 1)
+        total += term
+        moment += (k - i - 1) * term
+        if term < _TAIL * total:
+            break
+    return i0, total, moment
+
+
+def _rates(s: float) -> Tuple[float, float]:
+    """(p, q) with q/p = exp(s), each to full relative precision."""
+    e = math.exp(-abs(s))
+    if s >= 0.0:
+        return e / (1.0 + e), 1.0 / (1.0 + e)
+    return 1.0 / (1.0 + e), e / (1.0 + e)
+
+
+def _newton_start(m: int, k: int) -> float:
+    """A starting s = log((1-p)/p) near the root, for 1 <= k < m.
+
+    For k <= m/2 it is the rank-based rate p = (k+1)/(m+1).  Above that
+    it counts the j = m - k zeros instead: the expected number of zeros
+    d = m(1-p) at the root nearly solves d^(j-1) e^(-d)/(j-1)! = 1/m,
+    the Poisson limit of the stationarity equation (d = log m at j = 1).
+    From the rank-based start there, the first Newton step overshoots far
+    past the root, and the way back costs steps that grow with m.
+    """
+    if 2 * k <= m:
+        return math.log((m - k) / (k + 1))
+    j = m - k
+    d = math.log(m)
+    for _ in range(3):
+        d = max(math.log(m) + (j - 1) * math.log(d) - math.lgamma(j), j)
+    d = min(d, m / 2)
+    return math.log(d / (m - d))
 
 
 def objective(m: int, k: int, p: float) -> float:
-    """Evaluate sum_{i=0}^k C(m,i) p^(i+1) (1-p)^(m-i) at a single p.
+    """Evaluate p F(k; m, p) = sum_{i=0}^k C(m,i) p^(i+1) (1-p)^(m-i).
 
-    Each term is computed in log space so that nothing overflows or
-    underflows prematurely even for m around 10^6; the k+1 terms are
-    combined with compensated summation.
+    The terms are summed outward from the largest one, each as a ratio to
+    it, and that one comes from Loader's binomial pmf, so nothing
+    overflows or underflows early at any m.  Near the maximum the value is
+    accurate to a few ulps; the relative error grows like
+    |k - mp|/(1-p) ulps, which is how sensitive the objective itself is to
+    the last bit of p.  The engine evaluates its maximum the same way.
     """
     _validate_mk(m, k)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    if p == 0.0:
+    if k == m:
+        return p
+    if p == 0.0 or p == 1.0:
         return 0.0
-    if p == 1.0:
-        return 1.0 if k == m else 0.0
-    log_p = math.log(p)
-    log_q = math.log1p(-p)
-    return math.fsum(
-        math.exp(_log_binom(m, i) + (i + 1) * log_p + (m - i) * log_q)
-        for i in range(k + 1)
-    )
+    q = 1.0 - p
+    i0, total, _ = _mode_sums(m, k, p, q)
+    return p * math.exp(_log_pmf(i0, m, p, q)) * total
 
 
-def _grid_values(m: int, k: int, ps: np.ndarray) -> np.ndarray:
-    """Vectorized objective over a grid of p values (k < m assumed)."""
+def maximize_objective(m: int, k: int) -> Tuple[float, float]:
+    """Maximize the objective over p in [0,1]; return (argmax, maximum).
+
+    k = 0 is the closed form m^m/(m+1)^(m+1) at p = 1/(m+1), and k = m
+    is p itself, maximal at 1.  Otherwise Newton's method in
+    s = log((1-p)/p) solves s + log R(e^s) = log(m-k), whose root is the
+    unique maximizer (see the module docstring); its derivative
+    1 + E[k - i | i <= k] comes from the same pass over the terms.
+    """
+    _validate_mk(m, k)
+    if k == m:
+        return 1.0, 1.0
+    if k == 0:
+        return 1.0 / (m + 1), exact_pvalue_k0(m)
+    log_gap = math.log(m - k)
+    s = _newton_start(m, k)
+    for _ in range(_MAX_NEWTON):
+        p, q = _rates(s)
+        i0, total, moment = _mode_sums(m, k, p, q)
+        psi = s + math.log(total) - log_gap
+        if i0 < k:
+            psi += _log_pmf(i0, m, p, q) - _log_pmf(k, m, p, q)
+        step = psi / (1.0 + moment / total)
+        if abs(step) <= _STEP_TOL:
+            return p, p * math.exp(_log_pmf(i0, m, p, q)) * total
+        s -= step
+    raise RuntimeError(f"Newton's method did not converge at m = {m}, k = {k}")
+
+
+def verification_scan(m: int, k: int, points: int = 40960) -> Tuple[float, float]:
+    """Exhaustive scan of the objective over an even grid of points in [0, 1].
+
+    A slow check on maximize_objective that shares none of its code:
+    every term is exp(lgamma sum + power logs), vectorized over the grid.
+    Returns (argmax, maximum) over the grid.
+    """
+    _validate_mk(m, k)
+    if not isinstance(points, int) or isinstance(points, bool) or points < 2:
+        raise ValueError(f"points must be an integer >= 2, got {points!r}")
+    if k == m:
+        return 1.0, 1.0
+    ps = np.linspace(0.0, 1.0, points)
     with np.errstate(divide="ignore"):
         log_p = np.log(ps)
         log_q = np.log1p(-ps)
-    total = np.zeros_like(ps)
+    values = np.zeros_like(ps)
     for i in range(k + 1):
-        total += np.exp(_log_binom(m, i) + (i + 1) * log_p + (m - i) * log_q)
-    return total
-
-
-def _golden_section(f, a: float, b: float, tol: float) -> Tuple[float, float]:
-    """Shrink [a, b] around a maximum of f to width tol; return (x, f(x)).
-
-    Ties keep the left subinterval: on the underflowed-to-zero plateau
-    that can appear to the right of a sharp peak at large m, discarding
-    the left side would discard the peak itself.
-    """
-    h = b - a
-    x1 = a + _INV_PHI_SQ * h
-    x2 = a + _INV_PHI * h
-    f1 = f(x1)
-    f2 = f(x2)
-    while h > tol:
-        if f1 >= f2:
-            b = x2
-            x2, f2 = x1, f1
-            h = b - a
-            x1 = a + _INV_PHI_SQ * h
-            f1 = f(x1)
-        else:
-            a = x1
-            x1, f1 = x2, f2
-            h = b - a
-            x2 = a + _INV_PHI * h
-            f2 = f(x2)
-    x_mid = 0.5 * (a + b)
-    return x_mid, f(x_mid)
-
-
-def maximize_objective(
-    m: int, k: int, cfg: Optional[EngineConfig] = None
-) -> Tuple[float, float]:
-    """Maximize the objective over p in [0,1]; return (argmax, maximum).
-
-    A dense grid locates the bracket containing the global maximum, then
-    golden-section refinement sharpens it to cfg.refine_tol.  The better
-    of the refined point and the best grid point is returned, so
-    refinement can never lose to the scan.
-    """
-    _validate_mk(m, k)
-    cfg = cfg or DEFAULT_CONFIG
-    if k == m:
-        return 1.0, 1.0
-    ps = np.linspace(0.0, 1.0, cfg.grid_points)
-    values = _grid_values(m, k, ps)
-    best = int(np.argmax(values))
-    lo = ps[max(best - 1, 0)]
-    hi = ps[min(best + 1, cfg.grid_points - 1)]
-    x, fx = _golden_section(lambda p: objective(m, k, p), lo, hi, cfg.refine_tol)
-    if values[best] > fx:
-        return float(ps[best]), float(values[best])
-    return x, fx
-
-
-def verification_scan(
-    m: int, k: int, cfg: Optional[EngineConfig] = None, factor: int = 10
-) -> Tuple[float, float]:
-    """Exhaustive grid scan at factor times the configured resolution.
-
-    A slow independent check on maximize_objective for use in tests and
-    audits; returns (argmax, maximum) over the finer grid.
-    """
-    _validate_mk(m, k)
-    cfg = cfg or DEFAULT_CONFIG
-    if k == m:
-        return 1.0, 1.0
-    ps = np.linspace(0.0, 1.0, factor * cfg.grid_points)
-    values = _grid_values(m, k, ps)
+        log_c = math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1)
+        values += np.exp(log_c + (i + 1) * log_p + (m - i) * log_q)
     best = int(np.argmax(values))
     return float(ps[best]), float(values[best])
 
 
 @lru_cache(maxsize=65536)
-def _pvalue_cached(m: int, k: int, cfg: EngineConfig) -> float:
-    return maximize_objective(m, k, cfg)[1]
+def _pvalue_cached(m: int, k: int) -> float:
+    return maximize_objective(m, k)[1]
 
 
-def binary_irp_pvalue(m: int, k: int, cfg: Optional[EngineConfig] = None) -> float:
+def binary_irp_pvalue(m: int, k: int) -> float:
     """Exact p-value for a nonconforming test summary with k calibration ones.
 
     Returns max_p sum_{i=0}^k C(m,i) p^(i+1) (1-p)^(m-i).  The degenerate
@@ -231,7 +335,7 @@ def binary_irp_pvalue(m: int, k: int, cfg: Optional[EngineConfig] = None) -> flo
     _validate_mk(m, k)
     if k == m:
         return 1.0
-    return _pvalue_cached(m, k, cfg or DEFAULT_CONFIG)
+    return _pvalue_cached(m, k)
 
 
 def exact_pvalue_k0(m: int) -> float:
@@ -352,7 +456,7 @@ def dominating_pvalue(
     return icp_pvalue(alphas, test_alpha)
 
 
-def binary_irp_pvariable(seq: SummarySequence, cfg: Optional[EngineConfig] = None) -> float:
+def binary_irp_pvariable(seq: SummarySequence) -> float:
     """Engine p-variable on a binary summary sequence.
 
     A conforming test summary yields p-value 1 (the aggregating statistic
@@ -361,7 +465,7 @@ def binary_irp_pvariable(seq: SummarySequence, cfg: Optional[EngineConfig] = Non
     """
     if seq.test_summary == 0:
         return 1.0
-    return binary_irp_pvalue(seq.m, seq.k, cfg)
+    return binary_irp_pvalue(seq.m, seq.k)
 
 
 def icp_pvariable(seq: SummarySequence) -> Fraction:

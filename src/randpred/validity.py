@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .core import DataSplit, Example, SummarySequence, split_training
-from .pvalues import DEFAULT_CONFIG, EngineConfig, asymptotic_constant
+from .pvalues import EngineConfig, asymptotic_constant
 from .summaries import RegressorSpec
 
 __all__ = [
@@ -251,7 +251,6 @@ class PipelineSpec:
 
     task: str = "regression"
     method: str = "both"
-    engine: EngineConfig = DEFAULT_CONFIG
     predictor: RegressorSpec = field(default_factory=RegressorSpec)
 
     def __post_init__(self):
@@ -300,7 +299,7 @@ def monte_carlo_coverage(
         predictions = {}
         for method in methods:
             pipeline = fit_regression_pipeline(split, spec.predictor)
-            predictions[method] = pipeline.predict(test.features, method, spec.engine)
+            predictions[method] = pipeline.predict(test.features, method)
             gamma = prediction_set(predictions[method], epsilon)
             if not gamma.contains(test.label):
                 misses[method] += 1

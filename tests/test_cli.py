@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -162,6 +163,16 @@ class TestPvalue:
         payload = json.loads(result.output)
         assert payload["engine_pvalue"] == 1.0
         assert payload["degenerate"]
+
+    def test_large_k_is_fast(self, runner):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["pvalue", "--m", "1000000", "--k", "100000", "--json"])
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert 0.0 < payload["engine_pvalue"] < payload["icp_pvalue"]
+        assert payload["icp_exact"] == "100001/1000001"
+        assert elapsed < 1.0
 
     def test_k_above_m_is_usage_error(self, runner):
         result = runner.invoke(main, ["pvalue", "--m", "3", "--k", "4"])

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -191,26 +192,138 @@ class TestBinaryIrpPvalue:
         v = binary_irp_pvalue(m, k)
         assert 0.0 < v <= 1.0
 
-    def test_custom_config(self):
-        coarse = EngineConfig(grid_points=64)
-        assert binary_irp_pvalue(5, 1, coarse) == pytest.approx(
-            binary_irp_pvalue(5, 1), rel=1e-9
-        )
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EngineConfig(grid_points=8)
-        with pytest.raises(ValueError):
-            EngineConfig(refine_tol=0.0)
         with pytest.raises(ValueError):
             EngineConfig(constant_tol=-1e-9)
 
     def test_large_m_sharp_peak(self):
-        # the argmax sits three orders of magnitude below the grid spacing;
-        # the bracket-and-refine path must still find it
+        # the peak is about 1/m wide and sits near p = 1/m
         m = 10**6
         value = binary_irp_pvalue(m, 0)
         assert value == pytest.approx(exact_pvalue_k0(m), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the stationarity root: accuracy, unimodality and extreme cases
+# ---------------------------------------------------------------------------
+
+
+def mpmath_pvalue(m: int, k: int) -> float:
+    """max_p p F(k; m, p) from a 50-digit bisection on the stationarity equation.
+
+    (1-p) F(k; m, p) - p (m-k) b(k; m, p) has the sign of the objective's
+    derivative.  Its sign change is bracketed, then bisected in log p to a
+    relative width of 1e-12, where the flat maximum is exact far beyond
+    double precision.  F is summed term by term from i = 0.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+
+        def cdf_and_pmf(p):
+            ratio = p / (1 - p)
+            term = (1 - p) ** m
+            total = term
+            for i in range(k):
+                term = term * ratio * (m - i) / (i + 1)
+                total += term
+            return total, term
+
+        def slope(p):
+            cdf, pmf = cdf_and_pmf(p)
+            return (1 - p) * cdf - p * (m - k) * pmf
+
+        lo = mpmath.mpf(k + 1) / (m + 1)
+        while slope(lo) <= 0:
+            lo /= 2
+        hi = lo
+        while slope(hi) >= 0:
+            hi = min(2 * hi, (1 + hi) / 2)
+        log_lo, log_hi = mpmath.log(lo), mpmath.log(hi)
+        while log_hi - log_lo > 1e-12:
+            mid = (log_lo + log_hi) / 2
+            if slope(mpmath.exp(mid)) > 0:
+                log_lo = mid
+            else:
+                log_hi = mid
+        p = mpmath.exp((log_lo + log_hi) / 2)
+        return float(p * cdf_and_pmf(p)[0])
+
+
+ACCURACY_GRID = [
+    (m, k)
+    for m in (10, 10**2, 10**3, 10**4, 10**5, 10**6, 10**7)
+    for k in (1, 2, 3, 5, 30, 300, 1000)
+    if k < m
+]
+
+NEIGHBOUR_CASES = [
+    (1, 0), (2, 1), (9, 2), (10, 0), (100, 1), (1000, 30),
+    (10**5, 3), (10**6, 10**4), (10**6, 999999), (10**7, 1000),
+]
+
+
+def assert_log_concave(m: int, k: int, ps) -> None:
+    """Second differences of log objective on an even grid are <= 0.
+
+    Points outside (0, 1) or where the objective underflows are dropped;
+    both sets are contiguous, so the rest stays evenly spaced.
+    """
+    values = [objective(m, k, p) for p in ps if 0.0 < p < 1.0]
+    logs = [math.log(v) for v in values if v > 1e-290]
+    for left, mid, right in zip(logs, logs[1:], logs[2:]):
+        assert left - 2.0 * mid + right <= 1e-12 * (1.0 + abs(mid)), (m, k)
+
+
+class TestStationarityRoot:
+    def test_matches_50_digit_reference(self):
+        pytest.importorskip("mpmath")
+        bad = []
+        for m, k in ACCURACY_GRID:
+            reference = mpmath_pvalue(m, k)
+            error = abs(binary_irp_pvalue(m, k) - reference) / reference
+            if error > 1e-13:
+                bad.append((m, k, error))
+        assert not bad
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 5000), data=st.data())
+    def test_log_objective_is_concave(self, m, data):
+        k = data.draw(st.integers(0, m - 1)) if m > 1 else 0
+        assert_log_concave(m, k, [j / 200 for j in range(1, 200)])
+        p_star, _ = maximize_objective(m, k)
+        width = 0.9 / math.sqrt(k + 1)
+        assert_log_concave(m, k, [p_star * (1.0 + width * t / 20) for t in range(-20, 21)])
+
+    def test_argmax_beats_its_neighbours(self):
+        for m, k in NEIGHBOUR_CASES:
+            p_star, value = maximize_objective(m, k)
+            for p in (p_star * (1.0 - 1e-6), p_star * (1.0 + 1e-6)):
+                if p < 1.0:
+                    assert objective(m, k, p) <= value, (m, k, p)
+
+    def test_k_one_below_m_closed_form(self):
+        # F(m-1; m, p) = 1 - p^m, so the maximizer solves p^m = 1/(m+1) and
+        # the maximum is m (m+1)^(-1-1/m)
+        for m in (2, 10, 1000, 10**6):
+            p_closed = math.exp(-math.log1p(m) / m)
+            p_star, value = maximize_objective(m, m - 1)
+            assert value == pytest.approx(m / (m + 1) * p_closed, rel=1e-14)
+            assert p_star == pytest.approx(p_closed, rel=1e-12)
+
+    def test_half_ones_at_large_m(self):
+        start = time.perf_counter()
+        p_star, value = maximize_objective(10**6, 500000)
+        elapsed = time.perf_counter() - start
+        assert 0.49 < value < p_star < 0.5
+        assert objective(10**6, 500000, p_star) == pytest.approx(value, rel=1e-12)
+        assert elapsed < 0.5
+
+    def test_verification_scan_points(self):
+        p_coarse, coarse = verification_scan(5, 1, points=101)
+        assert p_coarse == pytest.approx(round(p_coarse, 2), abs=1e-12)
+        assert coarse <= binary_irp_pvalue(5, 1)
+        with pytest.raises(ValueError):
+            verification_scan(5, 1, points=1)
 
 
 # ---------------------------------------------------------------------------
