@@ -225,26 +225,6 @@ def _rates(s: float) -> Tuple[float, float]:
     return 1.0 / (1.0 + e), e / (1.0 + e)
 
 
-def _newton_start(m: int, k: int) -> float:
-    """A starting s = log((1-p)/p) near the root, for 1 <= k < m.
-
-    For k <= m/2 it is the rank-based rate p = (k+1)/(m+1).  Above that
-    it counts the j = m - k zeros instead: the expected number of zeros
-    d = m(1-p) at the root nearly solves d^(j-1) e^(-d)/(j-1)! = 1/m,
-    the Poisson limit of the stationarity equation (d = log m at j = 1).
-    From the rank-based start there, the first Newton step overshoots far
-    past the root, and the way back costs steps that grow with m.
-    """
-    if 2 * k <= m:
-        return math.log((m - k) / (k + 1))
-    j = m - k
-    d = math.log(m)
-    for _ in range(3):
-        d = max(math.log(m) + (j - 1) * math.log(d) - math.lgamma(j), j)
-    d = min(d, m / 2)
-    return math.log(d / (m - d))
-
-
 def objective(m: int, k: int, p: float) -> float:
     """Evaluate p F(k; m, p) = sum_{i=0}^k C(m,i) p^(i+1) (1-p)^(m-i).
 
@@ -282,7 +262,7 @@ def maximize_objective(m: int, k: int) -> Tuple[float, float]:
     if k == 0:
         return 1.0 / (m + 1), exact_pvalue_k0(m)
     log_gap = math.log(m - k)
-    s = _newton_start(m, k)
+    s = math.log((m - k) / (k + 1))  # the rank-based rate p = (k+1)/(m+1)
     for _ in range(_MAX_NEWTON):
         p, q = _rates(s)
         i0, total, moment = _mode_sums(m, k, p, q)

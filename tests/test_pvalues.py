@@ -158,10 +158,10 @@ class TestBinaryIrpPvalue:
         assert grid_argmax(100, 1) == pytest.approx(p_star, abs=1e-6)
 
     def test_agrees_with_exact_k0_sampled(self):
-        for m in (1, 2, 7, 33, 250, 1000):
+        # the engine's k = 0 closed form against the summed objective at 1/(m+1)
+        for m in (1, 2, 7, 33, 250, 1000, 10**6):
             engine = binary_irp_pvalue(m, 0)
-            exact = exact_pvalue_k0(m)
-            assert engine == pytest.approx(exact, rel=1e-10)
+            assert engine == pytest.approx(objective(m, 0, 1.0 / (m + 1)), rel=1e-13)
 
     def test_agrees_with_verification_scan(self):
         for m in (3, 7, 12):
@@ -197,10 +197,11 @@ class TestBinaryIrpPvalue:
             EngineConfig(constant_tol=-1e-9)
 
     def test_large_m_sharp_peak(self):
-        # the peak is about 1/m wide and sits near p = 1/m
+        # at k = 1 the peak is about 1/m wide and sits near p = 2.4/m
         m = 10**6
-        value = binary_irp_pvalue(m, 0)
-        assert value == pytest.approx(exact_pvalue_k0(m), rel=1e-9)
+        p_star, value = maximize_objective(m, 1)
+        assert p_star == pytest.approx(optimal_p_k1(m), rel=1e-9)
+        assert value == pytest.approx(objective(m, 1, optimal_p_k1(m)), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
