@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "Example",
@@ -46,34 +48,71 @@ class Example:
         object.__setattr__(self, "label", lab)
 
 
-@dataclass(frozen=True)
+def xy_arrays(X, y) -> Tuple[np.ndarray, np.ndarray]:
+    """X and y as float64 arrays, checked to have shapes (n, d) and (n,)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
+        raise ValueError(
+            f"expected X of shape (n, d) and y of shape (n,), got {X.shape} and {y.shape}"
+        )
+    return X, y
+
+
+@dataclass(frozen=True, eq=False)
 class DataSplit:
     """A training sequence split into a proper part (fits the point
-    predictor) and a calibration part (drives the p-value)."""
+    predictor) and a calibration part (drives the p-value).
 
-    proper: tuple
-    calibration: tuple
+    The sequence is held as arrays: ``X`` is the (n, d) feature matrix and
+    ``y`` the n labels, in order; the first ``proper_size`` rows are the
+    proper part.  Both are float64 copies, checked once here (finite, and
+    both parts nonempty) and read-only afterwards.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    proper_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "proper", tuple(self.proper))
-        object.__setattr__(self, "calibration", tuple(self.calibration))
-        if len(self.proper) < 1 or len(self.calibration) < 1:
+        if not isinstance(self.proper_size, (int, np.integer)):
+            raise TypeError(
+                f"proper_size must be an int, got {type(self.proper_size).__name__}"
+            )
+        # np.array copies, so freezing X and y below leaves the caller's arrays writable.
+        X = np.array(self.X, dtype=np.float64)
+        y = np.array(self.y, dtype=np.float64)
+        X, y = xy_arrays(X, y)
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("features and labels must be finite")
+        if not 1 <= self.proper_size <= len(X) - 1:
             raise ValueError(
                 "both proper and calibration parts need at least one example "
-                f"(got {len(self.proper)} and {len(self.calibration)})"
+                f"(got {self.proper_size} and {len(X) - self.proper_size})"
             )
+        X.setflags(write=False)
+        y.setflags(write=False)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "proper_size", int(self.proper_size))
 
     @property
-    def proper_size(self) -> int:
-        return len(self.proper)
+    def proper(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(X, y) of the proper training part."""
+        return self.X[: self.proper_size], self.y[: self.proper_size]
+
+    @property
+    def calibration(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(X, y) of the calibration part."""
+        return self.X[self.proper_size :], self.y[self.proper_size :]
 
     @property
     def calibration_size(self) -> int:
-        return len(self.calibration)
+        return len(self.y) - self.proper_size
 
     @property
     def total_size(self) -> int:
-        return len(self.proper) + len(self.calibration)
+        return len(self.y)
 
 
 def split_training(examples: Sequence[Example], proper_size: int) -> DataSplit:
@@ -91,7 +130,14 @@ def split_training(examples: Sequence[Example], proper_size: int) -> DataSplit:
             f"proper_size must be in [1, {n - 1}] so that both parts are "
             f"nonempty, got {proper_size} for {n} examples"
         )
-    return DataSplit(tuple(examples[:proper_size]), tuple(examples[proper_size:]))
+    widths = {len(e.features) for e in examples}
+    if len(widths) != 1:
+        raise ValueError(
+            f"examples must all have the same number of features, got {sorted(widths)}"
+        )
+    X = np.array([e.features for e in examples], dtype=np.float64)
+    y = np.array([e.label for e in examples], dtype=np.float64)
+    return DataSplit(X, y, proper_size)
 
 
 @dataclass(frozen=True)

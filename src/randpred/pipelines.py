@@ -1,10 +1,10 @@
 """End-to-end prediction pipelines.
 
 Each pipeline fits a binary nonconformity measure on the proper training
-sequence, scores the calibration sequence once, and maps a test object to
-a hedged prediction: a conforming set plus an incertitude.  The set never
-depends on the calibration sequence — only the incertitude does, through
-the one-count k.
+arrays, scores the calibration arrays once in one batch pass, and maps a
+test object to a hedged prediction: a conforming set plus an incertitude.
+The set never depends on the calibration sequence — only the incertitude
+does, through the one-count k.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .summaries import (
     RegressorSpec,
     fit_margin_measure,
     fit_regression_measure,
-    score_margin,
-    score_regression,
+    score_margin_batch,
+    score_regression_batch,
 )
 
 __all__ = [
@@ -151,11 +151,11 @@ def fit_regression_pipeline(
     split: DataSplit, predictor_spec: Optional[RegressorSpec] = None
 ) -> FittedRegressionPipeline:
     """Fit the regression measure on the split and score its calibration."""
-    measure = fit_regression_measure(split.proper, predictor_spec)
-    bits = [score_regression(measure, e.features, e.label) for e in split.calibration]
+    measure = fit_regression_measure(*split.proper, predictor_spec)
+    bits = score_regression_batch(measure, *split.calibration)
     return FittedRegressionPipeline(
         measure=measure,
-        k=sum(bits),
+        k=int(bits.sum()),
         m=len(bits),
         fallback_reason=measure.fallback_reason,
     )
@@ -165,11 +165,11 @@ def fit_classification_pipeline(
     split: DataSplit, classifier_spec: Optional[ClassifierSpec] = None
 ) -> FittedClassificationPipeline:
     """Fit the margin measure on the split and score its calibration."""
-    measure = fit_margin_measure(split.proper, classifier_spec)
-    bits = [score_margin(measure, e.features, e.label) for e in split.calibration]
+    measure = fit_margin_measure(*split.proper, classifier_spec)
+    bits = score_margin_batch(measure, *split.calibration)
     return FittedClassificationPipeline(
         measure=measure,
-        k=sum(bits),
+        k=int(bits.sum()),
         m=len(bits),
         fallback_reason=measure.fallback_reason,
     )

@@ -1,20 +1,27 @@
 """Reference point predictors.
 
 The nonconformity measures treat the point predictor as a black box with a
-``fit(examples)`` / ``predict(features)`` surface, so anything honouring
-that protocol can be plugged in.  Two deterministic references are
-provided: ordinary least squares for regression and a hinge-loss linear
-classifier for binary classification.
+``fit(X, y)`` / ``predict(features)`` / ``predict_batch(X)`` surface, so
+anything honouring that protocol can be plugged in.  Two deterministic
+references are provided: ordinary least squares for regression and a
+hinge-loss linear classifier for binary classification.
+
+The linear predictors evaluate w.x + b in one fixed order, column by
+column with the intercept last, in both ``predict`` and ``predict_batch``.
+Each step is a single IEEE operation in either path, so a row's batch
+prediction equals its scalar one bit for bit; a BLAS matrix-vector product
+promises no such order.  A measure fitted in batch therefore scores every
+row exactly as the scalar scorers would.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .core import Example
+from .core import xy_arrays
 
 __all__ = [
     "PointPredictor",
@@ -29,13 +36,47 @@ __all__ = [
 class PointPredictor(Protocol):
     """Protocol for pluggable point predictors.
 
-    ``predict`` must be deterministic given the fitted state, and the
+    ``fit`` takes an (n, d) feature array and n labels.  ``predict`` and
+    ``predict_batch`` must be deterministic given the fitted state and
+    must agree exactly: ``predict_batch(X)[i] == predict(X[i])``.  The
     fitted state must not change after ``fit`` returns.
     """
 
-    def fit(self, examples: Sequence[Example]) -> "PointPredictor": ...
+    def fit(self, X, y) -> "PointPredictor": ...
 
     def predict(self, features) -> float: ...
+
+    def predict_batch(self, X) -> np.ndarray: ...
+
+
+def _training_arrays(X, y):
+    """X and y as float64 arrays of shapes (n, d) and (n,), n >= 1."""
+    X, y = xy_arrays(X, y)
+    if len(y) == 0:
+        raise ValueError("cannot fit on an empty training sequence")
+    return X, y
+
+
+def _affine_row(coef: tuple, intercept: float, features) -> float:
+    """sum_j coef[j] * features[j], then + intercept, in Python floats."""
+    x = [float(v) for v in features]
+    if len(x) != len(coef):
+        raise ValueError(f"expected {len(coef)} features, got {len(x)}")
+    total = 0.0
+    for c, v in zip(coef, x):
+        total += c * v
+    return total + intercept
+
+
+def _affine_batch(coef: tuple, intercept: float, X) -> np.ndarray:
+    """_affine_row for every row of X, in the same order of operations."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != len(coef):
+        raise ValueError(f"expected X of shape (n, {len(coef)}), got {X.shape}")
+    total = np.zeros(len(X))
+    for j, c in enumerate(coef):
+        total += c * X[:, j]
+    return total + intercept
 
 
 class MeanRegressor:
@@ -44,10 +85,9 @@ class MeanRegressor:
     def __init__(self):
         self._mean = None
 
-    def fit(self, examples):
-        if not examples:
-            raise ValueError("cannot fit on an empty training sequence")
-        self._mean = float(np.mean([e.label for e in examples]))
+    def fit(self, X, y):
+        _, y = _training_arrays(X, y)
+        self._mean = float(np.mean(y))
         return self
 
     def predict(self, features) -> float:
@@ -55,13 +95,20 @@ class MeanRegressor:
             raise RuntimeError("predictor is not fitted")
         return self._mean
 
+    def predict_batch(self, X) -> np.ndarray:
+        if self._mean is None:
+            raise RuntimeError("predictor is not fitted")
+        return np.full(len(X), self._mean)
+
 
 class LeastSquaresRegressor:
     """Ordinary least squares with an intercept.
 
     A rank-deficient design matrix (too few rows, collinear features) falls
     back to the mean-label constant predictor; ``fallback_reason`` records
-    when that happened.
+    when that happened.  The rank is the one ``lstsq`` reports, which
+    counts singular values above eps * max(n, d + 1) * sigma_max, the
+    ``matrix_rank`` default.
     """
 
     def __init__(self):
@@ -70,22 +117,18 @@ class LeastSquaresRegressor:
         self._fallback = None
         self.fallback_reason = None
 
-    def fit(self, examples):
-        if not examples:
-            raise ValueError("cannot fit on an empty training sequence")
-        X = np.array([e.features for e in examples], dtype=float)
-        y = np.array([e.label for e in examples], dtype=float)
-        design = np.column_stack([X, np.ones(len(examples))])
-        rank = np.linalg.matrix_rank(design)
+    def fit(self, X, y):
+        X, y = _training_arrays(X, y)
+        design = np.column_stack([X, np.ones(len(y))])
+        beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
         if rank < design.shape[1]:
-            self._fallback = MeanRegressor().fit(examples)
+            self._fallback = MeanRegressor().fit(X, y)
             self.fallback_reason = (
                 f"rank-deficient design (rank {rank} < {design.shape[1]}); "
                 "using the mean-label constant predictor"
             )
             return self
-        beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-        self._coef = beta[:-1]
+        self._coef = tuple(beta[:-1].tolist())
         self._intercept = float(beta[-1])
         return self
 
@@ -94,7 +137,14 @@ class LeastSquaresRegressor:
             return self._fallback.predict(features)
         if self._coef is None:
             raise RuntimeError("predictor is not fitted")
-        return float(np.dot(self._coef, np.asarray(features, dtype=float)) + self._intercept)
+        return _affine_row(self._coef, self._intercept, features)
+
+    def predict_batch(self, X) -> np.ndarray:
+        if self._fallback is not None:
+            return self._fallback.predict_batch(X)
+        if self._coef is None:
+            raise RuntimeError("predictor is not fitted")
+        return _affine_batch(self._coef, self._intercept, X)
 
 
 class ConstantClassifier:
@@ -104,13 +154,16 @@ class ConstantClassifier:
     def __init__(self, label: int):
         if label not in (-1, 1):
             raise ValueError(f"label must be -1 or +1, got {label!r}")
-        self._label = label
+        self._score = math.inf if label > 0 else -math.inf
 
-    def fit(self, examples):
+    def fit(self, X, y):
         return self
 
     def predict(self, features) -> float:
-        return math.inf if self._label > 0 else -math.inf
+        return self._score
+
+    def predict_batch(self, X) -> np.ndarray:
+        return np.full(len(X), self._score)
 
 
 class HingeLossLinearClassifier:
@@ -139,14 +192,16 @@ class HingeLossLinearClassifier:
         self._fallback = None
         self.fallback_reason = None
 
-    def fit(self, examples):
-        if not examples:
-            raise ValueError("cannot fit on an empty training sequence")
-        labels = {int(e.label) for e in examples}
-        if not labels <= {-1, 1}:
-            raise ValueError(f"classification labels must be -1 or +1, got {sorted(labels)}")
-        if len(labels) == 1:
-            only = labels.pop()
+    def fit(self, X, y):
+        X, y = _training_arrays(X, y)
+        bad = (y != 1.0) & (y != -1.0)
+        if bad.any():
+            raise ValueError(
+                "classification labels must be -1 or +1, got "
+                f"{np.unique(y[bad]).tolist()}"
+            )
+        if (y == y[0]).all():
+            only = int(y[0])
             self._fallback = ConstantClassifier(only)
             self.fallback_reason = (
                 f"single-class training sequence (all labels {only:+d}); "
@@ -154,8 +209,6 @@ class HingeLossLinearClassifier:
             )
             return self
 
-        X = np.array([e.features for e in examples], dtype=float)
-        y = np.array([e.label for e in examples], dtype=float)
         n, d = X.shape
         if self.seed is None:
             w = np.zeros(d)
@@ -172,7 +225,7 @@ class HingeLossLinearClassifier:
                 grad_b = -y[violating].sum() / n
             w = w - self.learning_rate * grad_w
             b = b - self.learning_rate * grad_b
-        self._weights = w
+        self._weights = tuple(w.tolist())
         self._bias = float(b)
         return self
 
@@ -181,4 +234,11 @@ class HingeLossLinearClassifier:
             return self._fallback.predict(features)
         if self._weights is None:
             raise RuntimeError("classifier is not fitted")
-        return float(np.dot(self._weights, np.asarray(features, dtype=float)) + self._bias)
+        return _affine_row(self._weights, self._bias, features)
+
+    def predict_batch(self, X) -> np.ndarray:
+        if self._fallback is not None:
+            return self._fallback.predict_batch(X)
+        if self._weights is None:
+            raise RuntimeError("classifier is not fitted")
+        return _affine_batch(self._weights, self._bias, X)

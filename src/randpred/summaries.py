@@ -5,6 +5,12 @@ training sequence alone and emit a bit: 1 means nonconforming.  The
 regression measure flags residuals that strictly exceed the largest
 proper-training residual; the margin measure flags confident
 misclassifications (wrong class, outside the margin).
+
+Measures are fitted on arrays, and ``score_*_batch`` scores a whole
+array of examples in one pass.  ``score_regression`` and ``score_margin``
+score single rows of outside input and check each one; the batch
+scorers give the same bits, because the predictors' batch and scalar
+predictions agree exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Example, SummarySequence
+from .core import Example, SummarySequence, xy_arrays
 from .predictors import (
     HingeLossLinearClassifier,
     LeastSquaresRegressor,
@@ -32,6 +38,8 @@ __all__ = [
     "fit_margin_measure",
     "score_regression",
     "score_margin",
+    "score_regression_batch",
+    "score_margin_batch",
     "summarize",
 ]
 
@@ -108,20 +116,19 @@ class FittedMarginMeasure:
 
 
 def fit_regression_measure(
-    proper: Sequence[Example], predictor_spec: Optional[RegressorSpec] = None
+    X, y, predictor_spec: Optional[RegressorSpec] = None
 ) -> FittedRegressionMeasure:
-    """Fit the regression measure on the proper training sequence.
+    """Fit the regression measure on the proper training arrays.
 
-    Trains the point predictor on the proper sequence only, then sets
-    half_width = max_i |y_i - g(x_i)| over that same sequence.  A
-    degenerate design falls back to the mean-label predictor, recorded in
-    fallback_reason.
+    Trains the point predictor on the proper part only, then sets
+    half_width = max_i |y_i - g(x_i)| over that same part, in one batch
+    pass.  A degenerate design falls back to the mean-label predictor,
+    recorded in fallback_reason.
     """
-    if not proper:
-        raise ValueError("proper training sequence must be nonempty")
     spec = predictor_spec or RegressorSpec()
-    predictor = spec.build().fit(proper)
-    half_width = max(abs(e.label - predictor.predict(e.features)) for e in proper)
+    X, y = xy_arrays(X, y)
+    predictor = spec.build().fit(X, y)
+    half_width = np.max(np.abs(y - predictor.predict_batch(X)))
     return FittedRegressionMeasure(
         predictor=predictor,
         half_width=float(half_width),
@@ -130,19 +137,17 @@ def fit_regression_measure(
 
 
 def fit_margin_measure(
-    proper: Sequence[Example], classifier_spec: Optional[ClassifierSpec] = None
+    X, y, classifier_spec: Optional[ClassifierSpec] = None
 ) -> FittedMarginMeasure:
-    """Fit the margin measure on the proper training sequence.
+    """Fit the margin measure on the proper training arrays.
 
     The reference classifier scores with the raw affine output, so the
-    functional margin is 1 in score units.  A single-class proper
-    sequence falls back to a constant classifier with infinite score,
-    recorded in fallback_reason.
+    functional margin is 1 in score units.  A single-class proper part
+    falls back to a constant classifier with infinite score, recorded in
+    fallback_reason.
     """
-    if not proper:
-        raise ValueError("proper training sequence must be nonempty")
     spec = classifier_spec or ClassifierSpec()
-    classifier = spec.build().fit(proper)
+    classifier = spec.build().fit(X, y)
     return FittedMarginMeasure(
         classifier=classifier,
         margin_width=1.0,
@@ -181,6 +186,32 @@ def score_margin(measure: FittedMarginMeasure, x, y: int) -> int:
     score = measure.classifier.predict(x)
     wrong_class = (score > 0 and y == -1) or (score < 0 and y == 1)
     return 1 if wrong_class and abs(score) > measure.margin_width else 0
+
+
+def _batch_arrays(X, y):
+    X, y = xy_arrays(X, y)
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("features and labels must be finite")
+    return X, y
+
+
+def score_regression_batch(measure: FittedRegressionMeasure, X, y) -> np.ndarray:
+    """score_regression for every row of (X, y) in one pass: an int8 array
+    of bits."""
+    X, y = _batch_arrays(X, y)
+    residuals = np.abs(y - measure.predictor.predict_batch(X))
+    return (residuals > measure.half_width).astype(np.int8)
+
+
+def score_margin_batch(measure: FittedMarginMeasure, X, y) -> np.ndarray:
+    """score_margin for every row of (X, y) in one pass: an int8 array of
+    bits.  Every label must be exactly -1 or +1."""
+    X, y = _batch_arrays(X, y)
+    if not ((y == 1.0) | (y == -1.0)).all():
+        raise ValueError("classification labels must be -1 or +1")
+    scores = measure.classifier.predict_batch(X)
+    wrong_class = ((scores > 0) & (y == -1.0)) | ((scores < 0) & (y == 1.0))
+    return (wrong_class & (np.abs(scores) > measure.margin_width)).astype(np.int8)
 
 
 def _score(measure, x, y) -> int:

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .core import DataSplit, Example, SummarySequence, split_training
+from .core import DataSplit, Example, SummarySequence
 from .pvalues import EngineConfig, asymptotic_constant
 from .summaries import RegressorSpec
 
@@ -237,12 +237,8 @@ class BoundedNoiseLinearGenerator:
         features = rng.uniform(self.feature_low, self.feature_high, size=(n, d))
         noise = rng.uniform(-self.noise_half_width, self.noise_half_width, size=n)
         labels = features @ np.array(self.coefficients) + self.intercept + noise
-        examples = [
-            Example(features=tuple(row), label=float(y))
-            for row, y in zip(features, labels)
-        ]
-        split = split_training(examples[:-1], self.proper_size)
-        return split, examples[-1]
+        split = DataSplit(features[:-1], labels[:-1], self.proper_size)
+        return split, Example(features=tuple(features[-1]), label=float(labels[-1]))
 
 
 @dataclass(frozen=True)
@@ -274,9 +270,10 @@ def monte_carlo_coverage(
     Each trial draws fresh IID data, forms the level-epsilon prediction
     set, and records whether the true test label was excluded.  A
     coverage cell passes when the empirical miscoverage rate is at most
-    epsilon + 3 standard errors.  When both methods run, an
-    interval-identity cell additionally checks that the two pipelines
-    produced the same interval on every trial.
+    epsilon + 3 standard errors.  Each trial fits one pipeline and asks it
+    for every method.  When both methods run, an interval-identity cell
+    additionally checks that the two hedged predictions carry the same
+    interval on every trial.
 
     Each trial derives its random stream from (seed, trial index), so the
     report is identical under any execution order.
@@ -296,9 +293,9 @@ def monte_carlo_coverage(
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         split, test = generator.sample(rng)
+        pipeline = fit_regression_pipeline(split, spec.predictor)
         predictions = {}
         for method in methods:
-            pipeline = fit_regression_pipeline(split, spec.predictor)
             predictions[method] = pipeline.predict(test.features, method)
             gamma = prediction_set(predictions[method], epsilon)
             if not gamma.contains(test.label):

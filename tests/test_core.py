@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,16 +40,16 @@ class TestExample:
 
 class TestSplitTraining:
     def test_basic_split(self):
-        e1, e2, e3 = ex(1.0), ex(2.0), ex(3.0)
-        split = split_training([e1, e2, e3], 2)
-        assert split.proper == (e1, e2)
-        assert split.calibration == (e3,)
+        split = split_training([ex(1.0, (0.5,)), ex(2.0, (1.5,)), ex(3.0, (2.5,))], 2)
+        X, y = split.proper
+        assert X.tolist() == [[0.5], [1.5]] and y.tolist() == [1.0, 2.0]
+        X, y = split.calibration
+        assert X.tolist() == [[2.5]] and y.tolist() == [3.0]
 
     def test_minimal_legal_sizes(self):
-        e1, e2 = ex(1.0), ex(2.0)
-        split = split_training([e1, e2], 1)
-        assert split.proper == (e1,)
-        assert split.calibration == (e2,)
+        split = split_training([ex(1.0), ex(2.0)], 1)
+        assert split.proper[1].tolist() == [1.0]
+        assert split.calibration[1].tolist() == [2.0]
 
     def test_calibration_must_be_nonempty(self):
         with pytest.raises(ValueError):
@@ -62,21 +63,56 @@ class TestSplitTraining:
         with pytest.raises(TypeError):
             split_training([ex(1.0), ex(2.0)], 1.5)
 
+    def test_rejects_ragged_features(self):
+        with pytest.raises(ValueError, match="same number of features"):
+            split_training([ex(1.0, (0.0,)), ex(2.0, (0.0, 1.0))], 1)
+
     @given(labels=st.lists(st.floats(-10, 10), min_size=2, max_size=30), data=st.data())
     def test_preserves_order_and_multiset(self, labels, data):
-        examples = [ex(v) for v in labels]
+        examples = [ex(v, (i,)) for i, v in enumerate(labels)]
         l = data.draw(st.integers(1, len(examples) - 1))
         split = split_training(examples, l)
-        assert list(split.proper) + list(split.calibration) == examples
+        rows = [
+            Example(tuple(x), label)
+            for part in (split.proper, split.calibration)
+            for x, label in zip(*part)
+        ]
+        assert rows == examples
         assert split.proper_size + split.calibration_size == split.total_size == len(examples)
 
 
 class TestDataSplit:
     def test_requires_both_parts(self):
         with pytest.raises(ValueError):
-            DataSplit(proper=(), calibration=(ex(1.0),))
+            DataSplit(np.zeros((1, 1)), np.zeros(1), 0)
         with pytest.raises(ValueError):
-            DataSplit(proper=(ex(1.0),), calibration=())
+            DataSplit(np.zeros((1, 1)), np.zeros(1), 1)
+
+    def test_checks_shapes(self):
+        with pytest.raises(ValueError, match="shape"):
+            DataSplit(np.zeros(3), np.zeros(3), 1)
+        with pytest.raises(ValueError, match="shape"):
+            DataSplit(np.zeros((3, 1)), np.zeros(2), 1)
+        with pytest.raises(TypeError):
+            DataSplit(np.zeros((3, 1)), np.zeros(3), 1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, bad):
+        X, y = np.zeros((3, 2)), np.zeros(3)
+        with pytest.raises(ValueError, match="finite"):
+            DataSplit(np.where(np.eye(3, 2) == 1, bad, X), y, 1)
+        with pytest.raises(ValueError, match="finite"):
+            DataSplit(X, np.array([0.0, bad, 0.0]), 1)
+
+    def test_holds_read_only_copies(self):
+        X, y = np.arange(6.0).reshape(3, 2), np.arange(3.0)
+        split = DataSplit(X, y, 2)
+        X[0, 0] = y[0] = 99.0
+        assert split.X[0, 0] == 0.0 and split.y[0] == 0.0
+        with pytest.raises(ValueError):
+            split.X[0, 0] = 1.0
+        assert split.calibration[0].tolist() == [[4.0, 5.0]]
+
 
 
 class TestSummarySequence:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from randpred import (
     ALL_LABELS,
     FULL_LINE,
+    ClassifierSpec,
+    DataSplit,
     Example,
     HedgedPrediction,
     Interval,
@@ -16,12 +18,15 @@ from randpred import (
     RegressorSpec,
     binary_irp_pvalue,
     exact_pvalue_k0,
+    fit_classification_pipeline,
     fit_regression_pipeline,
     icp_predict_classification,
     icp_predict_regression,
     irp_predict_classification,
     irp_predict_regression,
     prediction_set,
+    score_margin,
+    score_regression,
     split_training,
 )
 
@@ -166,6 +171,39 @@ class TestClassificationPipelines:
         split = cls_split(seed=11)
         pred = icp_predict_classification(split, (0.9, 0.9))
         assert pred.incertitude == pytest.approx((pred.k + 1) / (pred.m + 1), abs=1e-15)
+
+
+class TestPipelineKMatchesScalarScores:
+    """k from the pipeline's batch pass equals the count of per-row bits."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), l=st.integers(3, 40), m=st.integers(1, 30))
+    def test_regression(self, seed, l, m):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-2, 2, size=(l + m, 2))
+        y = X @ [1.0, -1.5] + 0.2 + rng.uniform(-0.4, 0.4, size=l + m)
+        # calibration rows that repeat proper rows, the largest residual
+        # among them, score exactly as those rows do under their own measure
+        X = np.vstack([X, X[:l]])
+        y = np.concatenate([y, y[:l]])
+        pipeline = fit_regression_pipeline(DataSplit(X, y, l))
+        cal_X, cal_y = X[l:], y[l:]
+        bits = [score_regression(pipeline.measure, x, v) for x, v in zip(cal_X, cal_y)]
+        assert pipeline.m == m + l
+        assert pipeline.k == sum(bits)
+        assert not any(bits[m:])
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), l=st.integers(2, 30), m=st.integers(1, 30))
+    def test_classification(self, seed, l, m):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1, 1, size=(l + m, 2))
+        y = np.where(X[:, 0] + X[:, 1] + rng.normal(0, 0.3, l + m) > 0, 1.0, -1.0)
+        pipeline = fit_classification_pipeline(
+            DataSplit(X, y, l), ClassifierSpec(epochs=30)
+        )
+        bits = [score_margin(pipeline.measure, x, int(v)) for x, v in zip(X[l:], y[l:])]
+        assert pipeline.k == sum(bits)
 
 
 class TestPredictionSet:

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randpred import (
     ConstantClassifier,
-    Example,
     HingeLossLinearClassifier,
     LeastSquaresRegressor,
     MeanRegressor,
@@ -13,22 +14,20 @@ from randpred import (
 )
 
 
-def linear_examples(coef, intercept, n=30, seed=0):
+def linear_data(coef, intercept, n=30, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1, 1, size=(n, len(coef)))
-    y = X @ np.array(coef) + intercept
-    return [Example(features=tuple(r), label=float(v)) for r, v in zip(X, y)]
+    return X, X @ np.array(coef) + intercept
 
 
 class TestMeanRegressor:
     def test_predicts_training_mean(self):
-        examples = [Example((0.0,), 1.0), Example((1.0,), 3.0)]
-        model = MeanRegressor().fit(examples)
+        model = MeanRegressor().fit([[0.0], [1.0]], [1.0, 3.0])
         assert model.predict((5.0,)) == 2.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            MeanRegressor().fit([])
+            MeanRegressor().fit(np.empty((0, 1)), [])
 
     def test_requires_fit(self):
         with pytest.raises(RuntimeError):
@@ -37,31 +36,30 @@ class TestMeanRegressor:
 
 class TestLeastSquaresRegressor:
     def test_recovers_exact_linear_signal(self):
-        examples = linear_examples([1.5, -2.0], 0.3)
-        model = LeastSquaresRegressor().fit(examples)
+        X, y = linear_data([1.5, -2.0], 0.3)
+        model = LeastSquaresRegressor().fit(X, y)
         assert model.fallback_reason is None
-        for e in examples:
-            assert model.predict(e.features) == pytest.approx(e.label, abs=1e-10)
+        for x, label in zip(X, y):
+            assert model.predict(x) == pytest.approx(label, abs=1e-10)
         assert model.predict((0.5, 0.5)) == pytest.approx(1.5 * 0.5 - 2.0 * 0.5 + 0.3, abs=1e-10)
 
     def test_rank_deficient_falls_back_to_mean(self):
         # one example, two features: the design cannot have full column rank
-        examples = [Example((1.0, 2.0), 5.0)]
-        model = LeastSquaresRegressor().fit(examples)
+        model = LeastSquaresRegressor().fit([[1.0, 2.0]], [5.0])
         assert model.fallback_reason is not None
         assert "rank" in model.fallback_reason
         assert model.predict((9.0, 9.0)) == 5.0
 
     def test_collinear_features_fall_back(self):
-        examples = [Example((v, 2 * v), 3 * v) for v in (1.0, 2.0, 3.0, 4.0)]
-        model = LeastSquaresRegressor().fit(examples)
+        v = np.array([1.0, 2.0, 3.0, 4.0])
+        model = LeastSquaresRegressor().fit(np.column_stack([v, 2 * v]), 3 * v)
         assert model.fallback_reason is not None
         assert model.predict((1.0, 2.0)) == pytest.approx(7.5)
 
     def test_deterministic(self):
-        examples = linear_examples([0.7], -0.1, seed=3)
-        a = LeastSquaresRegressor().fit(examples)
-        b = LeastSquaresRegressor().fit(examples)
+        X, y = linear_data([0.7], -0.1, seed=3)
+        a = LeastSquaresRegressor().fit(X, y)
+        b = LeastSquaresRegressor().fit(X, y)
         assert a.predict((0.321,)) == b.predict((0.321,))
 
     def test_satisfies_protocol(self):
@@ -83,50 +81,53 @@ class TestHingeLossLinearClassifier:
         # reject points too close to the separating line so the classes
         # have an actual margin between them
         rng = np.random.default_rng(seed)
-        examples = []
-        while len(examples) < n:
+        rows = []
+        while len(rows) < n:
             x = rng.uniform(-1, 1, size=2)
             if abs(x[0] + x[1]) < gap:
                 continue
-            examples.append(Example(features=tuple(x), label=1 if x[0] + x[1] > 0 else -1))
-        return examples
+            rows.append(x)
+        X = np.array(rows)
+        return X, np.where(X[:, 0] + X[:, 1] > 0, 1.0, -1.0)
 
     def test_separates_separable_data(self):
-        examples = self.separable()
-        model = HingeLossLinearClassifier().fit(examples)
+        X, y = self.separable()
+        model = HingeLossLinearClassifier().fit(X, y)
         assert model.fallback_reason is None
-        correct = sum(
-            1 for e in examples if (model.predict(e.features) > 0) == (e.label > 0)
-        )
-        assert correct == len(examples)
+        correct = sum(1 for x, label in zip(X, y) if (model.predict(x) > 0) == (label > 0))
+        assert correct == len(y)
 
     def test_two_point_symmetry(self):
-        examples = [Example((-1.0,), -1), Example((1.0,), 1)]
-        model = HingeLossLinearClassifier().fit(examples)
+        model = HingeLossLinearClassifier().fit([[-1.0], [1.0]], [-1, 1])
         assert model.predict((0.0,)) == pytest.approx(0.0, abs=1e-9)
         assert model.predict((1.0,)) > 0 > model.predict((-1.0,))
 
     def test_single_class_falls_back(self):
-        examples = [Example((0.0,), 1), Example((1.0,), 1)]
-        model = HingeLossLinearClassifier().fit(examples)
+        model = HingeLossLinearClassifier().fit([[0.0], [1.0]], [1, 1])
         assert model.fallback_reason is not None
         assert model.predict((5.0,)) == math.inf
 
     def test_rejects_non_sign_labels(self):
         with pytest.raises(ValueError):
-            HingeLossLinearClassifier().fit([Example((0.0,), 2)])
+            HingeLossLinearClassifier().fit([[0.0]], [2])
+
+    @pytest.mark.parametrize("label", [1.5, 1.9, 0.5, -1.5])
+    def test_rejects_fractional_labels(self, label):
+        # int(1.5) == 1: the labels must be compared exactly, not truncated
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            HingeLossLinearClassifier().fit([[0.0], [1.0], [2.0]], [-1.0, 1.0, label])
 
     def test_deterministic_without_seed(self):
-        examples = self.separable(seed=5)
-        a = HingeLossLinearClassifier().fit(examples)
-        b = HingeLossLinearClassifier().fit(examples)
+        X, y = self.separable(seed=5)
+        a = HingeLossLinearClassifier().fit(X, y)
+        b = HingeLossLinearClassifier().fit(X, y)
         assert a.predict((0.2, -0.4)) == b.predict((0.2, -0.4))
 
     def test_seeded_init_reproducible(self):
-        examples = self.separable(seed=6)
-        a = HingeLossLinearClassifier(seed=11).fit(examples)
-        b = HingeLossLinearClassifier(seed=11).fit(examples)
-        c = HingeLossLinearClassifier(seed=12).fit(examples)
+        X, y = self.separable(seed=6)
+        a = HingeLossLinearClassifier(seed=11).fit(X, y)
+        b = HingeLossLinearClassifier(seed=11).fit(X, y)
+        c = HingeLossLinearClassifier(seed=12).fit(X, y)
         x = (0.3, 0.3)
         assert a.predict(x) == b.predict(x)
         assert a.predict(x) != c.predict(x)
@@ -138,3 +139,57 @@ class TestHingeLossLinearClassifier:
             HingeLossLinearClassifier(epochs=0)
         with pytest.raises(ValueError):
             HingeLossLinearClassifier(l2=-0.1)
+
+
+def _fitted_predictors(X, y, signs):
+    """One fitted instance of every predictor, fallbacks included."""
+    n, d = X.shape
+    collinear = np.column_stack([X[:, :1], 2.0 * X[:, :1]])
+    yield MeanRegressor().fit(X, y)
+    yield LeastSquaresRegressor().fit(X, y)
+    yield LeastSquaresRegressor().fit(X[:1], y[:1])  # rank-deficient fallback
+    yield LeastSquaresRegressor().fit(collinear, y)  # collinear fallback
+    yield HingeLossLinearClassifier(epochs=20).fit(X, signs)
+    yield HingeLossLinearClassifier(epochs=20, seed=1).fit(X, signs)
+    yield HingeLossLinearClassifier().fit(X, np.ones(n))  # single-class fallback
+    yield ConstantClassifier(-1)
+
+
+class TestBatchMatchesScalar:
+    """predict_batch(X)[i] must equal predict(X[i]) bit for bit: a measure
+    fitted in batch must score every row as the scalar scorers do."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        d=st.integers(1, 6),
+        scale=st.sampled_from([1e-3, 1.0, 37.5, 1e6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_predictor(self, n, d, scale, seed):
+        rng = np.random.default_rng(seed)
+        X = scale * rng.standard_normal((n, d))
+        y = X @ rng.standard_normal(d) + rng.standard_normal(n)
+        signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        signs[:2] = (-1.0, 1.0)
+        test_X = scale * rng.standard_normal((25, d))
+        for model in _fitted_predictors(X, y, signs):
+            for rows in (X, test_X):
+                batch = model.predict_batch(rows)
+                assert batch.shape == (len(rows),)
+                for i, row in enumerate(rows):
+                    assert batch[i] == model.predict(row), type(model).__name__
+                    assert batch[i] == model.predict(tuple(row.tolist()))
+
+    def test_batch_shape_is_checked(self):
+        model = LeastSquaresRegressor().fit(*linear_data([1.0, 2.0], 0.5))
+        with pytest.raises(ValueError):
+            model.predict_batch(np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            model.predict((1.0,))
+
+    def test_fit_shapes_are_checked(self):
+        with pytest.raises(ValueError):
+            LeastSquaresRegressor().fit(np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError):
+            MeanRegressor().fit(np.zeros((3, 1)), np.zeros(2))

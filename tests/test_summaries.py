@@ -14,7 +14,9 @@ from randpred import (
     fit_margin_measure,
     fit_regression_measure,
     score_margin,
+    score_margin_batch,
     score_regression,
+    score_regression_batch,
     summarize,
 )
 
@@ -25,39 +27,47 @@ class FixedScore:
     def __init__(self, score):
         self.score = score
 
-    def fit(self, examples):
+    def fit(self, X, y):
         return self
 
     def predict(self, features):
         return self.score
+
+    def predict_batch(self, X):
+        return np.full(len(X), self.score)
 
 
 def reg_examples(labels, feature=0.0):
     return [Example(features=(feature,), label=v) for v in labels]
 
 
+def reg_arrays(labels, feature=0.0):
+    """(X, y) with every feature equal to `feature`."""
+    return np.full((len(labels), 1), feature), np.array(labels, dtype=float)
+
+
 class TestFitRegressionMeasure:
     def test_half_width_is_max_residual(self):
         # mean predictor over {0, 1} predicts 0.5: residuals {0.5, 0.5}
-        measure = fit_regression_measure(reg_examples([0.0, 1.0]), RegressorSpec("mean"))
+        measure = fit_regression_measure(*reg_arrays([0.0, 1.0]), RegressorSpec("mean"))
         assert measure.half_width == 0.5
 
     def test_interpolating_fit_gives_zero_half_width(self):
-        examples = [Example((x,), 2.0 * x + 1.0) for x in (0.0, 1.0, 2.0)]
-        measure = fit_regression_measure(examples)
+        x = np.array([0.0, 1.0, 2.0])
+        measure = fit_regression_measure(x[:, None], 2.0 * x + 1.0)
         assert measure.half_width == pytest.approx(0.0, abs=1e-10)
 
     def test_single_example_constant_predictor(self):
-        measure = fit_regression_measure(reg_examples([3.7]), RegressorSpec("mean"))
+        measure = fit_regression_measure(*reg_arrays([3.7]), RegressorSpec("mean"))
         assert measure.half_width == 0.0
 
     def test_fallback_reported(self):
-        measure = fit_regression_measure([Example((1.0, 2.0), 5.0)])
+        measure = fit_regression_measure([[1.0, 2.0]], [5.0])
         assert measure.fallback_reason is not None
 
     def test_rejects_empty_proper(self):
         with pytest.raises(ValueError):
-            fit_regression_measure([])
+            fit_regression_measure(np.empty((0, 1)), [])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -68,7 +78,7 @@ class TestScoreRegression:
     @pytest.fixture
     def measure(self):
         # mean predictor over {0, 1}: g == 0.5, half_width == 0.5
-        return fit_regression_measure(reg_examples([0.0, 1.0]), RegressorSpec("mean"))
+        return fit_regression_measure(*reg_arrays([0.0, 1.0]), RegressorSpec("mean"))
 
     def test_strict_exceedance_scores_one(self, measure):
         assert score_regression(measure, (0.0,), 1.1) == 1
@@ -89,19 +99,16 @@ class TestScoreRegression:
 
 class TestFitMarginMeasure:
     def test_functional_margin_is_one(self):
-        examples = [Example((-1.0,), -1), Example((1.0,), 1)]
-        measure = fit_margin_measure(examples)
+        measure = fit_margin_measure([[-1.0], [1.0]], [-1, 1])
         assert measure.margin_width == 1.0
         assert measure.fallback_reason is None
 
     def test_two_point_threshold_at_zero(self):
-        examples = [Example((-1.0,), -1), Example((1.0,), 1)]
-        measure = fit_margin_measure(examples)
+        measure = fit_margin_measure([[-1.0], [1.0]], [-1, 1])
         assert measure.classifier.predict((0.0,)) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_class_fallback(self):
-        examples = [Example((0.0,), 1), Example((1.0,), 1)]
-        measure = fit_margin_measure(examples)
+        measure = fit_margin_measure([[0.0], [1.0]], [1, 1])
         assert measure.fallback_reason is not None
         # every test object is classified +1 outside the margin
         assert score_margin(measure, (9.9,), -1) == 1
@@ -109,16 +116,14 @@ class TestFitMarginMeasure:
 
     def test_rejects_empty_proper(self):
         with pytest.raises(ValueError):
-            fit_margin_measure([])
+            fit_margin_measure(np.empty((0, 1)), [])
 
     def test_classifier_spec_flows_through(self):
         rng = np.random.default_rng(2)
         X = rng.uniform(-1, 1, size=(30, 2))
-        examples = [
-            Example(tuple(r), 1 if r[0] - r[1] > 0 else -1) for r in X
-        ]
-        a = fit_margin_measure(examples, ClassifierSpec(seed=5))
-        b = fit_margin_measure(examples, ClassifierSpec(seed=5))
+        y = np.where(X[:, 0] - X[:, 1] > 0, 1, -1)
+        a = fit_margin_measure(X, y, ClassifierSpec(seed=5))
+        b = fit_margin_measure(X, y, ClassifierSpec(seed=5))
         assert a.classifier.predict((0.4, -0.2)) == b.classifier.predict((0.4, -0.2))
 
 
@@ -158,7 +163,7 @@ class TestSummarize:
     @pytest.fixture
     def measure(self):
         # mean predictor over {-0.55, 0.55}: g == 0, half_width == 0.55
-        return fit_regression_measure(reg_examples([-0.55, 0.55]), RegressorSpec("mean"))
+        return fit_regression_measure(*reg_arrays([-0.55, 0.55]), RegressorSpec("mean"))
 
     def test_counting(self, measure):
         calibration = reg_examples([0.5, 1.0, -0.2, -1.0])  # bits (0, 1, 0, 1)
@@ -185,9 +190,7 @@ class TestSummarize:
     @settings(max_examples=40)
     @given(labels=st.lists(st.floats(-2, 2), min_size=1, max_size=12), data=st.data())
     def test_k_invariant_under_calibration_permutation(self, labels, data):
-        measure = fit_regression_measure(
-            reg_examples([-0.55, 0.55]), RegressorSpec("mean")
-        )
+        measure = fit_regression_measure(*reg_arrays([-0.55, 0.55]), RegressorSpec("mean"))
         calibration = reg_examples(labels)
         permuted = data.draw(st.permutations(calibration))
         a = summarize(measure, calibration, (0.0,), 1.0)
@@ -202,6 +205,67 @@ class TestProperSelfConsistency:
         rng = np.random.default_rng(seed)
         X = rng.uniform(-1, 1, size=(12, 2))
         y = X @ [1.0, -0.5] + rng.uniform(-0.3, 0.3, size=12)
-        proper = [Example(tuple(r), float(v)) for r, v in zip(X, y)]
-        measure = fit_regression_measure(proper)
-        assert all(score_regression(measure, e.features, e.label) == 0 for e in proper)
+        measure = fit_regression_measure(X, y)
+        assert all(score_regression(measure, x, label) == 0 for x, label in zip(X, y))
+
+
+class FirstFeature:
+    """Stub classifier scoring each object by its first feature."""
+
+    def fit(self, X, y):
+        return self
+
+    def predict(self, features):
+        return float(features[0])
+
+    def predict_batch(self, X):
+        return np.asarray(X, dtype=float)[:, 0].copy()
+
+
+class TestBatchScoring:
+    """The batch scorers give the bits of the per-row scorers, boundaries
+    included."""
+
+    def test_residual_exactly_at_half_width_conforms(self):
+        # mean predictor over {0, 1}: g == 0.5, half_width == 0.5
+        measure = fit_regression_measure(*reg_arrays([0.0, 1.0]), RegressorSpec("mean"))
+        X, y = reg_arrays([1.0, 0.0, 1.1, -0.1, 0.5])
+        bits = score_regression_batch(measure, X, y)
+        assert bits.tolist() == [0, 0, 1, 1, 0]
+        assert bits.tolist() == [score_regression(measure, x, v) for x, v in zip(X, y)]
+
+    def test_zero_score_and_score_at_margin_conform(self):
+        measure = FittedMarginMeasure(classifier=FirstFeature(), margin_width=1.0)
+        scores = [0.0, 0.0, 1.0, -1.0, 1.5, -1.5, 1.5, -1.0000000000000002]
+        labels = [1, -1, -1, 1, -1, 1, 1, 1]
+        X = np.array(scores)[:, None]
+        bits = score_margin_batch(measure, X, labels)
+        assert bits.tolist() == [0, 0, 0, 0, 1, 1, 0, 1]
+        assert bits.tolist() == [score_margin(measure, x, v) for x, v in zip(X, labels)]
+
+    def test_infinite_scores_of_the_constant_fallback(self):
+        measure = fit_margin_measure([[0.0], [1.0]], [1, 1])
+        bits = score_margin_batch(measure, [[5.0], [-5.0]], [-1, 1])
+        assert bits.tolist() == [1, 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["least_squares", "mean"]))
+    def test_regression_batch_matches_scalar(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-3, 3, size=(40, 3))
+        y = X @ rng.standard_normal(3) + rng.uniform(-0.5, 0.5, size=40)
+        measure = fit_regression_measure(X[:20], y[:20], RegressorSpec(kind))
+        scalar = [score_regression(measure, x, v) for x, v in zip(X, y)]
+        assert score_regression_batch(measure, X, y).tolist() == scalar
+        # every proper row conforms, the one at the half-width included
+        assert not any(scalar[:20])
+
+    def test_batch_input_checks(self):
+        measure = fit_regression_measure(*reg_arrays([0.0, 1.0]), RegressorSpec("mean"))
+        with pytest.raises(ValueError):
+            score_regression_batch(measure, [[0.0]], [math.nan])
+        with pytest.raises(ValueError):
+            score_regression_batch(measure, [[0.0], [1.0]], [0.0])
+        margin = FittedMarginMeasure(classifier=FirstFeature(), margin_width=1.0)
+        with pytest.raises(ValueError):
+            score_margin_batch(margin, [[0.0]], [0.5])

@@ -15,6 +15,7 @@ from randpred import (
     check_dominance,
     dominating_pvariable,
     icp_pvariable,
+    RegressorSpec,
     monte_carlo_coverage,
     reproduce_table_k,
     urp_binary_event,
@@ -154,6 +155,51 @@ class TestMonteCarloCoverage:
             PipelineSpec(method="oracle")
 
 
+def _miss_counts(report):
+    return {cell.name: int(cell.detail.split("/")[0]) for cell in report.cells}
+
+
+class TestMonteCarloPinned:
+    """Miss and interval-identity counts of the seeded runs, pinned so that
+    a change to the data path or the fit shows in the counts."""
+
+    @pytest.mark.parametrize(
+        "seed, irp, icp", [(0, 2, 2), (1, 4, 1), (2, 2, 0), (3, 3, 2)]
+    )
+    def test_hundred_trials(self, seed, irp, icp):
+        report = monte_carlo_coverage(None, None, 0.05, 100, seed)
+        assert _miss_counts(report) == {
+            "coverage-irp": irp,
+            "coverage-icp": icp,
+            "interval-identity": 100,
+        }
+
+    def test_ten_thousand_trials(self):
+        report = monte_carlo_coverage(
+            PipelineSpec(), BoundedNoiseLinearGenerator(), 0.05, 10000, 2026
+        )
+        assert _miss_counts(report) == {
+            "coverage-irp": 234,
+            "coverage-icp": 93,
+            "interval-identity": 10000,
+        }
+
+    def test_mean_regressor(self):
+        report = monte_carlo_coverage(
+            PipelineSpec(predictor=RegressorSpec("mean")),
+            BoundedNoiseLinearGenerator(calibration_size=60),
+            0.05,
+            300,
+            11,
+        )
+        assert _miss_counts(report) == {
+            "coverage-irp": 9,
+            "coverage-icp": 7,
+            "interval-identity": 300,
+        }
+        assert report.passed
+
+
 class TestGenerators:
     def test_sample_shapes(self):
         import numpy as np
@@ -169,9 +215,26 @@ class TestGenerators:
 
         gen = BoundedNoiseLinearGenerator(noise_half_width=0.25)
         split, test = gen.sample(np.random.default_rng(1))
-        for e in list(split.proper) + list(split.calibration) + [test]:
-            signal = sum(c * x for c, x in zip(gen.coefficients, e.features)) + gen.intercept
-            assert abs(e.label - signal) <= gen.noise_half_width
+        rows = list(zip(split.X.tolist(), split.y.tolist())) + [(test.features, test.label)]
+        assert len(rows) == gen.proper_size + gen.calibration_size + 1
+        for features, label in rows:
+            signal = sum(c * x for c, x in zip(gen.coefficients, features)) + gen.intercept
+            assert abs(label - signal) <= gen.noise_half_width
+
+    def test_same_draws_as_per_row_examples(self):
+        import numpy as np
+
+        # The split is built straight from the generator's arrays, in the
+        # order the rng drew them: features, then noise.
+        gen = BoundedNoiseLinearGenerator(proper_size=4, calibration_size=3)
+        split, test = gen.sample(np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        features = rng.uniform(-1.0, 1.0, size=(8, 2))
+        labels = features @ np.array(gen.coefficients) + gen.intercept
+        labels += rng.uniform(-0.25, 0.25, size=8)
+        assert np.array_equal(split.X, features[:-1])
+        assert np.array_equal(split.y, labels[:-1])
+        assert test.features == tuple(features[-1]) and test.label == labels[-1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
