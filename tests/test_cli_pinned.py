@@ -1,0 +1,194 @@
+"""`predict` output pinned byte for byte.
+
+The sha256 digests below were recorded from the per-row implementation
+(one HedgedPrediction and one json.dumps dict per test row), so any change
+to the prediction path or the renderer that moves a byte shows here.  The
+fixtures cover both tasks and both methods, the mean-regressor and
+single-class fallbacks, k = m splits, numbers that exercise the 12-digit
+rounding, and an epsilon below the incertitude (full level sets).
+"""
+
+import hashlib
+
+import pytest
+from click.testing import CliRunner
+
+from randpred.cli import main
+
+REG_TRAIN = """x1,x2,y
+0.0,0.0,0.31
+1.0,0.0,1.77
+0.0,1.0,-1.70
+1.0,1.0,-0.20
+0.5,0.5,0.05
+-1.0,0.5,-2.20
+0.5,-1.0,3.05
+-0.5,-0.5,0.55
+0.2,0.8,-1.00
+0.8,0.2,1.10
+0.4,0.1,0.70
+0.1,0.4,-0.35
+"""
+
+REG_TEST = """x1,x2,y
+0.25,0.25,0.175
+-0.6,0.9,0.0
+
+0.123456789,-0.987654321,1.5
+1234567890123.5,-98765432109.75,0
+1e-9,2e-9,0
+-3.3333333333333335,7.777777777777778,1
+"""
+
+# One feature column held constant: the design is rank-deficient and the
+# least-squares fit falls back to the mean label.
+MEAN_TRAIN = """x1,y
+1.0,0.5
+1.0,0.7
+1.0,0.6
+1.0,0.55
+1.0,0.65
+1.0,0.62
+"""
+
+# Same proper part; every calibration label falls outside the band: k = m.
+MEAN_ALL_MISS_TRAIN = """x1,y
+1.0,0.5
+1.0,0.7
+1.0,0.6
+1.0,5.0
+1.0,-5.0
+1.0,6.0
+"""
+
+MEAN_TEST = """x1,y
+1.0,0
+2.5,0
+"""
+
+CLS_TRAIN = """x1,x2,y
+2.0,2.1,1
+1.8,2.4,1
+2.2,1.9,1
+2.5,2.6,1
+1.9,2.2,1
+-2.0,-2.1,-1
+-1.8,-2.4,-1
+-2.2,-1.9,-1
+-2.5,-2.6,-1
+-1.9,-2.2,-1
+2.1,2.3,1
+-2.1,-2.3,-1
+"""
+
+CLS_TEST = """x1,x2,y
+2.0,2.0,1
+-2.0,-2.0,-1
+0.1,-0.1,1
+0.05,0.02,-1
+-3.5,1.0,1
+"""
+
+# Proper part all +1: the single-class fallback scores every row +inf.
+ONE_CLASS_TRAIN = """x1,x2,y
+1.0,1.0,1
+2.0,1.5,1
+1.5,2.0,1
+-1.0,-1.0,-1
+1.0,1.2,1
+"""
+
+# Proper part all +1, calibration all -1: every calibration bit is 1, k = m.
+ONE_CLASS_ALL_MISS_TRAIN = """x1,x2,y
+1.0,1.0,1
+2.0,1.5,1
+1.5,2.0,1
+-1.0,-1.0,-1
+-2.0,0.5,-1
+"""
+
+FILES = {
+    "reg_train": REG_TRAIN,
+    "reg_test": REG_TEST,
+    "mean_train": MEAN_TRAIN,
+    "mean_all_miss_train": MEAN_ALL_MISS_TRAIN,
+    "mean_test": MEAN_TEST,
+    "cls_train": CLS_TRAIN,
+    "cls_test": CLS_TEST,
+    "one_class_train": ONE_CLASS_TRAIN,
+    "one_class_all_miss_train": ONE_CLASS_ALL_MISS_TRAIN,
+}
+
+# name: (train, split-at, test, extra arguments)
+CASES = {
+    "regression-irp": ("reg_train", 8, "reg_test", ["--epsilon", "0.5"]),
+    "regression-icp": ("reg_train", 8, "reg_test", ["--method", "icp", "--epsilon", "0.5"]),
+    "regression-irp-full-sets": ("reg_train", 8, "reg_test", []),
+    "regression-icp-full-sets": ("reg_train", 8, "reg_test", ["--method", "icp"]),
+    "regression-mean-fallback": ("mean_train", 3, "mean_test", ["--epsilon", "0.3"]),
+    "regression-k-equals-m": ("mean_all_miss_train", 3, "mean_test", ["--epsilon", "0.3"]),
+    "classification-irp": (
+        "cls_train", 8, "cls_test", ["--task", "classification", "--epsilon", "0.5"],
+    ),
+    "classification-icp": (
+        "cls_train", 8, "cls_test",
+        ["--task", "classification", "--method", "icp", "--epsilon", "0.5"],
+    ),
+    "classification-full-sets": ("cls_train", 8, "cls_test", ["--task", "classification"]),
+    "classification-single-class": (
+        "one_class_train", 3, "cls_test", ["--task", "classification", "--epsilon", "0.6"],
+    ),
+    "classification-k-equals-m": (
+        "one_class_all_miss_train", 3, "cls_test",
+        ["--task", "classification", "--method", "icp", "--epsilon", "0.6"],
+    ),
+}
+
+PINNED = {
+    ("classification-full-sets", "json"): "e8fb1aa87d4821777aa93c10eb1d854973ba071b3960b9d65c4edc871c216dd6",
+    ("classification-full-sets", "text"): "cde86f54e422f9da18577f28a0e801960f131804e92ee3d7c3f0274ae6feed2c",
+    ("classification-icp", "json"): "e424595e8a35e0d7de933e18c52510e4127d61c202eabe03d511f9733b37caa6",
+    ("classification-icp", "text"): "f6336fae802bcbf129e8559febcd8dd32285a820c983905c56d7249a943ec560",
+    ("classification-irp", "json"): "a7f2e60a34af50035636c0086a20b02572a004a88738340fb1033626d7d18b50",
+    ("classification-irp", "text"): "6eea620768a7ee9426d96d58d525e5c58c45ad81506a70bf3b0c4803a160478c",
+    ("classification-k-equals-m", "json"): "c74238654ced56397fdaed587f016a66edfe319fef01e84444a0f437ee6b2fe0",
+    ("classification-k-equals-m", "text"): "e4de8caac5d152e76cd5b1cedca97d1be5cdeb59aca380e9b3ab6c11fc049f19",
+    ("classification-single-class", "json"): "dd8d2a2658f234441b913b1492aaae5f5452456e7285332d74cf334cd36aea4f",
+    ("classification-single-class", "text"): "2cc199fc9d65a376b502d98713b25c338b6ab11326db0531e5b5dee4196a6246",
+    ("regression-icp", "json"): "6ead053337b80beb1074799cabaad156dc96a16290a12c9a4fc342a1d45e8672",
+    ("regression-icp", "text"): "7b297ba1318c5a056c39cb8af083b11d70fd110bff472c00cd536966df3eac1e",
+    ("regression-icp-full-sets", "json"): "f5597898497c603d0fdddbf93e314075e83f7a3a4aa2ee76c03ddfebed385382",
+    ("regression-icp-full-sets", "text"): "922b47d4aa98aa4d5ffdbe91a156f37ab791f2eae603600c2e020c5536243788",
+    ("regression-irp", "json"): "112617bde5821ef8be9251258e072da76bb6301cc7b6353212b8e0b06157eb89",
+    ("regression-irp", "text"): "ea5b5d3fb64ae7b30425e72b39c19e9c98c802fdce5751fd172aefe0d9bcc889",
+    ("regression-irp-full-sets", "json"): "7e715e05102627d866ce2c766ad865b21276dbba0f144fb2131b3e99f830bad6",
+    ("regression-irp-full-sets", "text"): "1b1e53a5392b86e30e1c3b54467250e0adf1b848e32bc7d8bc4c8af7a7d5a7d9",
+    ("regression-k-equals-m", "json"): "28b5d9b59669195a5245c2a074c6978f31341d720b6435af4bf597a1fe759b3d",
+    ("regression-k-equals-m", "text"): "cc1617bd86e14f9b488d1e97ad78db5271a0d1b53ae0e9318798a1c417967a9c",
+    ("regression-mean-fallback", "json"): "60dfefa55548dec073b27c6ad7daa72b9e4c9bd9a59c982b65ba44607f0a2467",
+    ("regression-mean-fallback", "text"): "dbafb5555a11db83d3a3b24a5eed0ac840e5aae6503f570d160cdbf99fd8bc17",
+}
+
+
+def predict_output(tmp_path, case, as_json):
+    for name, text in FILES.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    train, split_at, test, extra = CASES[case]
+    args = [
+        "predict",
+        "--train", str(tmp_path / f"{train}.csv"),
+        "--split-at", str(split_at),
+        "--test", str(tmp_path / f"{test}.csv"),
+        *extra,
+    ] + (["--json"] if as_json else [])
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    return result.output
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_predict_output_is_pinned(tmp_path, case, as_json):
+    output = predict_output(tmp_path, case, as_json)
+    digest = hashlib.sha256(output.encode()).hexdigest()
+    assert digest == PINNED[case, "json" if as_json else "text"], output
