@@ -6,16 +6,16 @@ A regression pipeline splits training data into a proper part (fits a
 least-squares predictor and a residual half-width) and a calibration
 part (summarized into bits).  Both the worst-case and the rank-based
 method then emit the *same* interval around the point prediction; they
-disagree only on the incertitude attached to it.  This demo fits both
-on draws from a bounded-noise linear model and compares.
+disagree only on the incertitude attached to it.  This demo fits one
+pipeline per method on draws from a bounded-noise linear model and
+compares.
 """
 
 import numpy as np
 
 from randpred import (
     BoundedNoiseLinearGenerator,
-    icp_predict_regression,
-    irp_predict_regression,
+    fit_regression_pipeline,
     prediction_set,
 )
 
@@ -29,8 +29,8 @@ print(f"test point: features {tuple(round(x, 3) for x in test.features)}, "
       f"label {test.label:.3f}")
 print()
 
-irp = irp_predict_regression(split, test.features)
-icp = icp_predict_regression(split, test.features)
+irp = fit_regression_pipeline(split).predict(test.features, "irp")
+icp = fit_regression_pipeline(split).predict(test.features, "icp")
 
 print("Method   interval                     incertitude")
 for name, hedged in (("worst", irp), ("rank", icp)):

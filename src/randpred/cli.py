@@ -16,15 +16,18 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Optional, Tuple
+from itertools import count
+from typing import List, Optional, Tuple
 
 import click
+import numpy as np
 
-from .core import Example, Interval, split_training
+from .core import DataSplit, HedgedPrediction, Interval
 from .pipelines import (
+    FittedClassificationPipeline,
     fit_classification_pipeline,
     fit_regression_pipeline,
     prediction_set,
@@ -98,68 +101,204 @@ def _set_text(s) -> str:
     return "{" + ", ".join(f"{v:+d}" for v in sorted(s)) + "}"
 
 
+def _json_value(x: float) -> str:
+    """x as json.dumps(_jsonify(x)) renders it."""
+    return repr(_round12(x)) if math.isfinite(x) else "null"
+
+
+# Stand-ins rendered into a row template and then replaced by its fields:
+# a row number and interval bounds whose text occurs nowhere else in a row.
+_ROW_STAND_IN = 918273645546372819
+_BOUND_STAND_INS = (-1.111e300, 2.222e300)
+
+
+def _prediction_record(row: int, prediction: HedgedPrediction, gamma) -> dict:
+    return {
+        "row": row,
+        "prediction_set": _set_payload(prediction.prediction_set),
+        "incertitude": prediction.incertitude,
+        "degenerate": prediction.degenerate,
+        "vacuous": prediction.vacuous,
+        "set_at_epsilon": _set_payload(gamma),
+    }
+
+
+def _prediction_line(row: int, prediction: HedgedPrediction, gamma, epsilon: float) -> str:
+    flags = [name for name in ("degenerate", "vacuous") if getattr(prediction, name)]
+    suffix = f"  [{', '.join(flags)}]" if flags else ""
+    return (
+        f"row {row}: set={_set_text(prediction.prediction_set)} "
+        f"incertitude={_fmt(prediction.incertitude)} "
+        f"level-{epsilon} set={_set_text(gamma)}{suffix}"
+    )
+
+
+def _row_template(prediction: HedgedPrediction, epsilon: float, indent: Optional[str]) -> str:
+    """One output row for prediction, as a str.format template.
+
+    The row is rendered once, with the stand-in row number and (for an
+    interval) the stand-in bounds, whose text then becomes field {0} (the
+    row number) and fields {1} and {2} (the bounds, rendered as the row
+    would render them).  indent None renders a text line; otherwise a
+    JSON record nested at that indent, as _emit_json would lay it out.
+    """
+    gamma = prediction_set(prediction, epsilon)
+    if indent is None:
+        text = _prediction_line(_ROW_STAND_IN, prediction, gamma, epsilon)
+        value = _fmt
+    else:
+        record = _jsonify(_prediction_record(_ROW_STAND_IN, prediction, gamma))
+        text = json.dumps(record, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+        value = _json_value
+    text = text.replace("{", "{{").replace("}", "}}").replace(str(_ROW_STAND_IN), "{0}")
+    for field, bound in enumerate(_BOUND_STAND_INS, start=1):
+        text = text.replace(value(bound), f"{{{field}}}")
+    return text
+
+
+def _prediction_rows(pipeline, X, method: str, epsilon: float, indent=None) -> List[str]:
+    """The output row of every test object in X, in order.
+
+    The sets come from the pipeline's batch methods.  Each row fills a
+    template rendered from the per-row prediction of the first row it
+    serves: one template for intervals, one per label set.
+    """
+    if isinstance(pipeline, FittedClassificationPipeline):
+        label_sets = pipeline.label_sets(X)
+        templates = {}
+        for i, labels in enumerate(label_sets):
+            if labels not in templates:
+                templates[labels] = _row_template(pipeline.predict(X[i], method), epsilon, indent)
+        return [templates[labels].format(row) for row, labels in enumerate(label_sets, 1)]
+    lower, upper = pipeline.interval_bounds(X)
+    stand_in = Interval(*_BOUND_STAND_INS)
+    template = _row_template(
+        replace(pipeline.predict(X[0], method), prediction_set=stand_in), epsilon, indent
+    )
+    value = _fmt if indent is None else _json_value
+    return [
+        template.format(row, lo, hi)
+        for row, lo, hi in zip(count(1), map(value, lower.tolist()), map(value, upper.tolist()))
+    ]
+
+
+def _predict_json(task: str, method: str, epsilon: float, pipeline, X) -> str:
+    """The `predict --json` output, laid out as _emit_json lays it out."""
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "predict",
+        "task": task,
+        "method": method,
+        "epsilon": epsilon,
+        "m": pipeline.m,
+        "k": pipeline.k,
+        "fallback": pipeline.fallback_reason,
+        "predictions": [_ROW_STAND_IN],
+    }
+    text = json.dumps(_jsonify(payload), sort_keys=True, indent=2)
+    head, tail = text.split(str(_ROW_STAND_IN))
+    indent = head[head.rindex("\n") + 1 :]
+    rows = _prediction_rows(pipeline, X, method, epsilon, indent)
+    return head + (",\n" + indent).join(rows) + tail
+
+
+def _predict_text(task: str, method: str, epsilon: float, pipeline, X) -> str:
+    """The `predict` text output: a header line, the fallback note if
+    any, and one line per test row."""
+    lines = [f"task={task} method={method} m={pipeline.m} k={pipeline.k} epsilon={epsilon}"]
+    if pipeline.fallback_reason:
+        lines.append(f"note: {pipeline.fallback_reason}")
+    return "\n".join(lines + _prediction_rows(pipeline, X, method, epsilon))
+
+
 @dataclass(frozen=True)
 class CsvDataset:
-    """Parsed CSV: named feature columns, one label column, examples."""
+    """Parsed CSV: named feature columns, one label column, and the data
+    rows as float64 arrays, X of shape (n, d) and y of shape (n,)."""
 
     feature_names: Tuple[str, ...]
     label_name: str
-    examples: Tuple[Example, ...]
+    X: np.ndarray
+    y: np.ndarray
+
+
+def _read_header(path: str, reader) -> list:
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    if len(header) < 2:
+        raise ValueError(
+            f"{path}: header must name at least one feature column and a label column"
+        )
+    return header
+
+
+def _first_fault(path: str, task: str) -> str:
+    """The message naming the first row, in file order, that
+    read_csv_dataset rejects, and the column at fault."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = _read_header(path, reader)
+        for row_number, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                return f"{path}: row {row_number}: expected {len(header)} fields, got {len(row)}"
+            for column, cell in zip(header, row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    return (
+                        f"{path}: row {row_number}, column {column!r}: "
+                        f"could not parse {cell.strip()!r} as a number"
+                    )
+                if not math.isfinite(value):
+                    return (
+                        f"{path}: row {row_number}, column {column!r}: "
+                        f"value must be finite, got {cell.strip()!r}"
+                    )
+            if task == "classification" and value not in (-1.0, 1.0):
+                return (
+                    f"{path}: row {row_number}, column {header[-1]!r}: "
+                    f"classification labels must be -1 or 1, got {row[-1].strip()!r}"
+                )
+    return f"{path}: the file changed while it was read"
 
 
 def read_csv_dataset(path: str, task: str = "regression") -> CsvDataset:
     """Read a rectangular CSV of finite decimals: d features then a label.
 
-    Parse failures name the offending row and column.  Classification
-    labels must be exactly -1 or 1.
+    Blank rows are skipped.  Every cell is parsed by Python's float, in
+    one streaming pass straight into an array.  Parse failures name the
+    offending row and column.  Classification labels must be exactly -1
+    or 1.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        if len(header) < 2:
-            raise ValueError(
-                f"{path}: header must name at least one feature column and a label column"
-            )
+        header = _read_header(path, reader)
         width = len(header)
-        examples = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ValueError(
-                    f"{path}: row {row_number}: expected {width} fields, got {len(row)}"
-                )
-            values = []
-            for column, cell in zip(header, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {row_number}, column {column!r}: "
-                        f"could not parse {cell.strip()!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}: row {row_number}, column {column!r}: "
-                        f"value must be finite, got {cell.strip()!r}"
-                    )
-                values.append(value)
-            label = values[-1]
-            if task == "classification" and label not in (-1.0, 1.0):
-                raise ValueError(
-                    f"{path}: row {row_number}, column {header[-1]!r}: "
-                    f"classification labels must be -1 or 1, got {row[-1].strip()!r}"
-                )
-            examples.append(Example(features=tuple(values[:-1]), label=label))
-    if not examples:
+
+        def cells():
+            for row in reader:
+                if row:
+                    if len(row) != width:
+                        raise ValueError("ragged row")  # named by _first_fault
+                    yield from row
+
+        try:
+            values = np.fromiter(map(float, cells()), dtype=np.float64)
+        except ValueError:
+            values = None
+    # The fast pass only knows that some row is bad; a second pass names it.
+    if values is None or not np.isfinite(values).all():
+        raise ValueError(_first_fault(path, task))
+    rows = values.reshape(-1, width)
+    X, y = rows[:, :-1], rows[:, -1]
+    if task == "classification" and not ((y == 1.0) | (y == -1.0)).all():
+        raise ValueError(_first_fault(path, task))
+    if not len(y):
         raise ValueError(f"{path}: no data rows after the header")
-    return CsvDataset(
-        feature_names=tuple(header[:-1]),
-        label_name=header[-1],
-        examples=tuple(examples),
-    )
+    return CsvDataset(feature_names=tuple(header[:-1]), label_name=header[-1], X=X, y=y)
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -321,60 +460,15 @@ def predict(
             f"the training header {list(train_ds.feature_names)}"
         )
     try:
-        split = split_training(train_ds.examples, split_at)
+        split = DataSplit(train_ds.X, train_ds.y, split_at)
         if task == "regression":
             pipeline = fit_regression_pipeline(split, RegressorSpec())
         else:
             pipeline = fit_classification_pipeline(split, ClassifierSpec(seed=seed))
     except ValueError as exc:
         raise click.UsageError(str(exc))
-
-    records = []
-    for index, example in enumerate(test_ds.examples, start=1):
-        prediction = pipeline.predict(example.features, method)
-        gamma = prediction_set(prediction, epsilon)
-        records.append((index, prediction, gamma))
-
-    if as_json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "predict",
-                "task": task,
-                "method": method,
-                "epsilon": epsilon,
-                "m": pipeline.m,
-                "k": pipeline.k,
-                "fallback": pipeline.fallback_reason,
-                "predictions": [
-                    {
-                        "row": index,
-                        "prediction_set": _set_payload(prediction.prediction_set),
-                        "incertitude": prediction.incertitude,
-                        "degenerate": prediction.degenerate,
-                        "vacuous": prediction.vacuous,
-                        "set_at_epsilon": _set_payload(gamma),
-                    }
-                    for index, prediction, gamma in records
-                ],
-            }
-        )
-        return
-    click.echo(f"task={task} method={method} m={pipeline.m} k={pipeline.k} epsilon={epsilon}")
-    if pipeline.fallback_reason:
-        click.echo(f"note: {pipeline.fallback_reason}")
-    for index, prediction, gamma in records:
-        flags = []
-        if prediction.degenerate:
-            flags.append("degenerate")
-        if prediction.vacuous:
-            flags.append("vacuous")
-        suffix = f"  [{', '.join(flags)}]" if flags else ""
-        click.echo(
-            f"row {index}: set={_set_text(prediction.prediction_set)} "
-            f"incertitude={_fmt(prediction.incertitude)} "
-            f"level-{epsilon} set={_set_text(gamma)}{suffix}"
-        )
+    render = _predict_json if as_json else _predict_text
+    click.echo(render(task, method, epsilon, pipeline, test_ds.X))
 
 
 @main.command()

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from .core import (
     ALL_LABELS,
@@ -34,60 +36,39 @@ from .summaries import (
 )
 
 __all__ = [
-    "PredictionPFunction",
     "FittedRegressionPipeline",
     "FittedClassificationPipeline",
     "fit_regression_pipeline",
     "fit_classification_pipeline",
-    "irp_predict_regression",
-    "icp_predict_regression",
-    "irp_predict_classification",
-    "icp_predict_classification",
     "prediction_set",
 ]
 
+# The three label sets a margin pipeline predicts, by sign of the score
+# (0: inside the margin, both labels).
+_LABEL_SETS = {1: frozenset({1}), -1: frozenset({-1}), 0: ALL_LABELS}
 
-@dataclass(frozen=True)
-class PredictionPFunction:
-    """A prediction p-function in hedged form.
 
-    Evaluates to 1 on the conforming set and to the incertitude
-    elsewhere.  degenerate marks incertitude 1, where the function is
-    identically 1 and hedging carries no information.
-    """
+class _FittedPipeline:
+    """What both pipelines share: the calibration one-count k of m bits,
+    and the incertitude it gives each method."""
 
-    conforming_set: PredictionSet
-    incertitude: float
-    degenerate: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.incertitude <= 1.0:
-            raise ValueError(f"incertitude must lie in [0, 1], got {self.incertitude!r}")
-        if self.incertitude == 1.0 and not self.degenerate:
-            object.__setattr__(self, "degenerate", True)
-
-    @classmethod
-    def from_hedged(cls, prediction: HedgedPrediction) -> "PredictionPFunction":
-        return cls(
-            conforming_set=prediction.prediction_set,
-            incertitude=prediction.incertitude,
-            degenerate=prediction.degenerate,
-        )
-
-    def __call__(self, y) -> float:
-        if isinstance(self.conforming_set, Interval):
-            member = self.conforming_set.contains(y)
-        else:
-            member = y in self.conforming_set
-        return 1.0 if member else self.incertitude
+    def incertitude(self, method: str = "irp") -> float:
+        """The incertitude of every prediction: the engine p-value at
+        (m, k) for irp, the rank-based (k+1)/(m+1) for icp."""
+        if method == "irp":
+            return binary_irp_pvalue(self.m, self.k)
+        if method == "icp":
+            return float(Fraction(self.k + 1, self.m + 1))
+        raise ValueError(f"method must be 'irp' or 'icp', got {method!r}")
 
 
 @dataclass(frozen=True)
-class FittedRegressionPipeline:
+class FittedRegressionPipeline(_FittedPipeline):
     """Regression measure fitted once; calibration already scored.
 
     predict() is pure, so one fitted pipeline can serve many test
-    objects concurrently.
+    objects concurrently.  interval_bounds() gives the intervals of a
+    whole array of test objects, equal bit for bit to the per-row ones.
     """
 
     measure: FittedRegressionMeasure
@@ -100,23 +81,36 @@ class FittedRegressionPipeline:
         h = self.measure.half_width
         return Interval(center - h, center + h)
 
+    def interval_bounds(self, X) -> Tuple[np.ndarray, np.ndarray]:
+        """The lower and upper bounds of interval(x) for every row x of X."""
+        center = self.measure.predictor.predict_batch(X)
+        h = self.measure.half_width
+        lower, upper = center - h, center + h
+        # Interval's check on every row at once: a NaN bound fails it too.
+        invalid = ~(lower <= upper)
+        if invalid.any():
+            i = int(np.argmax(invalid))
+            raise ValueError(f"invalid interval [{float(lower[i])!r}, {float(upper[i])!r}]")
+        return lower, upper
+
     def predict(self, test_x, method: str = "irp") -> HedgedPrediction:
-        if method == "irp":
-            incertitude = binary_irp_pvalue(self.m, self.k)
-        elif method == "icp":
-            incertitude = float(Fraction(self.k + 1, self.m + 1))
-        else:
-            raise ValueError(f"method must be 'irp' or 'icp', got {method!r}")
+        """The hedged prediction for one test object.
+
+        The interval is [g(x) - h, g(x) + h] with h the proper-training
+        residual half-width; the incertitude is the same for every test
+        object.  With k = 0 (the typical regime under bounded noise) the
+        irp incertitude is m^m/(m+1)^(m+1), roughly 0.37/m.
+        """
         return HedgedPrediction(
             prediction_set=self.interval(test_x),
-            incertitude=incertitude,
+            incertitude=self.incertitude(method),
             k=self.k,
             m=self.m,
         )
 
 
 @dataclass(frozen=True)
-class FittedClassificationPipeline:
+class FittedClassificationPipeline(_FittedPipeline):
     """Margin measure fitted once; calibration already scored."""
 
     measure: FittedMarginMeasure
@@ -130,17 +124,24 @@ class FittedClassificationPipeline:
             return frozenset({1 if score > 0 else -1})
         return ALL_LABELS
 
+    def label_sets(self, X) -> List[frozenset]:
+        """label_set(x) for every row x of X, from one batch of scores."""
+        scores = self.measure.classifier.predict_batch(X)
+        outside = np.abs(scores) > self.measure.margin_width
+        signs = np.where(outside, np.where(scores > 0, 1, -1), 0)
+        return [_LABEL_SETS[sign] for sign in signs.tolist()]
+
     def predict(self, test_x, method: str = "irp") -> HedgedPrediction:
+        """The hedged prediction for one test object.
+
+        A score outside the margin yields the singleton of its sign; a
+        score inside the margin yields both labels, flagged vacuous (the
+        incertitude is still reported; it excludes no label).
+        """
         labels = self.label_set(test_x)
-        if method == "irp":
-            incertitude = binary_irp_pvalue(self.m, self.k)
-        elif method == "icp":
-            incertitude = float(Fraction(self.k + 1, self.m + 1))
-        else:
-            raise ValueError(f"method must be 'irp' or 'icp', got {method!r}")
         return HedgedPrediction(
             prediction_set=labels,
-            incertitude=incertitude,
+            incertitude=self.incertitude(method),
             vacuous=labels == ALL_LABELS,
             k=self.k,
             m=self.m,
@@ -175,69 +176,18 @@ def fit_classification_pipeline(
     )
 
 
-def irp_predict_regression(
-    split: DataSplit,
-    test_x,
-    predictor_spec: Optional[RegressorSpec] = None,
-) -> HedgedPrediction:
-    """Predict an interval around the fitted point prediction.
+def prediction_set(prediction: HedgedPrediction, epsilon: float) -> PredictionSet:
+    """The level-epsilon prediction set {y : f(y) > epsilon}, where f is
+    the prediction's p-function: 1 on the conforming set, the incertitude
+    elsewhere.
 
-    The interval is [g(x) - h, g(x) + h] with h the training residual
-    half-width; the incertitude is the exact engine p-value at the
-    observed calibration one-count.  With k = 0 (the typical regime under
-    bounded noise) that is m^m/(m+1)^(m+1), roughly 0.37/m.
-    """
-    return fit_regression_pipeline(split, predictor_spec).predict(test_x, "irp")
-
-
-def icp_predict_regression(
-    split: DataSplit,
-    test_x,
-    predictor_spec: Optional[RegressorSpec] = None,
-) -> HedgedPrediction:
-    """Predict the same interval with the rank-based incertitude (k+1)/(m+1)."""
-    return fit_regression_pipeline(split, predictor_spec).predict(test_x, "icp")
-
-
-def irp_predict_classification(
-    split: DataSplit,
-    test_x,
-    classifier_spec: Optional[ClassifierSpec] = None,
-) -> HedgedPrediction:
-    """Predict a label set from the margin classifier.
-
-    A test score outside the margin yields the singleton of its sign; a
-    score inside the margin yields both labels, flagged vacuous (the
-    incertitude is still reported — it excludes no label).
-    """
-    return fit_classification_pipeline(split, classifier_spec).predict(test_x, "irp")
-
-
-def icp_predict_classification(
-    split: DataSplit,
-    test_x,
-    classifier_spec: Optional[ClassifierSpec] = None,
-) -> HedgedPrediction:
-    """Predict the same label set with the rank-based incertitude."""
-    return fit_classification_pipeline(split, classifier_spec).predict(test_x, "icp")
-
-
-def prediction_set(
-    f: Union[PredictionPFunction, HedgedPrediction], epsilon: float
-) -> PredictionSet:
-    """The level-epsilon prediction set {y : f(y) > epsilon}.
-
-    For a hedged p-function this is the conforming set when the
-    incertitude is at most epsilon (the boundary value epsilon is not
-    strictly greater, so non-members drop out), and the whole label space
-    otherwise.
+    That is the conforming set when the incertitude is at most epsilon
+    (the boundary value epsilon is not strictly greater, so non-members
+    drop out), and the whole label space otherwise.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if isinstance(f, HedgedPrediction):
-        conforming, incertitude = f.prediction_set, f.incertitude
-    else:
-        conforming, incertitude = f.conforming_set, f.incertitude
-    if incertitude <= epsilon:
+    conforming = prediction.prediction_set
+    if prediction.incertitude <= epsilon:
         return conforming
     return FULL_LINE if isinstance(conforming, Interval) else ALL_LABELS

@@ -215,13 +215,16 @@ class HingeLossLinearClassifier:
         else:
             w = 0.01 * np.random.default_rng(self.seed).standard_normal(d)
         b = 0.0
+        # Row i of yX is y[i] * X[i], the same products the subgradient
+        # took per epoch, so hoisting them leaves every sum bit-identical.
+        yX = y[:, None] * X
         for _ in range(self.epochs):
             margins = y * (X @ w + b)
             violating = margins < 1.0
             grad_w = self.l2 * w
             grad_b = 0.0
             if np.any(violating):
-                grad_w = grad_w - (y[violating, None] * X[violating]).sum(axis=0) / n
+                grad_w = grad_w - yX[violating].sum(axis=0) / n
                 grad_b = -y[violating].sum() / n
             w = w - self.learning_rate * grad_w
             b = b - self.learning_rate * grad_b

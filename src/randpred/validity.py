@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import DataSplit, Example, SummarySequence
 from .pvalues import EngineConfig, asymptotic_constant
@@ -87,6 +86,9 @@ def _sup_coverage_polynomial(counts: Sequence[int], total_bits: int) -> float:
     minimizer on the negated polynomial.  Direct power evaluation is safe
     here: exponents stay at or below total_bits <= 21.
     """
+    # Imported here, its only use, so that importing the package skips scipy.
+    from scipy.optimize import minimize_scalar
+
     if not any(counts):
         return 0.0
     ps = np.linspace(0.0, 1.0, 4097)
@@ -272,8 +274,9 @@ def monte_carlo_coverage(
     coverage cell passes when the empirical miscoverage rate is at most
     epsilon + 3 standard errors.  Each trial fits one pipeline and asks it
     for every method.  When both methods run, an interval-identity cell
-    additionally checks that the two hedged predictions carry the same
-    interval on every trial.
+    compares that one fit's two predictions: it checks that the method
+    changes only the incertitude, never the interval.  It does not compare
+    independently fitted pipelines.
 
     Each trial derives its random stream from (seed, trial index), so the
     report is identical under any execution order.

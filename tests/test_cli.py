@@ -1,11 +1,28 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from randpred.cli import main, read_csv_dataset
+from randpred import (
+    ClassifierSpec,
+    DataSplit,
+    Interval,
+    fit_classification_pipeline,
+    fit_regression_pipeline,
+    prediction_set,
+)
+from randpred.cli import _jsonify, _predict_json, _predict_text, main, read_csv_dataset
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 REG_TRAIN = """x1,x2,y
 0.0,0.0,0.30
@@ -77,8 +94,11 @@ class TestReadCsvDataset:
         ds = read_csv_dataset(train)
         assert ds.feature_names == ("x1", "x2")
         assert ds.label_name == "y"
-        assert len(ds.examples) == 12
-        assert ds.examples[0].features == (0.0, 0.0)
+        assert ds.X.dtype == ds.y.dtype == np.float64
+        assert ds.X.shape == (12, 2) and ds.y.shape == (12,)
+        assert ds.X[0].tolist() == [0.0, 0.0] and ds.y[0] == 0.30
+        assert ds.X[6].tolist() == [0.5, -1.0] and ds.y[6] == 3.05
+        assert ds.y[-1] == -0.35
 
     def test_malformed_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -103,6 +123,60 @@ class TestReadCsvDataset:
         path.write_text("x,y\n1.0,0.5\n")
         with pytest.raises(ValueError, match="labels must be -1 or 1"):
             read_csv_dataset(str(path), task="classification")
+
+    def test_blank_lines_keep_row_numbers(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n\n1.0,2.0\n\n\n3.0,oops\n")
+        with pytest.raises(ValueError, match=r"row 6, column 'y': could not parse 'oops'"):
+            read_csv_dataset(str(path))
+        path.write_text("x,y\n\n1.0,2.0\n\n3.0,4.0\n")
+        ds = read_csv_dataset(str(path))
+        assert ds.X.tolist() == [[1.0], [3.0]] and ds.y.tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize("cell", [" 1.5 ", "1_0", "-0", "+.5e1", "1e-320", "\t2\n"])
+    def test_cells_parse_as_python_float(self, tmp_path, cell):
+        path = tmp_path / "cells.csv"
+        path.write_text(f'x,y\n"{cell}",1\n')
+        ds = read_csv_dataset(str(path))
+        assert math.copysign(1.0, ds.X[0, 0]) == math.copysign(1.0, float(cell))
+        assert ds.X[0, 0] == float(cell)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_nonfinite_names_row_and_column(self, tmp_path, cell, column):
+        path = tmp_path / "bad.csv"
+        row = ["0.5", "0.5"]
+        row[column] = cell
+        path.write_text("x,y\n1.0,2.0\n" + ",".join(row) + "\n4.0,oops\n")
+        name = "xy"[column]
+        with pytest.raises(
+            ValueError, match=rf"row 3, column '{name}': value must be finite, got '{cell}'"
+        ):
+            read_csv_dataset(str(path))
+
+    def test_fractional_label_names_row_and_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n1.0,1\n2.0,-1.0\n\n3.0,0.999\n")
+        with pytest.raises(
+            ValueError,
+            match=r"row 5, column 'y': classification labels must be -1 or 1, got '0.999'",
+        ):
+            read_csv_dataset(str(path), task="classification")
+        assert read_csv_dataset(str(path)).y.tolist() == [1.0, -1.0, 0.999]
+
+    def test_ragged_row_after_blank_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,y\n1.0,2.0,3.0\n\n4.0,5.0\n")
+        with pytest.raises(ValueError, match=r"row 4: expected 3 fields, got 2"):
+            read_csv_dataset(str(path))
+
+    def test_first_fault_in_file_order_wins(self, tmp_path):
+        # an infinite cell before a ragged row and an unparsable cell: the
+        # infinite one is named, as a row-by-row reader would name it
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n1.0,2.0\ninf,1.0\n1.0\nbad,1.0\n")
+        with pytest.raises(ValueError, match=r"row 3, column 'x': value must be finite"):
+            read_csv_dataset(str(path))
 
     def test_empty_and_header_only(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -270,6 +344,122 @@ class TestPredict:
              "--epsilon", "1.0"],
         )
         assert result.exit_code == 2
+
+
+def per_row_payload(task, method, epsilon, pipeline, X):
+    """The `predict --json` payload built one HedgedPrediction per row."""
+
+    def set_payload(s):
+        if isinstance(s, Interval):
+            return {
+                "type": "interval",
+                "lower": None if math.isinf(s.lower) else s.lower,
+                "upper": None if math.isinf(s.upper) else s.upper,
+            }
+        return {"type": "labels", "members": sorted(int(v) for v in s)}
+
+    predictions = []
+    for row, x in enumerate(X, start=1):
+        prediction = pipeline.predict(x, method)
+        predictions.append(
+            {
+                "row": row,
+                "prediction_set": set_payload(prediction.prediction_set),
+                "incertitude": prediction.incertitude,
+                "degenerate": prediction.degenerate,
+                "vacuous": prediction.vacuous,
+                "set_at_epsilon": set_payload(prediction_set(prediction, epsilon)),
+            }
+        )
+    return {
+        "schema_version": "1",
+        "command": "predict",
+        "task": task,
+        "method": method,
+        "epsilon": epsilon,
+        "m": pipeline.m,
+        "k": pipeline.k,
+        "fallback": pipeline.fallback_reason,
+        "predictions": predictions,
+    }
+
+
+def per_row_text(task, method, epsilon, pipeline, X):
+    """The `predict` text output built one HedgedPrediction per row."""
+
+    def set_text(s):
+        if isinstance(s, Interval):
+            return f"[{s.lower:.12g}, {s.upper:.12g}]"
+        return "{" + ", ".join(f"{v:+d}" for v in sorted(s)) + "}"
+
+    lines = [f"task={task} method={method} m={pipeline.m} k={pipeline.k} epsilon={epsilon}"]
+    if pipeline.fallback_reason:
+        lines.append(f"note: {pipeline.fallback_reason}")
+    for row, x in enumerate(X, start=1):
+        prediction = pipeline.predict(x, method)
+        flags = [f for f in ("degenerate", "vacuous") if getattr(prediction, f)]
+        suffix = f"  [{', '.join(flags)}]" if flags else ""
+        lines.append(
+            f"row {row}: set={set_text(prediction.prediction_set)} "
+            f"incertitude={prediction.incertitude:.12g} level-{epsilon} "
+            f"set={set_text(prediction_set(prediction, epsilon))}{suffix}"
+        )
+    return "\n".join(lines)
+
+
+class TestPredictRenderer:
+    """The batch renderer equals json.dumps of the per-row payload, and
+    the per-row text, on random pipelines."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        task=st.sampled_from(["regression", "classification"]),
+        method=st.sampled_from(["irp", "icp"]),
+        epsilon=st.one_of(
+            st.sampled_from([0.01, 0.05, 0.2, 0.5, 0.99]),
+            st.floats(1e-9, 1 - 1e-9),
+        ),
+        fallback=st.booleans(),
+        n=st.integers(3, 30),
+        m=st.integers(1, 12),
+        d=st.integers(1, 3),
+        scale=st.sampled_from([1e-7, 1.0, 3e4, 1e13, 1e17]),
+        rows=st.integers(1, 25),
+    )
+    def test_matches_per_row_rendering(
+        self, seed, task, method, epsilon, fallback, n, m, d, scale, rows
+    ):
+        rng = np.random.default_rng(seed)
+        X = scale * rng.standard_normal((n + m + rows, d))
+        if fallback and task == "regression":
+            X[:, 0] = scale
+        X, test_X = X[: n + m], X[n + m :]
+        scores = X @ rng.standard_normal(d) + scale * rng.standard_normal(n + m)
+        if task == "regression":
+            pipeline = fit_regression_pipeline(DataSplit(X, scores, n))
+        else:
+            y = np.where(scores > 0, 1.0, -1.0)
+            if fallback:
+                y[:n] = 1.0
+            pipeline = fit_classification_pipeline(DataSplit(X, y, n), ClassifierSpec(epochs=20))
+        args = (task, method, epsilon, pipeline, test_X)
+        expected = json.dumps(_jsonify(per_row_payload(*args)), sort_keys=True, indent=2)
+        assert _predict_json(*args) == expected
+        assert _predict_text(*args) == per_row_text(*args)
+
+
+@pytest.mark.parametrize("module", ["randpred", "randpred.cli"])
+def test_import_does_not_load_scipy(module):
+    # scipy serves only the exact audit oracle, which imports it on first use
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestValidate:

@@ -14,21 +14,26 @@ from randpred import (
     Example,
     HedgedPrediction,
     Interval,
-    PredictionPFunction,
     RegressorSpec,
     binary_irp_pvalue,
     exact_pvalue_k0,
     fit_classification_pipeline,
     fit_regression_pipeline,
-    icp_predict_classification,
-    icp_predict_regression,
-    irp_predict_classification,
-    irp_predict_regression,
     prediction_set,
     score_margin,
     score_regression,
     split_training,
 )
+
+
+def predict_regression(split, test_x, method="irp", spec=None):
+    """Fit a regression pipeline on split and predict one test object."""
+    return fit_regression_pipeline(split, spec).predict(test_x, method)
+
+
+def predict_classification(split, test_x, method="irp"):
+    """Fit a classification pipeline on split and predict one test object."""
+    return fit_classification_pipeline(split).predict(test_x, method)
 
 
 def reg_examples(labels, feature=0.0):
@@ -64,20 +69,21 @@ class TestRegressionPipelines:
     def test_interval_identity_between_methods(self):
         split = linear_split(seed=1)
         test_x = (0.3, -0.4)
-        irp = irp_predict_regression(split, test_x)
-        icp = icp_predict_regression(split, test_x)
+        # two independent fits of the same split
+        irp = predict_regression(split, test_x, "irp")
+        icp = predict_regression(split, test_x, "icp")
         assert irp.prediction_set == icp.prediction_set
         assert irp.incertitude != icp.incertitude
 
     def test_interval_centered_on_point_prediction(self):
         split = mean_split([-1.0, 1.0], [0.1, -0.2])  # g == 0, h == 1
-        pred = irp_predict_regression(split, (0.0,), predictor_spec=RegressorSpec("mean"))
+        pred = predict_regression(split, (0.0,), spec=RegressorSpec("mean"))
         assert pred.prediction_set == Interval(-1.0, 1.0)
 
     def test_k0_incertitude_is_closed_form(self):
         # calibration labels all well inside the residual band: k = 0
         split = mean_split([-1.0, 1.0], [0.2, -0.3, 0.1, 0.0, 0.4])
-        pred = irp_predict_regression(split, (0.0,), predictor_spec=RegressorSpec("mean"))
+        pred = predict_regression(split, (0.0,), spec=RegressorSpec("mean"))
         assert pred.k == 0 and pred.m == 5
         assert pred.incertitude == pytest.approx(exact_pvalue_k0(5), rel=1e-9)
 
@@ -85,30 +91,27 @@ class TestRegressionPipelines:
         # 2 of 9 calibration labels fall outside the band |y| <= 1
         calibration = [0.1, 0.2, 0.3, -0.1, -0.2, -0.3, 0.0, 2.0, -3.0]
         split = mean_split([-1.0, 1.0], calibration)
-        pred = icp_predict_regression(split, (0.0,), predictor_spec=RegressorSpec("mean"))
+        pred = predict_regression(split, (0.0,), "icp", spec=RegressorSpec("mean"))
         assert pred.k == 2 and pred.m == 9
         assert pred.incertitude == pytest.approx(float(Fraction(3, 10)), abs=1e-15)
 
     def test_irp_incertitude_matches_engine(self):
         split = linear_split(seed=4)
-        pred = irp_predict_regression(split, (0.0, 0.0))
+        pred = predict_regression(split, (0.0, 0.0))
         assert pred.incertitude == binary_irp_pvalue(pred.m, pred.k)
 
     def test_degenerate_when_every_calibration_example_misses(self):
         split = mean_split([-0.1, 0.1], [5.0, -5.0, 6.0])
-        pred = irp_predict_regression(split, (0.0,), predictor_spec=RegressorSpec("mean"))
+        pred = predict_regression(split, (0.0,), spec=RegressorSpec("mean"))
         assert pred.k == pred.m == 3
         assert pred.incertitude == 1.0
         assert pred.degenerate
 
     def test_set_independent_of_calibration(self):
         proper = [-1.0, 1.0]
-        a = irp_predict_regression(
-            mean_split(proper, [0.0, 0.1]), (0.0,), predictor_spec=RegressorSpec("mean")
-        )
-        b = irp_predict_regression(
-            mean_split(proper, [9.0, -9.0, 4.0]), (0.0,), predictor_spec=RegressorSpec("mean")
-        )
+        mean = RegressorSpec("mean")
+        a = predict_regression(mean_split(proper, [0.0, 0.1]), (0.0,), spec=mean)
+        b = predict_regression(mean_split(proper, [9.0, -9.0, 4.0]), (0.0,), spec=mean)
         assert a.prediction_set == b.prediction_set
         assert a.incertitude != b.incertitude
 
@@ -121,27 +124,30 @@ class TestRegressionPipelines:
         pipeline = fit_regression_pipeline(linear_split())
         with pytest.raises(ValueError):
             pipeline.predict((0.0, 0.0), method="bayes")
+        with pytest.raises(ValueError):
+            pipeline.incertitude("bayes")
 
     @settings(max_examples=20)
     @given(seed=st.integers(0, 5000))
     def test_identity_property_over_random_data(self, seed):
         split = linear_split(seed=seed, l=12, m=8)
         test_x = (0.1, 0.2)
-        irp = irp_predict_regression(split, test_x)
-        icp = icp_predict_regression(split, test_x)
+        # two independent fits of the same split
+        irp = predict_regression(split, test_x, "irp")
+        icp = predict_regression(split, test_x, "icp")
         assert irp.prediction_set == icp.prediction_set
 
 
 class TestClassificationPipelines:
     def test_confident_prediction_outside_margin(self):
         split = cls_split()
-        pred = irp_predict_classification(split, (0.9, 0.9))
+        pred = predict_classification(split, (0.9, 0.9))
         assert pred.prediction_set == frozenset({1})
         assert not pred.vacuous
 
     def test_vacuous_inside_margin(self):
         split = cls_split()
-        pred = irp_predict_classification(split, (0.0, 0.0))
+        pred = predict_classification(split, (0.0, 0.0))
         assert pred.prediction_set == ALL_LABELS
         assert pred.vacuous
         assert 0.0 < pred.incertitude <= 1.0
@@ -149,8 +155,8 @@ class TestClassificationPipelines:
     def test_methods_share_label_set(self):
         split = cls_split(seed=9)
         for test_x in [(0.8, 0.7), (-0.9, -0.8), (0.01, -0.02)]:
-            irp = irp_predict_classification(split, test_x)
-            icp = icp_predict_classification(split, test_x)
+            irp = predict_classification(split, test_x, "irp")
+            icp = predict_classification(split, test_x, "icp")
             assert irp.prediction_set == icp.prediction_set
 
     def test_k_equals_m_is_degenerate(self):
@@ -160,7 +166,7 @@ class TestClassificationPipelines:
             Example((float(i),), -1) for i in range(4)
         ]
         split = split_training(examples, 2)
-        pred = irp_predict_classification(split, (0.5,))
+        pred = predict_classification(split, (0.5,))
         assert pred.k == pred.m == 4
         assert pred.incertitude == 1.0
         assert pred.degenerate
@@ -169,7 +175,7 @@ class TestClassificationPipelines:
 
     def test_icp_incertitude_value(self):
         split = cls_split(seed=11)
-        pred = icp_predict_classification(split, (0.9, 0.9))
+        pred = predict_classification(split, (0.9, 0.9), "icp")
         assert pred.incertitude == pytest.approx((pred.k + 1) / (pred.m + 1), abs=1e-15)
 
 
@@ -206,6 +212,62 @@ class TestPipelineKMatchesScalarScores:
         assert pipeline.k == sum(bits)
 
 
+def random_pipeline(seed, task, fallback, n, d, scale):
+    """A pipeline fitted on random data, and 30 test rows.
+
+    fallback makes the regression design rank-deficient (a constant
+    column) or the proper classification labels all +1."""
+    rng = np.random.default_rng(seed)
+    X = scale * rng.standard_normal((n + 30, d))
+    if fallback and task == "regression":
+        X[:, 0] = 1.0
+    X, test_X = X[:n], X[n:]
+    l = n // 2
+    scores = X @ rng.standard_normal(d) + scale * rng.standard_normal(n)
+    if task == "regression":
+        pipeline = fit_regression_pipeline(DataSplit(X, scores, l))
+    else:
+        y = np.where(scores > 0, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        if fallback:
+            y[:l] = 1.0
+        pipeline = fit_classification_pipeline(DataSplit(X, y, l), ClassifierSpec(epochs=30))
+    return pipeline, test_X
+
+
+class TestBatchSetsMatchScalar:
+    """The batch set methods equal the per-row ones bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        task=st.sampled_from(["regression", "classification"]),
+        fallback=st.booleans(),
+        n=st.integers(4, 40),
+        d=st.integers(1, 3),
+        scale=st.sampled_from([1e-3, 1.0, 1e6]),
+    )
+    def test_batch_sets_equal_per_row_sets(self, seed, task, fallback, n, d, scale):
+        pipeline, test_X = random_pipeline(seed, task, fallback, n, d, scale)
+        if task == "regression":
+            lower, upper = pipeline.interval_bounds(test_X)
+            for i, x in enumerate(test_X):
+                interval = pipeline.interval(x)
+                assert (lower[i], upper[i]) == (interval.lower, interval.upper)
+        else:
+            assert pipeline.label_sets(test_X) == [pipeline.label_set(x) for x in test_X]
+        for method in ("irp", "icp"):
+            assert pipeline.incertitude(method) == pipeline.predict(test_X[0], method).incertitude
+
+    def test_interval_bounds_reject_nan(self):
+        pipeline = fit_regression_pipeline(linear_split())
+        X = np.array([[0.0, 0.0], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match="invalid interval"):
+            pipeline.interval_bounds(X)
+        with pytest.raises(ValueError, match="invalid interval"):
+            pipeline.interval(X[1])
+
+
 class TestPredictionSet:
     def test_small_incertitude_keeps_set(self):
         pred = HedgedPrediction(prediction_set=Interval(0.0, 1.0), incertitude=0.01)
@@ -226,32 +288,6 @@ class TestPredictionSet:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 prediction_set(pred, bad)
-
-
-class TestPredictionPFunction:
-    def test_values_inside_and_outside(self):
-        f = PredictionPFunction(conforming_set=Interval(0.0, 1.0), incertitude=0.2)
-        assert f(0.5) == 1.0
-        assert f(2.0) == 0.2
-
-    def test_label_sets(self):
-        f = PredictionPFunction(conforming_set=frozenset({-1}), incertitude=0.3)
-        assert f(-1) == 1.0
-        assert f(1) == 0.3
-
-    def test_degenerate_autoflag(self):
-        f = PredictionPFunction(conforming_set=Interval(0.0, 1.0), incertitude=1.0)
-        assert f.degenerate
-
-    def test_from_hedged_round_trip(self):
-        pred = HedgedPrediction(prediction_set=Interval(-1.0, 1.0), incertitude=0.25)
-        f = PredictionPFunction.from_hedged(pred)
-        assert f(0.0) == 1.0 and f(3.0) == 0.25
-        assert prediction_set(f, 0.3) == Interval(-1.0, 1.0)
-
-    def test_incertitude_domain(self):
-        with pytest.raises(ValueError):
-            PredictionPFunction(conforming_set=FULL_LINE, incertitude=-0.1)
 
 
 class TestIncertitudeOrdering:

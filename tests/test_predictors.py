@@ -132,6 +132,31 @@ class TestHingeLossLinearClassifier:
         assert a.predict(x) == b.predict(x)
         assert a.predict(x) != c.predict(x)
 
+    @pytest.mark.parametrize("seed, init", [(0, None), (1, None), (2, 7), (3, None)])
+    def test_weights_match_per_epoch_products(self, seed, init):
+        # The reference forms y * X over the violating rows inside every
+        # epoch; the fit's products, taken once before the loop, must
+        # give the same weights bit for bit.
+        rng = np.random.default_rng(seed)
+        n, d = 400, 4
+        X = rng.normal(0.0, 10.0 ** rng.uniform(-2, 2, size=d), size=(n, d))
+        y = np.where(X @ rng.normal(size=d) + rng.normal(0.0, 1.0, n) > 0, 1.0, -1.0)
+        model = HingeLossLinearClassifier(seed=init).fit(X, y)
+
+        w = np.zeros(d) if init is None else 0.01 * np.random.default_rng(init).standard_normal(d)
+        b = 0.0
+        for _ in range(model.epochs):
+            violating = y * (X @ w + b) < 1.0
+            grad_w = model.l2 * w
+            grad_b = 0.0
+            if np.any(violating):
+                grad_w = grad_w - (y[violating, None] * X[violating]).sum(axis=0) / n
+                grad_b = -y[violating].sum() / n
+            w = w - model.learning_rate * grad_w
+            b = b - model.learning_rate * grad_b
+        assert model._weights == tuple(w.tolist())
+        assert model._bias == float(b)
+
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
             HingeLossLinearClassifier(learning_rate=0.0)
