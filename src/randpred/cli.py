@@ -16,10 +16,11 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import count
+from itertools import chain, count
 from typing import List, Optional, Tuple
 
 import click
@@ -223,7 +224,10 @@ class CsvDataset:
 
 
 def _read_header(path: str, reader) -> list:
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: row 1: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: empty file, expected a header row")
     if len(header) < 2:
@@ -233,72 +237,135 @@ def _read_header(path: str, reader) -> list:
     return header
 
 
-def _first_fault(path: str, task: str) -> str:
-    """The message naming the first row, in file order, that
-    read_csv_dataset rejects, and the column at fault."""
+# Characters numpy's reader strips around a cell, as it strips whitespace,
+# but float() rejects.
+_NUMPY_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+
+
+def _numpy_lines(handle):
+    """The lines left in handle, read in batches of about 64k characters,
+    for numpy's reader.
+
+    A batch raises ValueError where numpy might read it otherwise than
+    csv.reader and float do: a line longer than csv's field size limit,
+    or a cell padded with _NUMPY_ONLY_SPACES.
+    """
+    limit = csv.field_size_limit()
+
+    def checked(batch):
+        text = "".join(batch)
+        if max(map(len, batch)) > limit or any(c in text for c in _NUMPY_ONLY_SPACES):
+            raise ValueError("left to the reference pass")
+        return batch
+
+    return chain.from_iterable(map(checked, iter(partial(handle.readlines, 1 << 16), [])))
+
+
+def _numpy_rows(handle, width: int, task: str) -> Optional[np.ndarray]:
+    """The data rows left in handle as an (n, width) float64 array, read
+    by numpy's C reader, or None where the reference pass must read them.
+
+    numpy converts each cell with the function float uses, so a cell it
+    accepts has float's value.  It rejects what it cannot read as
+    csv.reader does (quoted and empty cells, underscores, non-ASCII
+    digits) and ragged rows.  Rows that are not finite, have labels other
+    than -1 or 1, or a width other than the header's give None too.
+    """
+    try:
+        with warnings.catch_warnings():
+            # a file of blank lines: the reference pass names it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(
+                _numpy_lines(handle), delimiter=",", comments=None, ndmin=2, dtype=np.float64
+            )
+    except ValueError:
+        return None
+    if not len(rows) or rows.shape[1] != width or not np.isfinite(rows).all():
+        return None
+    y = rows[:, -1]
+    if task == "classification" and not ((y == 1.0) | (y == -1.0)).all():
+        return None
+    return rows
+
+
+def _reference_rows(path: str, task: str) -> Tuple[list, np.ndarray]:
+    """The header and the data rows as an (n, d + 1) float64 array, read
+    by csv.reader with every cell parsed by float.
+
+    Raises ValueError naming the first row, in file order, that
+    read_csv_dataset rejects, by the line its record starts on, and the
+    column at fault.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = _read_header(path, reader)
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                return f"{path}: row {row_number}: expected {len(header)} fields, got {len(row)}"
-            for column, cell in zip(header, row):
+
+        def values():
+            while True:
+                row_number = reader.line_num + 1
                 try:
-                    value = float(cell)
+                    row = next(reader, None)
+                except csv.Error as exc:
+                    raise ValueError(f"{path}: row {row_number}: {exc}") from None
+                if row is None:
+                    return
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}: row {row_number}: expected {len(header)} fields, got {len(row)}"
+                    )
+                try:
+                    parsed = [*map(float, row)]
                 except ValueError:
-                    return (
-                        f"{path}: row {row_number}, column {column!r}: "
-                        f"could not parse {cell.strip()!r} as a number"
+                    parsed = None
+                if parsed is None or not all(map(math.isfinite, parsed)):
+                    # name the first faulty cell in column order
+                    for column, cell in zip(header, row):
+                        where = f"{path}: row {row_number}, column {column!r}"
+                        try:
+                            value = float(cell)
+                        except ValueError:
+                            raise ValueError(
+                                f"{where}: could not parse {cell.strip()!r} as a number"
+                            ) from None
+                        if not math.isfinite(value):
+                            raise ValueError(
+                                f"{where}: value must be finite, got {cell.strip()!r}"
+                            )
+                if task == "classification" and parsed[-1] not in (-1.0, 1.0):
+                    raise ValueError(
+                        f"{path}: row {row_number}, column {header[-1]!r}: "
+                        f"classification labels must be -1 or 1, got {row[-1].strip()!r}"
                     )
-                if not math.isfinite(value):
-                    return (
-                        f"{path}: row {row_number}, column {column!r}: "
-                        f"value must be finite, got {cell.strip()!r}"
-                    )
-            if task == "classification" and value not in (-1.0, 1.0):
-                return (
-                    f"{path}: row {row_number}, column {header[-1]!r}: "
-                    f"classification labels must be -1 or 1, got {row[-1].strip()!r}"
-                )
-    return f"{path}: the file changed while it was read"
+                yield from parsed
+
+        rows = np.fromiter(values(), dtype=np.float64)
+    if not len(rows):
+        raise ValueError(f"{path}: no data rows after the header")
+    return header, rows.reshape(-1, len(header))
 
 
 def read_csv_dataset(path: str, task: str = "regression") -> CsvDataset:
     """Read a rectangular CSV of finite decimals: d features then a label.
 
-    Blank rows are skipped.  Every cell is parsed by Python's float, in
-    one streaming pass straight into an array.  Parse failures name the
-    offending row and column.  Classification labels must be exactly -1
-    or 1.
+    Blank rows are skipped, and every cell takes the value Python's float
+    gives it.  Classification labels must be exactly -1 or 1.  After
+    csv.reader reads the header, numpy's C reader parses the rest in one
+    pass.  A file it rejects or might misread, or whose rows fail a check,
+    is read again by the reference pass, which parses each cell with
+    float and names the first faulty row, by the line its record starts
+    on, and column.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = _read_header(path, reader)
-        width = len(header)
-
-        def cells():
-            for row in reader:
-                if row:
-                    if len(row) != width:
-                        raise ValueError("ragged row")  # named by _first_fault
-                    yield from row
-
-        try:
-            values = np.fromiter(map(float, cells()), dtype=np.float64)
-        except ValueError:
-            values = None
-    # The fast pass only knows that some row is bad; a second pass names it.
-    if values is None or not np.isfinite(values).all():
-        raise ValueError(_first_fault(path, task))
-    rows = values.reshape(-1, width)
-    X, y = rows[:, :-1], rows[:, -1]
-    if task == "classification" and not ((y == 1.0) | (y == -1.0)).all():
-        raise ValueError(_first_fault(path, task))
-    if not len(y):
-        raise ValueError(f"{path}: no data rows after the header")
-    return CsvDataset(feature_names=tuple(header[:-1]), label_name=header[-1], X=X, y=y)
+        rows = _numpy_rows(handle, len(header), task)
+    if rows is None:
+        header, rows = _reference_rows(path, task)
+    return CsvDataset(
+        feature_names=tuple(header[:-1]), label_name=header[-1], X=rows[:, :-1], y=rows[:, -1]
+    )
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})

@@ -217,15 +217,21 @@ class HingeLossLinearClassifier:
         b = 0.0
         # Row i of yX is y[i] * X[i], the same products the subgradient
         # took per epoch, so hoisting them leaves every sum bit-identical.
+        # compress builds the array that yX[violating] builds, so its sum
+        # is the same; the sum of the violating labels, each +-1, is the
+        # exact integer 2 * (violating positives) - (violating rows).
         yX = y[:, None] * X
+        positive = y > 0.0
         for _ in range(self.epochs):
             margins = y * (X @ w + b)
             violating = margins < 1.0
             grad_w = self.l2 * w
             grad_b = 0.0
-            if np.any(violating):
-                grad_w = grad_w - yX[violating].sum(axis=0) / n
-                grad_b = -y[violating].sum() / n
+            violations = np.count_nonzero(violating)
+            if violations:
+                grad_w = grad_w - np.compress(violating, yX, axis=0).sum(axis=0) / n
+                positives = np.count_nonzero(violating & positive)
+                grad_b = -(2 * positives - violations) / n
             w = w - self.learning_rate * grad_w
             b = b - self.learning_rate * grad_b
         self._weights = tuple(w.tolist())

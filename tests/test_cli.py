@@ -1,10 +1,14 @@
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from randpred import (
     fit_regression_pipeline,
     prediction_set,
 )
+from randpred import cli
 from randpred.cli import _jsonify, _predict_json, _predict_text, main, read_csv_dataset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -188,6 +193,138 @@ class TestReadCsvDataset:
         with pytest.raises(ValueError, match="no data rows"):
             read_csv_dataset(str(header_only))
 
+    def test_rows_numbered_by_starting_line(self, tmp_path):
+        # the quoted cell "1\n" spans lines 2 and 3, so oops is on line 4
+        path = tmp_path / "bad.csv"
+        path.write_text('x,y\n"1\n",2\n3,oops\n')
+        with pytest.raises(ValueError, match=r"row 4, column 'y': could not parse 'oops'"):
+            read_csv_dataset(str(path))
+
+    @pytest.mark.parametrize("cell", ["\x1c1", "1\x1d", "\x1e1", "1\x1f"])
+    def test_information_separators_are_not_spaces(self, tmp_path, cell):
+        # str.isspace holds for \x1c-\x1f, but float() does not strip them
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y\n1,2\n{cell},3\n")
+        with pytest.raises(ValueError, match=r"row 3, column 'x': could not parse"):
+            read_csv_dataset(str(path))
+
+    def test_matches_reference_reader(self, tmp_path):
+        path = tmp_path / "data.csv"
+        paths_taken = Counter()
+
+        @settings(max_examples=200, deadline=None)
+        @given(csv_file=csv_files())
+        def check(csv_file):
+            text, task = csv_file
+            with open(path, "w", newline="") as handle:
+                handle.write(text)
+            expected = reference_read(str(path), task)
+            with mock.patch.object(cli, "_reference_rows", wraps=cli._reference_rows) as spy:
+                try:
+                    ds = read_csv_dataset(str(path), task)
+                except ValueError as exc:
+                    assert str(exc) == expected
+                else:
+                    header, rows = expected
+                    assert ds.feature_names == tuple(header[:-1])
+                    assert ds.label_name == header[-1]
+                    # bytes, so that -0.0 must be -0.0
+                    assert ds.X.tobytes() == np.array(rows)[:, :-1].tobytes()
+                    assert ds.y.tobytes() == np.array(rows)[:, -1].tobytes()
+            paths_taken["reference" if spy.called else "numpy"] += 1
+
+        check()
+        assert paths_taken["numpy"] and paths_taken["reference"], paths_taken
+
+
+def reference_read(path, task):
+    """csv.reader and float, cell by cell, skipping blank rows: the header
+    and the rows, or the message of the first fault."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        rows = []
+        start = reader.line_num + 1
+        for row in reader:
+            row_number, start = start, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != len(header):
+                return f"{path}: row {row_number}: expected {len(header)} fields, got {len(row)}"
+            values = []
+            for column, cell in zip(header, row):
+                where = f"{path}: row {row_number}, column {column!r}"
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    return f"{where}: could not parse {cell.strip()!r} as a number"
+                if not math.isfinite(values[-1]):
+                    return f"{where}: value must be finite, got {cell.strip()!r}"
+            if task == "classification" and values[-1] not in (-1.0, 1.0):
+                return (
+                    f"{path}: row {row_number}, column {header[-1]!r}: "
+                    f"classification labels must be -1 or 1, got {row[-1].strip()!r}"
+                )
+            rows.append(values)
+    if not rows:
+        return f"{path}: no data rows after the header"
+    return header, rows
+
+
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}")
+_ASCII_PADDING = st.text(" \t\x0b\x0c", max_size=2)
+_PADDING = st.text(" \t\xa0\u3000\x1c\x1d\x1e\x1f", min_size=1, max_size=2)
+_ODD_CELLS = st.one_of(
+    st.tuples(_PADDING, _NUMBERS).map("".join),
+    st.tuples(_NUMBERS, _PADDING).map("".join),
+    st.sampled_from(["1_0", "2_500.5", "\u0661\u0662", "\uff13.5", "", "oops", "1 2", "0x10"]),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e999", "-0", "1e-320", "+.5e1"]),
+    st.sampled_from(['"1.5"', '" 2 "', '"1\n"', '"1,5"', '"3"""', '"\r\n-1"']),
+    st.sampled_from(["1", "-1", "1.0", "+1", " -1 ", "-1e0", "0.5", "0", "2"]),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV file's text and the task it is read for.
+
+    The rows are %.17g cells with ASCII padding, which numpy's reader
+    reads.  Up to three changes then bring in other cell syntax that
+    csv.reader and float accept or reject, a ragged row, or a width other
+    than the header's, and up to two blank or whitespace-only lines go in
+    between the rows.
+    """
+    task = draw(st.sampled_from(["regression", "classification"]))
+    width = draw(st.integers(2, 4))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    names = draw(st.lists(st.sampled_from(["x", "y", "a b", "x,1", 'q"t']), min_size=width,
+                          max_size=width))
+    header = io.StringIO()
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    csv.writer(header, quoting=quoting, lineterminator=end).writerow(names)
+    label = st.sampled_from(["1", "-1"]) if task == "classification" else _NUMBERS
+    rows = [
+        [draw(_NUMBERS) for _ in range(width - 1)] + [draw(label)]
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        change = draw(st.sampled_from(["cell", "cell", "cell", "ragged", "width"]))
+        if change == "cell" and row:
+            # the label cell half the time
+            index = draw(st.one_of(st.just(-1), st.integers(0, len(row) - 1)))
+            row[index] = draw(_ODD_CELLS)
+        elif change == "ragged":
+            row.append("0") if draw(st.booleans()) or not row else row.pop()
+        elif change == "width":
+            for other in rows:
+                other.append("0")
+    lines = [",".join(draw(_ASCII_PADDING) + cell for cell in row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "", " ", "\t"])))
+    text = header.getvalue() + end.join(lines) + (end if draw(st.booleans()) else "")
+    return text, task
+
 
 class TestTable:
     def test_text_rows(self, runner):
@@ -318,6 +455,27 @@ class TestPredict:
         )
         assert result.exit_code == 2
         assert "row 2" in result.output and "x2" in result.output
+
+    @pytest.mark.parametrize(
+        "option, row",
+        [("--train", 1), ("--train", 3), ("--test", 2)],
+    )
+    def test_oversized_cell_is_usage_error(self, runner, tmp_path, reg_files, option, row):
+        # a number csv.reader rejects for its length, although float and
+        # numpy's reader would take it
+        files = dict(zip(("--train", "--test"), reg_files))
+        lines = Path(files[option]).read_text().splitlines()
+        cell = "0" * csv.field_size_limit() + "1"
+        lines[row - 1] = ",".join([cell] + lines[row - 1].split(",")[1:])
+        files[option] = tmp_path / "oversized.csv"
+        files[option].write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main,
+            ["predict", "--train", str(files["--train"]), "--split-at", "8",
+             "--test", str(files["--test"])],
+        )
+        assert result.exit_code == 2
+        assert f"row {row}: field larger than field limit" in result.output
 
     def test_header_mismatch_is_usage_error(self, runner, tmp_path, reg_files):
         train, _ = reg_files

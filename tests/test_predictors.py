@@ -132,21 +132,53 @@ class TestHingeLossLinearClassifier:
         assert a.predict(x) == b.predict(x)
         assert a.predict(x) != c.predict(x)
 
-    @pytest.mark.parametrize("seed, init", [(0, None), (1, None), (2, 7), (3, None)])
-    def test_weights_match_per_epoch_products(self, seed, init):
-        # The reference forms y * X over the violating rows inside every
-        # epoch; the fit's products, taken once before the loop, must
-        # give the same weights bit for bit.
+    @staticmethod
+    def hinge_data(case, seed, n, d):
         rng = np.random.default_rng(seed)
-        n, d = 400, 4
-        X = rng.normal(0.0, 10.0 ** rng.uniform(-2, 2, size=d), size=(n, d))
-        y = np.where(X @ rng.normal(size=d) + rng.normal(0.0, 1.0, n) > 0, 1.0, -1.0)
+        if case == "scaled":
+            X = rng.normal(0.0, 10.0 ** rng.uniform(-2, 2, size=d), size=(n, d))
+            y = np.where(X @ rng.normal(size=d) + rng.normal(0.0, 1.0, n) > 0, 1.0, -1.0)
+        elif case == "flipped":
+            # as the benchmark's classification files: a random hyperplane
+            # in the unit cube with 2% of the labels flipped
+            w, b = rng.normal(size=d), rng.uniform(-0.2, 0.2)
+            X = rng.uniform(-1.0, 1.0, (n, d))
+            y = np.where(X @ w + b >= 0.0, 1.0, -1.0)
+            y[rng.random(n) < 0.02] *= -1.0
+        else:  # "wide-margin": every row 3 units from the hyperplane
+            w = rng.normal(size=d)
+            w /= np.linalg.norm(w)
+            X = rng.uniform(-1.0, 1.0, (n, d))
+            y = np.where(X @ w >= 0.0, 1.0, -1.0)
+            X += 3.0 * y[:, None] * w
+        return X, y
+
+    @pytest.mark.parametrize(
+        "seed, init, case, n, d, last_share",
+        [
+            pytest.param(0, None, "scaled", 400, 4, None, id="0-None"),
+            pytest.param(1, None, "scaled", 400, 4, None, id="1-None"),
+            pytest.param(2, 7, "scaled", 400, 4, None, id="2-7"),
+            pytest.param(3, None, "scaled", 400, 4, None, id="3-None"),
+            pytest.param(4, None, "flipped", 12_500, 5, (0.25, 0.35), id="benchmark-sized"),
+            pytest.param(5, 3, "scaled", 300, 1, None, id="one-feature"),
+            pytest.param(6, None, "wide-margin", 400, 3, (0.0, 0.0), id="wide-margin"),
+        ],
+    )
+    def test_weights_match_per_epoch_products(self, seed, init, case, n, d, last_share):
+        # The reference forms y * X over the violating rows inside every
+        # epoch and sums the violating labels; the fit's products, taken
+        # once before the loop, and its label count must give the same
+        # weights bit for bit.
+        X, y = self.hinge_data(case, seed, n, d)
         model = HingeLossLinearClassifier(seed=init).fit(X, y)
 
         w = np.zeros(d) if init is None else 0.01 * np.random.default_rng(init).standard_normal(d)
         b = 0.0
+        violations = []
         for _ in range(model.epochs):
             violating = y * (X @ w + b) < 1.0
+            violations.append(np.count_nonzero(violating))
             grad_w = model.l2 * w
             grad_b = 0.0
             if np.any(violating):
@@ -156,6 +188,11 @@ class TestHingeLossLinearClassifier:
             b = b - model.learning_rate * grad_b
         assert model._weights == tuple(w.tolist())
         assert model._bias == float(b)
+        if last_share is not None:
+            # the share of violating rows over the later half of the epochs
+            low, high = last_share
+            shares = np.array(violations[model.epochs // 2 :]) / n
+            assert low <= shares.min() and shares.max() <= high
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
