@@ -1,11 +1,15 @@
 """`predict` output pinned byte for byte.
 
-The sha256 digests below were recorded from the per-row implementation
-(one HedgedPrediction and one json.dumps dict per test row), so any change
-to the prediction path or the renderer that moves a byte shows here.  The
+The sha256 digests below were recorded before the code they guard: the
+first 22 from the per-row implementation (one HedgedPrediction and one
+json.dumps dict per test row), the regression-format-switch-points pair
+from the row-template renderer, whose bytes equal a per-row rendering of
+that case.  So any change to the prediction path or the renderer that
+moves a byte shows here.  The
 fixtures cover both tasks and both methods, the mean-regressor and
 single-class fallbacks, k = m splits, numbers that exercise the 12-digit
-rounding, and an epsilon below the incertitude (full level sets).
+rounding and the points where its layout and repr's part, and an epsilon
+below the incertitude (full level sets).
 """
 
 import hashlib
@@ -107,6 +111,43 @@ ONE_CLASS_ALL_MISS_TRAIN = """x1,x2,y
 -2.0,0.5,-1
 """
 
+# Labels exactly on y = x1, so the fit is exact up to rounding and the
+# half-width is tiny: each test row puts both bounds next to x1.  The rows
+# reach the points where the %.12g and repr layouts part: integer-valued
+# roundings, both sides of 1e-4, 999999999999.5 (which rounds up to
+# 1e12), bounds in [1e12, 1e16) and bounds from 1e16 up.  The last
+# calibration row misses and the others repeat proper rows: k = 1 of 4.
+EXACT_TRAIN = """x1,x2,y
+1,0,1
+2,1,2
+0,1,0
+3,2,3
+-1,1,-1
+0.5,-2,0.5
+1,0,1
+2,1,2
+3,2,3
+0,1,5
+"""
+
+SWITCH_POINTS_TEST = """x1,x2,y
+3,0,0
+-3,7,0
+0.0001,0,0
+9.9999e-05,0,0
+0.000100001,0,0
+999999999999.25,0,0
+999999999999.5,0,0
+-999999999999.5,1,0
+1234567890123.456,0,0
+50000000000000,0,0
+9.9999999e15,0,0
+1e16,0,0
+-3e17,1,0
+0,0,0
+123456.5,0,0
+"""
+
 FILES = {
     "reg_train": REG_TRAIN,
     "reg_test": REG_TEST,
@@ -117,6 +158,8 @@ FILES = {
     "cls_test": CLS_TEST,
     "one_class_train": ONE_CLASS_TRAIN,
     "one_class_all_miss_train": ONE_CLASS_ALL_MISS_TRAIN,
+    "exact_train": EXACT_TRAIN,
+    "switch_points_test": SWITCH_POINTS_TEST,
 }
 
 # name: (train, split-at, test, extra arguments)
@@ -127,6 +170,9 @@ CASES = {
     "regression-icp-full-sets": ("reg_train", 8, "reg_test", ["--method", "icp"]),
     "regression-mean-fallback": ("mean_train", 3, "mean_test", ["--epsilon", "0.3"]),
     "regression-k-equals-m": ("mean_all_miss_train", 3, "mean_test", ["--epsilon", "0.3"]),
+    "regression-format-switch-points": (
+        "exact_train", 6, "switch_points_test", ["--epsilon", "0.5"],
+    ),
     "classification-irp": (
         "cls_train", 8, "cls_test", ["--task", "classification", "--epsilon", "0.5"],
     ),
@@ -155,6 +201,8 @@ PINNED = {
     ("classification-k-equals-m", "text"): "e4de8caac5d152e76cd5b1cedca97d1be5cdeb59aca380e9b3ab6c11fc049f19",
     ("classification-single-class", "json"): "dd8d2a2658f234441b913b1492aaae5f5452456e7285332d74cf334cd36aea4f",
     ("classification-single-class", "text"): "2cc199fc9d65a376b502d98713b25c338b6ab11326db0531e5b5dee4196a6246",
+    ("regression-format-switch-points", "json"): "aba7b65ac88818dbb776fcef2b6e25a7fa451f87514469431ed1bd836705d482",
+    ("regression-format-switch-points", "text"): "edce4ebc312b08e90906511aa0517a623ba0f26b6b04e617691c29b5ecadedbd",
     ("regression-icp", "json"): "6ead053337b80beb1074799cabaad156dc96a16290a12c9a4fc342a1d45e8672",
     ("regression-icp", "text"): "7b297ba1318c5a056c39cb8af083b11d70fd110bff472c00cd536966df3eac1e",
     ("regression-icp-full-sets", "json"): "f5597898497c603d0fdddbf93e314075e83f7a3a4aa2ee76c03ddfebed385382",
