@@ -15,13 +15,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import chain, count
-from typing import List, Optional, Tuple
+from itertools import chain, repeat
+from typing import Iterable, List, Optional, Tuple
 
 import click
 import numpy as np
@@ -107,8 +108,8 @@ def _json_value(x: float) -> str:
     return repr(_round12(x)) if math.isfinite(x) else "null"
 
 
-# Stand-ins rendered into a row template and then replaced by its fields:
-# a row number and interval bounds whose text occurs nowhere else in a row.
+# Stand-ins rendered into a row and then cut out of it: a row number and
+# interval bounds whose text occurs nowhere else in a row.
 _ROW_STAND_IN = 918273645546372819
 _BOUND_STAND_INS = (-1.111e300, 2.222e300)
 
@@ -134,14 +135,18 @@ def _prediction_line(row: int, prediction: HedgedPrediction, gamma, epsilon: flo
     )
 
 
-def _row_template(prediction: HedgedPrediction, epsilon: float, indent: Optional[str]) -> str:
-    """One output row for prediction, as a str.format template.
+def _row_pieces(
+    prediction: HedgedPrediction, epsilon: float, indent: Optional[str]
+) -> Tuple[List[str], List[int]]:
+    """One output row for prediction, cut at its fields.
 
     The row is rendered once, with the stand-in row number and (for an
-    interval) the stand-in bounds, whose text then becomes field {0} (the
-    row number) and fields {1} and {2} (the bounds, rendered as the row
-    would render them).  indent None renders a text line; otherwise a
-    JSON record nested at that indent, as _emit_json would lay it out.
+    interval) the stand-in bounds, and cut where their text stands.
+    Returns the text between the cuts, one piece more than there are
+    cuts, and the field at each cut: 0 for the row number, 1 and 2 for
+    the lower and upper bound.  indent None renders a text line;
+    otherwise a JSON record nested at that indent, as _emit_json would
+    lay it out.
     """
     gamma = prediction_set(prediction, epsilon)
     if indent is None:
@@ -151,36 +156,62 @@ def _row_template(prediction: HedgedPrediction, epsilon: float, indent: Optional
         record = _jsonify(_prediction_record(_ROW_STAND_IN, prediction, gamma))
         text = json.dumps(record, sort_keys=True, indent=2).replace("\n", "\n" + indent)
         value = _json_value
-    text = text.replace("{", "{{").replace("}", "}}").replace(str(_ROW_STAND_IN), "{0}")
-    for field, bound in enumerate(_BOUND_STAND_INS, start=1):
-        text = text.replace(value(bound), f"{{{field}}}")
-    return text
+    stand_ins = [str(_ROW_STAND_IN), *map(value, _BOUND_STAND_INS)]
+    parts = re.split("(" + "|".join(map(re.escape, stand_ins)) + ")", text)
+    return parts[::2], [stand_ins.index(part) for part in parts[1::2]]
 
 
-def _prediction_rows(pipeline, X, method: str, epsilon: float, indent=None) -> List[str]:
-    """The output row of every test object in X, in order.
+def _bound_texts(bounds: np.ndarray, as_json: bool) -> List[str]:
+    """Every bound as _fmt renders it, or as _json_value does if as_json."""
+    values = bounds.tolist()
+    texts = list(map("{:.12g}".format, values))
+    if not as_json:
+        return texts
+    # A text with a "." and no "e" is positional with a fraction part, so
+    # its decimal exponent lies in [-4, 12).  There repr of its value has
+    # the same digits, as no two decimals of at most 15 significant digits
+    # name the same float, and the same layout.  The rest (integer values,
+    # -0, exponent forms, infinities) go through _json_value.
+    return [
+        text if "." in text and "e" not in text else _json_value(value)
+        for text, value in zip(texts, values)
+    ]
 
-    The sets come from the pipeline's batch methods.  Each row fills a
-    template rendered from the per-row prediction of the first row it
-    serves: one template for intervals, one per label set.
+
+def _prediction_rows(
+    pipeline, X, method: str, epsilon: float, separator: str, indent=None
+) -> Iterable[str]:
+    """Texts that join to the output row of every test object in X, in
+    order, each but the first after separator.
+
+    The sets come from the pipeline's batch methods.  Each row is spliced
+    from the pieces of a row rendered from the per-row prediction of the
+    first row it serves: one for intervals, one per label set.  Interval
+    rows are built column-wise: each bound column is formatted in one
+    pass, and the texts interleave the pieces with the row numbers and
+    the bounds, for the caller's one join.
     """
+    rows = range(1, len(X) + 1)
     if isinstance(pipeline, FittedClassificationPipeline):
         label_sets = pipeline.label_sets(X)
-        templates = {}
+        pieces = {}
         for i, labels in enumerate(label_sets):
-            if labels not in templates:
-                templates[labels] = _row_template(pipeline.predict(X[i], method), epsilon, indent)
-        return [templates[labels].format(row) for row, labels in enumerate(label_sets, 1)]
+            if labels not in pieces:
+                pieces[labels] = _row_pieces(pipeline.predict(X[i], method), epsilon, indent)[0]
+        # the row number is the only field of a label-set row
+        lines = [str(row).join(pieces[labels]) for row, labels in zip(rows, label_sets)]
+        return [separator.join(lines)]
     lower, upper = pipeline.interval_bounds(X)
     stand_in = Interval(*_BOUND_STAND_INS)
-    template = _row_template(
+    pieces, fields = _row_pieces(
         replace(pipeline.predict(X[0], method), prediction_set=stand_in), epsilon, indent
     )
-    value = _fmt if indent is None else _json_value
-    return [
-        template.format(row, lo, hi)
-        for row, lo, hi in zip(count(1), map(value, lower.tolist()), map(value, upper.tolist()))
-    ]
+    values = [list(map(str, rows)), *(_bound_texts(b, indent is not None) for b in (lower, upper))]
+    # every row but the first opens with the separator
+    columns = [chain(pieces[:1], repeat(separator + pieces[0]))]
+    for field, piece in zip(fields, pieces[1:]):
+        columns += [values[field], repeat(piece)]
+    return chain.from_iterable(zip(*columns))
 
 
 def _predict_json(task: str, method: str, epsilon: float, pipeline, X) -> str:
@@ -199,8 +230,8 @@ def _predict_json(task: str, method: str, epsilon: float, pipeline, X) -> str:
     text = json.dumps(_jsonify(payload), sort_keys=True, indent=2)
     head, tail = text.split(str(_ROW_STAND_IN))
     indent = head[head.rindex("\n") + 1 :]
-    rows = _prediction_rows(pipeline, X, method, epsilon, indent)
-    return head + (",\n" + indent).join(rows) + tail
+    rows = _prediction_rows(pipeline, X, method, epsilon, ",\n" + indent, indent)
+    return "".join(chain([head], rows, [tail]))
 
 
 def _predict_text(task: str, method: str, epsilon: float, pipeline, X) -> str:
@@ -209,7 +240,8 @@ def _predict_text(task: str, method: str, epsilon: float, pipeline, X) -> str:
     lines = [f"task={task} method={method} m={pipeline.m} k={pipeline.k} epsilon={epsilon}"]
     if pipeline.fallback_reason:
         lines.append(f"note: {pipeline.fallback_reason}")
-    return "\n".join(lines + _prediction_rows(pipeline, X, method, epsilon))
+    head = "\n".join(lines) + "\n"
+    return "".join(chain([head], _prediction_rows(pipeline, X, method, epsilon, "\n")))
 
 
 @dataclass(frozen=True)
@@ -535,7 +567,11 @@ def predict(
     except ValueError as exc:
         raise click.UsageError(str(exc))
     render = _predict_json if as_json else _predict_text
-    click.echo(render(task, method, epsilon, pipeline, test_ds.X))
+    try:
+        output = render(task, method, epsilon, pipeline, test_ds.X)
+    except ValueError as exc:
+        raise click.UsageError(f"{test}: {exc}")
+    click.echo(output)
 
 
 @main.command()

@@ -9,6 +9,7 @@ does, through the one-count k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -77,20 +78,33 @@ class FittedRegressionPipeline(_FittedPipeline):
     fallback_reason: Optional[str] = None
 
     def interval(self, test_x) -> Interval:
+        """[g(x) - h, g(x) + h]; ValueError if the point prediction g(x)
+        is not finite, as an overflow or a NaN feature makes it."""
         center = self.measure.predictor.predict(test_x)
+        if not math.isfinite(center):
+            raise ValueError(f"invalid interval: point prediction {center!r} is not finite")
         h = self.measure.half_width
         return Interval(center - h, center + h)
 
     def interval_bounds(self, X) -> Tuple[np.ndarray, np.ndarray]:
-        """The lower and upper bounds of interval(x) for every row x of X."""
-        center = self.measure.predictor.predict_batch(X)
+        """The lower and upper bounds of interval(x) for every row x of X.
+
+        Raises ValueError, as interval does, naming the first row (counted
+        from 1) whose point prediction is not finite.
+        """
         h = self.measure.half_width
-        lower, upper = center - h, center + h
-        # Interval's check on every row at once: a NaN bound fails it too.
-        invalid = ~(lower <= upper)
-        if invalid.any():
-            i = int(np.argmax(invalid))
-            raise ValueError(f"invalid interval [{float(lower[i])!r}, {float(upper[i])!r}]")
+        # overflow to +-inf and inf - inf = NaN pass without a warning, as
+        # in interval's Python floats
+        with np.errstate(over="ignore", invalid="ignore"):
+            center = self.measure.predictor.predict_batch(X)
+            lower, upper = center - h, center + h
+        finite = np.isfinite(center)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(
+                f"invalid interval: test row {i + 1}: "
+                f"point prediction {float(center[i])!r} is not finite"
+            )
         return lower, upper
 
     def predict(self, test_x, method: str = "irp") -> HedgedPrediction:
@@ -126,7 +140,8 @@ class FittedClassificationPipeline(_FittedPipeline):
 
     def label_sets(self, X) -> List[frozenset]:
         """label_set(x) for every row x of X, from one batch of scores."""
-        scores = self.measure.classifier.predict_batch(X)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in label_set
+            scores = self.measure.classifier.predict_batch(X)
         outside = np.abs(scores) > self.measure.margin_width
         signs = np.where(outside, np.where(scores > 0, 1, -1), 0)
         return [_LABEL_SETS[sign] for sign in signs.tolist()]

@@ -6,19 +6,22 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randpred import (
     ClassifierSpec,
     DataSplit,
+    FittedRegressionMeasure,
     Interval,
     fit_classification_pipeline,
     fit_regression_pipeline,
@@ -477,6 +480,25 @@ class TestPredict:
         assert result.exit_code == 2
         assert f"row {row}: field larger than field limit" in result.output
 
+    @pytest.mark.parametrize(
+        "row, center",
+        [("1e308,-1e308,0", "inf"), ("-1e308,1e308,0", "-inf"), ("1.2e308,1e308,0", "nan")],
+    )
+    def test_non_finite_prediction_is_usage_error(self, runner, tmp_path, reg_files, row, center):
+        # the center overflows to +-inf, or to inf - inf
+        train, _ = reg_files
+        test = tmp_path / "overflow.csv"
+        test.write_text(f"x1,x2,y\n0.25,0.25,0\n{row}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a numpy warning would print, not raise
+            result = runner.invoke(
+                main,
+                ["predict", "--train", train, "--split-at", "8", "--test", str(test), "--json"],
+            )
+        assert result.exit_code == 2
+        assert f"test row 2: point prediction {center} is not finite" in result.stderr
+        assert "Warning" not in result.stderr
+
     def test_header_mismatch_is_usage_error(self, runner, tmp_path, reg_files):
         train, _ = reg_files
         other = tmp_path / "other.csv"
@@ -565,10 +587,59 @@ def per_row_text(task, method, epsilon, pipeline, X):
     return "\n".join(lines)
 
 
+# (center, half-width) of intervals that reach the points where the
+# %.12g and repr layouts part: integer-valued roundings, -0, both sides of
+# 1e-4, 999999999999.5 (which rounds up to 1e12), [1e12, 1e16), from 1e16
+# up, and bounds that overflow to +-inf.
+SWITCH_POINT_INTERVALS = [
+    (3.0, 0.0),
+    (2.9999999999999996, 0.0),
+    (-0.0, 0.0),
+    (0.0, 0.0),
+    (9.99999999999999e-05, 0.0),
+    (9.9999e-05, 0.0),
+    (1e-4, 0.0),
+    (1.00001e-4, 0.0),
+    (1e-4, 2e-16),
+    (999999999999.4, 0.0),
+    (999999999999.5, 0.0),
+    (-123456789012345.6, 0.0),
+    (9999999999999998.0, 0.0),
+    (1e16, 0.0),
+    (-3e17, 0.0),
+    (1.7e308, 1e307),
+    (-1.7e308, 1e307),
+]
+
+
+class FixedCenter:
+    """A point predictor that predicts center for every object."""
+
+    def __init__(self, center):
+        self.center = center
+
+    def predict(self, features):
+        return self.center
+
+    def predict_batch(self, X):
+        return np.full(len(X), self.center)
+
+
+def switch_point_examples(test):
+    for interval in SWITCH_POINT_INTERVALS:
+        for method in ("irp", "icp"):
+            test = example(
+                seed=0, task="regression", method=method, epsilon=0.5, fallback=False,
+                n=3, m=2, d=1, scale=1.0, rows=2, interval=interval,
+            )(test)
+    return test
+
+
 class TestPredictRenderer:
     """The batch renderer equals json.dumps of the per-row payload, and
     the per-row text, on random pipelines."""
 
+    @switch_point_examples
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -584,9 +655,10 @@ class TestPredictRenderer:
         d=st.integers(1, 3),
         scale=st.sampled_from([1e-7, 1.0, 3e4, 1e13, 1e17]),
         rows=st.integers(1, 25),
+        interval=st.one_of(st.none(), st.sampled_from(SWITCH_POINT_INTERVALS)),
     )
     def test_matches_per_row_rendering(
-        self, seed, task, method, epsilon, fallback, n, m, d, scale, rows
+        self, seed, task, method, epsilon, fallback, n, m, d, scale, rows, interval
     ):
         rng = np.random.default_rng(seed)
         X = scale * rng.standard_normal((n + m + rows, d))
@@ -596,6 +668,11 @@ class TestPredictRenderer:
         scores = X @ rng.standard_normal(d) + scale * rng.standard_normal(n + m)
         if task == "regression":
             pipeline = fit_regression_pipeline(DataSplit(X, scores, n))
+            if interval is not None:
+                # every test row gets the interval [center - h, center + h]
+                center, h = interval
+                measure = FittedRegressionMeasure(FixedCenter(center), h)
+                pipeline = replace(pipeline, measure=measure)
         else:
             y = np.where(scores > 0, 1.0, -1.0)
             if fallback:

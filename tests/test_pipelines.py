@@ -267,6 +267,33 @@ class TestBatchSetsMatchScalar:
         with pytest.raises(ValueError, match="invalid interval"):
             pipeline.interval(X[1])
 
+    @pytest.mark.parametrize("row", [[1e308, -1e308], [-1e308, 1e308]], ids=["inf", "-inf"])
+    def test_interval_bounds_reject_overflowing_center(self, row):
+        # the center overflows to +-inf: a point interval at infinity
+        pipeline = fit_regression_pipeline(linear_split())
+        X = np.array([[0.0, 0.0], row])
+        with pytest.raises(ValueError, match="test row 2: point prediction -?inf is not finite"):
+            pipeline.interval_bounds(X)
+        with pytest.raises(ValueError, match="point prediction -?inf is not finite"):
+            pipeline.interval(X[1])
+
+    def test_label_sets_match_per_row_on_overflow(self):
+        # scores that overflow to +-inf, or to inf - inf, warn nowhere
+        pipeline = fit_classification_pipeline(cls_split())
+        X = np.array([[1e308, 1e308], [-1e308, -1e308], [1e308, -1e308], [1.7e308, -1.7e308]])
+        assert pipeline.label_sets(X) == [pipeline.label_set(x) for x in X]
+
+    def test_overflowing_bound_matches_per_row(self):
+        # a finite center whose upper bound overflows is a valid interval
+        X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
+        split = DataSplit(X, np.array([0.0, 1e307, 2.1e307, 3e307, 4e307]), 4)
+        pipeline = fit_regression_pipeline(split)
+        test_X = np.array([[17.785]])
+        lower, upper = pipeline.interval_bounds(test_X)
+        interval = pipeline.interval(test_X[0])
+        assert math.isfinite(lower[0]) and upper[0] == math.inf
+        assert (lower[0], upper[0]) == (interval.lower, interval.upper)
+
 
 class TestPredictionSet:
     def test_small_incertitude_keeps_set(self):
