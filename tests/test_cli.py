@@ -626,6 +626,7 @@ class FixedCenter:
 
 
 def switch_point_examples(test):
+    """Run test on every SWITCH_POINT_INTERVALS interval, for both methods."""
     for interval in SWITCH_POINT_INTERVALS:
         for method in ("irp", "icp"):
             test = example(
