@@ -23,14 +23,13 @@ print(__doc__)
 
 generator = BoundedNoiseLinearGenerator()  # y = 1.5 x1 - 2 x2 + 0.3 + U(-.25, .25)
 rng = np.random.default_rng(20260814)
-split, test = generator.sample(rng)
+split, x, y = generator.sample(rng)
 print(f"proper training size {split.proper_size}, calibration size {split.calibration_size}")
-print(f"test point: features {tuple(round(x, 3) for x in test.features)}, "
-      f"label {test.label:.3f}")
+print(f"test point: features {tuple(round(v, 3) for v in x.tolist())}, label {y:.3f}")
 print()
 
-irp = fit_regression_pipeline(split).predict(test.features, "irp")
-icp = fit_regression_pipeline(split).predict(test.features, "icp")
+irp = fit_regression_pipeline(split).predict(x, "irp")
+icp = fit_regression_pipeline(split).predict(x, "icp")
 
 print("Method   interval                     incertitude")
 for name, hedged in (("worst", irp), ("rank", icp)):
@@ -50,7 +49,7 @@ gamma_icp = prediction_set(icp, epsilon)
 print(f"Level-{epsilon} prediction sets:")
 print(f"  worst: [{gamma_irp.lower:+.4f}, {gamma_irp.upper:+.4f}]")
 print(f"  rank:  [{gamma_icp.lower:+.4f}, {gamma_icp.upper:+.4f}]")
-print(f"  test label covered: {gamma_irp.contains(test.label)}")
+print(f"  test label covered: {gamma_irp.contains(y)}")
 print()
 
 # the smaller incertitude pays off at stricter levels: sweep epsilon and

@@ -12,16 +12,13 @@ from .core import (
     ALL_LABELS,
     FULL_LINE,
     DataSplit,
-    Example,
     HedgedPrediction,
     Interval,
     PredictionSet,
     SummarySequence,
-    split_training,
 )
 from .pipelines import (
-    FittedClassificationPipeline,
-    FittedRegressionPipeline,
+    FittedPipeline,
     fit_classification_pipeline,
     fit_regression_pipeline,
     prediction_set,
@@ -34,9 +31,7 @@ from .predictors import (
     PointPredictor,
 )
 from .pvalues import (
-    DEFAULT_CONFIG,
     AsymptoticConstant,
-    EngineConfig,
     asymptotic_constant,
     binary_irp_pvalue,
     binary_irp_pvariable,
@@ -48,7 +43,6 @@ from .pvalues import (
     maximize_objective,
     objective,
     optimal_p_k1,
-    verification_scan,
 )
 from .summaries import (
     ClassifierSpec,
@@ -57,11 +51,8 @@ from .summaries import (
     RegressorSpec,
     fit_margin_measure,
     fit_regression_measure,
-    score_margin,
     score_margin_batch,
-    score_regression,
     score_regression_batch,
-    summarize,
 )
 from .validity import (
     EXACT_M_LIMIT,
@@ -84,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_LABELS",
     "FULL_LINE",
-    "DEFAULT_CONFIG",
     "EXACT_M_LIMIT",
     "AsymptoticConstant",
     "BoundedNoiseLinearGenerator",
@@ -93,12 +83,9 @@ __all__ = [
     "DataSplit",
     "DominanceResult",
     "DominanceWitness",
-    "EngineConfig",
-    "Example",
-    "FittedClassificationPipeline",
     "FittedMarginMeasure",
+    "FittedPipeline",
     "FittedRegressionMeasure",
-    "FittedRegressionPipeline",
     "HedgedPrediction",
     "HingeLossLinearClassifier",
     "Interval",
@@ -132,12 +119,7 @@ __all__ = [
     "optimal_p_k1",
     "prediction_set",
     "reproduce_table_k",
-    "score_margin",
     "score_margin_batch",
-    "score_regression",
     "score_regression_batch",
-    "split_training",
-    "summarize",
     "urp_binary_event",
-    "verification_scan",
 ]

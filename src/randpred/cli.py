@@ -18,7 +18,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, repeat
@@ -28,12 +28,7 @@ import click
 import numpy as np
 
 from .core import DataSplit, HedgedPrediction, Interval
-from .pipelines import (
-    FittedClassificationPipeline,
-    fit_classification_pipeline,
-    fit_regression_pipeline,
-    prediction_set,
-)
+from .pipelines import fit_classification_pipeline, fit_regression_pipeline, prediction_set
 from .pvalues import (
     asymptotic_constant,
     binary_irp_pvalue,
@@ -41,7 +36,7 @@ from .pvalues import (
     dominating_pvariable,
     icp_pvariable,
 )
-from .summaries import ClassifierSpec, RegressorSpec
+from .summaries import ClassifierSpec, FittedMarginMeasure, RegressorSpec
 from .validity import (
     EXACT_M_LIMIT,
     BoundedNoiseLinearGenerator,
@@ -184,28 +179,26 @@ def _prediction_rows(
     """Texts that join to the output row of every test object in X, in
     order, each but the first after separator.
 
-    The sets come from the pipeline's batch methods.  Each row is spliced
-    from the pieces of a row rendered from the per-row prediction of the
-    first row it serves: one for intervals, one per label set.  Interval
-    rows are built column-wise: each bound column is formatted in one
-    pass, and the texts interleave the pieces with the row numbers and
-    the bounds, for the caller's one join.
+    The sets come from the pipeline's batch method for its measure.  Each
+    row is spliced from the pieces of one rendered row: one for
+    intervals, one per label set.  Interval rows are built column-wise:
+    each bound column is formatted in one pass, and the texts interleave
+    the pieces with the row numbers and the bounds, for the caller's one
+    join.
     """
     rows = range(1, len(X) + 1)
-    if isinstance(pipeline, FittedClassificationPipeline):
+    if isinstance(pipeline.measure, FittedMarginMeasure):
         label_sets = pipeline.label_sets(X)
-        pieces = {}
-        for i, labels in enumerate(label_sets):
-            if labels not in pieces:
-                pieces[labels] = _row_pieces(pipeline.predict(X[i], method), epsilon, indent)[0]
+        pieces = {
+            labels: _row_pieces(pipeline.hedge(labels, method), epsilon, indent)[0]
+            for labels in set(label_sets)
+        }
         # the row number is the only field of a label-set row
         lines = [str(row).join(pieces[labels]) for row, labels in zip(rows, label_sets)]
         return [separator.join(lines)]
     lower, upper = pipeline.interval_bounds(X)
     stand_in = Interval(*_BOUND_STAND_INS)
-    pieces, fields = _row_pieces(
-        replace(pipeline.predict(X[0], method), prediction_set=stand_in), epsilon, indent
-    )
+    pieces, fields = _row_pieces(pipeline.hedge(stand_in, method), epsilon, indent)
     values = [list(map(str, rows)), *(_bound_texts(b, indent is not None) for b in (lower, upper))]
     # every row but the first opens with the separator
     columns = [chain(pieces[:1], repeat(separator + pieces[0]))]

@@ -1,4 +1,4 @@
-"""Shared domain types: examples, train/calibration splits, binary summary
+"""Shared domain types: train/calibration splits, binary summary
 sequences, and hedged prediction sets.
 
 All types are immutable after construction and safe to share across threads.
@@ -8,44 +8,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 __all__ = [
-    "Example",
     "DataSplit",
     "SummarySequence",
     "Interval",
     "FULL_LINE",
     "ALL_LABELS",
     "HedgedPrediction",
-    "split_training",
 ]
-
-
-@dataclass(frozen=True)
-class Example:
-    """A single (object, label) pair.
-
-    ``features`` is a fixed-length vector of finite reals; ``label`` is a
-    real number for regression or exactly -1/+1 for binary classification
-    (the classification constraint is enforced at the classifier entry
-    points, since an example does not know which task it belongs to).
-    """
-
-    features: tuple
-    label: float
-
-    def __post_init__(self):
-        feats = tuple(float(v) for v in self.features)
-        if not all(math.isfinite(v) for v in feats):
-            raise ValueError(f"features must be finite, got {self.features!r}")
-        lab = float(self.label)
-        if not math.isfinite(lab):
-            raise ValueError(f"label must be finite, got {self.label!r}")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "label", lab)
 
 
 def xy_arrays(X, y) -> Tuple[np.ndarray, np.ndarray]:
@@ -113,31 +87,6 @@ class DataSplit:
     @property
     def total_size(self) -> int:
         return len(self.y)
-
-
-def split_training(examples: Sequence[Example], proper_size: int) -> DataSplit:
-    """Split a training sequence positionally: the first ``proper_size``
-    examples fit the point predictor, the remainder calibrate.
-
-    The split is deterministic; shuffle beforehand (with an explicit seed)
-    if a randomized split is wanted.
-    """
-    n = len(examples)
-    if not isinstance(proper_size, int):
-        raise TypeError(f"proper_size must be an int, got {type(proper_size).__name__}")
-    if not 1 <= proper_size <= n - 1:
-        raise ValueError(
-            f"proper_size must be in [1, {n - 1}] so that both parts are "
-            f"nonempty, got {proper_size} for {n} examples"
-        )
-    widths = {len(e.features) for e in examples}
-    if len(widths) != 1:
-        raise ValueError(
-            f"examples must all have the same number of features, got {sorted(widths)}"
-        )
-    X = np.array([e.features for e in examples], dtype=np.float64)
-    y = np.array([e.label for e in examples], dtype=np.float64)
-    return DataSplit(X, y, proper_size)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,16 @@
 """Reference point predictors.
 
 The nonconformity measures treat the point predictor as a black box with a
-``fit(X, y)`` / ``predict(features)`` / ``predict_batch(X)`` surface, so
-anything honouring that protocol can be plugged in.  Two deterministic
-references are provided: ordinary least squares for regression and a
-hinge-loss linear classifier for binary classification.
+``fit(X, y)`` / ``predict_batch(X)`` surface, so anything honouring that
+protocol can be plugged in.  Two deterministic references are provided:
+ordinary least squares for regression and a hinge-loss linear classifier
+for binary classification.
 
 The linear predictors evaluate w.x + b in one fixed order, column by
-column with the intercept last, in both ``predict`` and ``predict_batch``.
-Each step is a single IEEE operation in either path, so a row's batch
-prediction equals its scalar one bit for bit; a BLAS matrix-vector product
-promises no such order.  A measure fitted in batch therefore scores every
-row exactly as the scalar scorers would.
+column with the intercept last, one IEEE operation per step.  A row's
+prediction is therefore the same whichever batch it is in, and equals the
+plain Python-float sum taken in that order; a BLAS matrix-vector product
+promises no such order.
 """
 
 from __future__ import annotations
@@ -36,15 +35,13 @@ __all__ = [
 class PointPredictor(Protocol):
     """Protocol for pluggable point predictors.
 
-    ``fit`` takes an (n, d) feature array and n labels.  ``predict`` and
-    ``predict_batch`` must be deterministic given the fitted state and
-    must agree exactly: ``predict_batch(X)[i] == predict(X[i])``.  The
-    fitted state must not change after ``fit`` returns.
+    ``fit`` takes an (n, d) feature array and n labels.  ``predict_batch``
+    maps an (n, d) array to n predictions; it must be deterministic given
+    the fitted state, and row i's prediction must not depend on the other
+    rows.  The fitted state must not change after ``fit`` returns.
     """
 
     def fit(self, X, y) -> "PointPredictor": ...
-
-    def predict(self, features) -> float: ...
 
     def predict_batch(self, X) -> np.ndarray: ...
 
@@ -57,26 +54,20 @@ def _training_arrays(X, y):
     return X, y
 
 
-def _affine_row(coef: tuple, intercept: float, features) -> float:
-    """sum_j coef[j] * features[j], then + intercept, in Python floats."""
-    x = [float(v) for v in features]
-    if len(x) != len(coef):
-        raise ValueError(f"expected {len(coef)} features, got {len(x)}")
-    total = 0.0
-    for c, v in zip(coef, x):
-        total += c * v
-    return total + intercept
-
-
 def _affine_batch(coef: tuple, intercept: float, X) -> np.ndarray:
-    """_affine_row for every row of X, in the same order of operations."""
+    """sum_j coef[j] * X[:, j], then + intercept, for every row of X.
+
+    A row that overflows gives +-inf, or NaN from inf - inf, without a
+    warning: the caller decides what a non-finite prediction means.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(coef):
         raise ValueError(f"expected X of shape (n, {len(coef)}), got {X.shape}")
     total = np.zeros(len(X))
-    for j, c in enumerate(coef):
-        total += c * X[:, j]
-    return total + intercept
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, c in enumerate(coef):
+            total += c * X[:, j]
+        return total + intercept
 
 
 class MeanRegressor:
@@ -89,11 +80,6 @@ class MeanRegressor:
         _, y = _training_arrays(X, y)
         self._mean = float(np.mean(y))
         return self
-
-    def predict(self, features) -> float:
-        if self._mean is None:
-            raise RuntimeError("predictor is not fitted")
-        return self._mean
 
     def predict_batch(self, X) -> np.ndarray:
         if self._mean is None:
@@ -132,13 +118,6 @@ class LeastSquaresRegressor:
         self._intercept = float(beta[-1])
         return self
 
-    def predict(self, features) -> float:
-        if self._fallback is not None:
-            return self._fallback.predict(features)
-        if self._coef is None:
-            raise RuntimeError("predictor is not fitted")
-        return _affine_row(self._coef, self._intercept, features)
-
     def predict_batch(self, X) -> np.ndarray:
         if self._fallback is not None:
             return self._fallback.predict_batch(X)
@@ -158,9 +137,6 @@ class ConstantClassifier:
 
     def fit(self, X, y):
         return self
-
-    def predict(self, features) -> float:
-        return self._score
 
     def predict_batch(self, X) -> np.ndarray:
         return np.full(len(X), self._score)
@@ -237,13 +213,6 @@ class HingeLossLinearClassifier:
         self._weights = tuple(w.tolist())
         self._bias = float(b)
         return self
-
-    def predict(self, features) -> float:
-        if self._fallback is not None:
-            return self._fallback.predict(features)
-        if self._weights is None:
-            raise RuntimeError("classifier is not fitted")
-        return _affine_row(self._weights, self._bias, features)
 
     def predict_batch(self, X) -> np.ndarray:
         if self._fallback is not None:

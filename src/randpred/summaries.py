@@ -7,21 +7,17 @@ proper-training residual; the margin measure flags confident
 misclassifications (wrong class, outside the margin).
 
 Measures are fitted on arrays, and ``score_*_batch`` scores a whole
-array of examples in one pass.  ``score_regression`` and ``score_margin``
-score single rows of outside input and check each one; the batch
-scorers give the same bits, because the predictors' batch and scalar
-predictions agree exactly.
+array of examples in one pass; one example is a one-row array.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
-from .core import Example, SummarySequence, xy_arrays
+from .core import xy_arrays
 from .predictors import (
     HingeLossLinearClassifier,
     LeastSquaresRegressor,
@@ -36,11 +32,8 @@ __all__ = [
     "FittedMarginMeasure",
     "fit_regression_measure",
     "fit_margin_measure",
-    "score_regression",
-    "score_margin",
     "score_regression_batch",
     "score_margin_batch",
-    "summarize",
 ]
 
 
@@ -155,39 +148,6 @@ def fit_margin_measure(
     )
 
 
-def _check_finite_features(x) -> None:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"features must be finite, got {x!r}")
-
-
-def score_regression(measure: FittedRegressionMeasure, x, y: float) -> int:
-    """Score one example: 1 iff |y - g(x)| strictly exceeds half_width.
-
-    A residual exactly equal to half_width conforms — the boundary is
-    sharp and belongs to the conforming side.
-    """
-    _check_finite_features(x)
-    y = float(y)
-    if not math.isfinite(y):
-        raise ValueError(f"label must be finite, got {y!r}")
-    return 1 if abs(y - measure.predictor.predict(x)) > measure.half_width else 0
-
-
-def score_margin(measure: FittedMarginMeasure, x, y: int) -> int:
-    """Score one example: 1 iff classified as -y with |score| > margin_width.
-
-    Correct classifications and anything inside the margin conform, as do
-    exactly-zero scores (no class is asserted).
-    """
-    _check_finite_features(x)
-    if y not in (-1, 1):
-        raise ValueError(f"classification label must be -1 or +1, got {y!r}")
-    score = measure.classifier.predict(x)
-    wrong_class = (score > 0 and y == -1) or (score < 0 and y == 1)
-    return 1 if wrong_class and abs(score) > measure.margin_width else 0
-
-
 def _batch_arrays(X, y):
     X, y = xy_arrays(X, y)
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
@@ -196,45 +156,28 @@ def _batch_arrays(X, y):
 
 
 def score_regression_batch(measure: FittedRegressionMeasure, X, y) -> np.ndarray:
-    """score_regression for every row of (X, y) in one pass: an int8 array
-    of bits."""
+    """The bit of every row of (X, y), as an int8 array: 1 iff
+    |y - g(x)| strictly exceeds half_width.
+
+    A residual exactly equal to half_width conforms: the boundary is
+    sharp and belongs to the conforming side.
+    """
     X, y = _batch_arrays(X, y)
     residuals = np.abs(y - measure.predictor.predict_batch(X))
     return (residuals > measure.half_width).astype(np.int8)
 
 
 def score_margin_batch(measure: FittedMarginMeasure, X, y) -> np.ndarray:
-    """score_margin for every row of (X, y) in one pass: an int8 array of
-    bits.  Every label must be exactly -1 or +1."""
+    """The bit of every row of (X, y), as an int8 array: 1 iff x is
+    classified as -y with |score| > margin_width.
+
+    Correct classifications and anything inside the margin conform, as
+    do exactly-zero scores (no class is asserted).  Every label must be
+    exactly -1 or +1.
+    """
     X, y = _batch_arrays(X, y)
     if not ((y == 1.0) | (y == -1.0)).all():
         raise ValueError("classification labels must be -1 or +1")
     scores = measure.classifier.predict_batch(X)
     wrong_class = ((scores > 0) & (y == -1.0)) | ((scores < 0) & (y == 1.0))
     return (wrong_class & (np.abs(scores) > measure.margin_width)).astype(np.int8)
-
-
-def _score(measure, x, y) -> int:
-    if isinstance(measure, FittedRegressionMeasure):
-        return score_regression(measure, x, y)
-    if isinstance(measure, FittedMarginMeasure):
-        return score_margin(measure, x, y)
-    raise TypeError(f"unsupported measure type {type(measure).__name__}")
-
-
-def summarize(
-    measure: Union[FittedRegressionMeasure, FittedMarginMeasure],
-    calibration: Sequence[Example],
-    test_x,
-    test_y,
-) -> SummarySequence:
-    """Score the calibration sequence and the test example into bits.
-
-    The one-count k over the calibration bits is computed by the returned
-    SummarySequence and is invariant under calibration reordering.
-    """
-    if not calibration:
-        raise ValueError("calibration sequence must be nonempty")
-    bits = tuple(_score(measure, e.features, e.label) for e in calibration)
-    test_bit = _score(measure, test_x, test_y)
-    return SummarySequence(calibration_summaries=bits, test_summary=test_bit)

@@ -17,8 +17,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DataSplit, Example, SummarySequence
-from .pvalues import EngineConfig, asymptotic_constant
+from .core import DataSplit, Interval, SummarySequence
+from .pvalues import asymptotic_constant
 from .summaries import RegressorSpec
 
 __all__ = [
@@ -232,30 +232,25 @@ class BoundedNoiseLinearGenerator:
         if not self.feature_low < self.feature_high:
             raise ValueError("feature_low must be below feature_high")
 
-    def sample(self, rng: np.random.Generator) -> Tuple[DataSplit, Example]:
-        """Draw one training split plus one test example, all IID."""
+    def sample(self, rng: np.random.Generator) -> Tuple[DataSplit, np.ndarray, float]:
+        """Draw one training split plus one test example (x, y), all IID."""
         n = self.proper_size + self.calibration_size + 1
         d = len(self.coefficients)
         features = rng.uniform(self.feature_low, self.feature_high, size=(n, d))
         noise = rng.uniform(-self.noise_half_width, self.noise_half_width, size=n)
         labels = features @ np.array(self.coefficients) + self.intercept + noise
         split = DataSplit(features[:-1], labels[:-1], self.proper_size)
-        return split, Example(features=tuple(features[-1]), label=float(labels[-1]))
+        return split, features[-1], float(labels[-1])
 
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Which pipeline the Monte Carlo harness should exercise."""
+    """Which regression pipeline the Monte Carlo harness should exercise."""
 
-    task: str = "regression"
     method: str = "both"
     predictor: RegressorSpec = field(default_factory=RegressorSpec)
 
     def __post_init__(self):
-        if self.task != "regression":
-            raise ValueError(
-                f"Monte Carlo coverage supports the regression task, got {self.task!r}"
-            )
         if self.method not in ("irp", "icp", "both"):
             raise ValueError(f"method must be 'irp', 'icp', or 'both', got {self.method!r}")
 
@@ -272,9 +267,10 @@ def monte_carlo_coverage(
     Each trial draws fresh IID data, forms the level-epsilon prediction
     set, and records whether the true test label was excluded.  A
     coverage cell passes when the empirical miscoverage rate is at most
-    epsilon + 3 standard errors.  Each trial fits one pipeline and asks it
-    for every method.  When both methods run, an interval-identity cell
-    compares that one fit's two predictions: it checks that the method
+    epsilon + 3 standard errors.  Each trial fits one pipeline, forms the
+    test row's interval once, and pairs it with every method's
+    incertitude.  When both methods run, an interval-identity cell
+    compares the two hedged predictions: it checks that the method
     changes only the incertitude, never the interval.  It does not compare
     independently fitted pipelines.
 
@@ -295,13 +291,14 @@ def monte_carlo_coverage(
     identical_intervals = 0
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        split, test = generator.sample(rng)
+        split, x, y = generator.sample(rng)
         pipeline = fit_regression_pipeline(split, spec.predictor)
+        (lower,), (upper,) = pipeline.interval_bounds(x[np.newaxis])
+        interval = Interval(lower, upper)
         predictions = {}
         for method in methods:
-            predictions[method] = pipeline.predict(test.features, method)
-            gamma = prediction_set(predictions[method], epsilon)
-            if not gamma.contains(test.label):
+            predictions[method] = pipeline.hedge(interval, method)
+            if not prediction_set(predictions[method], epsilon).contains(y):
                 misses[method] += 1
         if len(methods) == 2:
             if predictions["irp"].prediction_set == predictions["icp"].prediction_set:
@@ -422,9 +419,7 @@ class TableRow:
         return round(self.ratio, 3)
 
 
-def reproduce_table_k(
-    k_max: int, cfg: Optional[EngineConfig] = None
-) -> Tuple[TableRow, ...]:
+def reproduce_table_k(k_max: int) -> Tuple[TableRow, ...]:
     """Asymptotic incertitude numerators a_k next to the rank-based k+1.
 
     The ratio column stays below 1: for small k the engine's hedged
@@ -437,7 +432,7 @@ def reproduce_table_k(
         raise ValueError(f"k_max is capped at 64, got {k_max}")
     rows = []
     for k in range(k_max + 1):
-        constant = asymptotic_constant(k, cfg)
+        constant = asymptotic_constant(k)
         rows.append(
             TableRow(
                 k=k,

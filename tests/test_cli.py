@@ -499,6 +499,26 @@ class TestPredict:
         assert f"test row 2: point prediction {center} is not finite" in result.stderr
         assert "Warning" not in result.stderr
 
+    def test_overflowing_calibration_row_scores_silently(self, runner, tmp_path, reg_files):
+        # a calibration row whose prediction overflows scores as a miss,
+        # with no numpy warning on stderr
+        train, test = reg_files
+        lines = REG_TRAIN.splitlines()
+        lines[11] = "1e308,-1e308,0.7"
+        overflow = tmp_path / "overflow.csv"
+        overflow.write_text("\n".join(lines) + "\n")
+        ks = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the run
+            for name, path in (("plain", train), ("overflow", str(overflow))):
+                result = runner.invoke(
+                    main, ["predict", "--train", path, "--split-at", "6", "--test", test, "--json"]
+                )
+                assert result.exit_code == 0, result.output
+                assert result.stderr == ""
+                ks[name] = json.loads(result.stdout)["k"]
+        assert ks == {"plain": 0, "overflow": 1}
+
     def test_header_mismatch_is_usage_error(self, runner, tmp_path, reg_files):
         train, _ = reg_files
         other = tmp_path / "other.csv"
@@ -617,9 +637,6 @@ class FixedCenter:
 
     def __init__(self, center):
         self.center = center
-
-    def predict(self, features):
-        return self.center
 
     def predict_batch(self, X):
         return np.full(len(X), self.center)

@@ -9,76 +9,61 @@ from randpred import (
     ALL_LABELS,
     FULL_LINE,
     DataSplit,
-    Example,
     HedgedPrediction,
     Interval,
     SummarySequence,
-    split_training,
 )
 
 
-def ex(label, features=(0.0,)):
-    return Example(features=tuple(features), label=label)
-
-
-class TestExample:
-    def test_coerces_features_to_floats(self):
-        e = Example(features=(1, 2), label=3)
-        assert e.features == (1.0, 2.0)
-        assert e.label == 3.0
-
-    def test_rejects_nonfinite_features(self):
-        with pytest.raises(ValueError):
-            Example(features=(math.inf,), label=0.0)
-        with pytest.raises(ValueError):
-            Example(features=(math.nan, 1.0), label=0.0)
-
-    def test_rejects_nonfinite_label(self):
-        with pytest.raises(ValueError):
-            Example(features=(1.0,), label=math.nan)
+def split(labels, proper_size, features=None):
+    """A DataSplit of labels; row i has the features features[i], (0.0,) by default."""
+    X = [(0.0,)] * len(labels) if features is None else features
+    return DataSplit(np.array(X, dtype=float), np.array(labels, dtype=float), proper_size)
 
 
 class TestSplitTraining:
+    """DataSplit splits a training sequence positionally."""
+
     def test_basic_split(self):
-        split = split_training([ex(1.0, (0.5,)), ex(2.0, (1.5,)), ex(3.0, (2.5,))], 2)
-        X, y = split.proper
+        s = split([1.0, 2.0, 3.0], 2, [(0.5,), (1.5,), (2.5,)])
+        X, y = s.proper
         assert X.tolist() == [[0.5], [1.5]] and y.tolist() == [1.0, 2.0]
-        X, y = split.calibration
+        X, y = s.calibration
         assert X.tolist() == [[2.5]] and y.tolist() == [3.0]
 
     def test_minimal_legal_sizes(self):
-        split = split_training([ex(1.0), ex(2.0)], 1)
-        assert split.proper[1].tolist() == [1.0]
-        assert split.calibration[1].tolist() == [2.0]
+        s = split([1.0, 2.0], 1)
+        assert s.proper[1].tolist() == [1.0]
+        assert s.calibration[1].tolist() == [2.0]
 
     def test_calibration_must_be_nonempty(self):
         with pytest.raises(ValueError):
-            split_training([ex(1.0), ex(2.0)], 2)
+            split([1.0, 2.0], 2)
 
     def test_proper_must_be_nonempty(self):
         with pytest.raises(ValueError):
-            split_training([ex(1.0), ex(2.0)], 0)
+            split([1.0, 2.0], 0)
 
     def test_rejects_non_integer_size(self):
         with pytest.raises(TypeError):
-            split_training([ex(1.0), ex(2.0)], 1.5)
+            split([1.0, 2.0], 1.5)
 
     def test_rejects_ragged_features(self):
-        with pytest.raises(ValueError, match="same number of features"):
-            split_training([ex(1.0, (0.0,)), ex(2.0, (0.0, 1.0))], 1)
+        with pytest.raises(ValueError):
+            DataSplit([[0.0], [0.0, 1.0]], [1.0, 2.0], 1)
 
     @given(labels=st.lists(st.floats(-10, 10), min_size=2, max_size=30), data=st.data())
     def test_preserves_order_and_multiset(self, labels, data):
-        examples = [ex(v, (i,)) for i, v in enumerate(labels)]
-        l = data.draw(st.integers(1, len(examples) - 1))
-        split = split_training(examples, l)
-        rows = [
-            Example(tuple(x), label)
-            for part in (split.proper, split.calibration)
-            for x, label in zip(*part)
+        rows = [((float(i),), v) for i, v in enumerate(labels)]
+        l = data.draw(st.integers(1, len(rows) - 1))
+        s = split(labels, l, [x for x, _ in rows])
+        parts = [
+            (tuple(x), label)
+            for part in (s.proper, s.calibration)
+            for x, label in zip(part[0].tolist(), part[1].tolist())
         ]
-        assert rows == examples
-        assert split.proper_size + split.calibration_size == split.total_size == len(examples)
+        assert parts == rows
+        assert s.proper_size + s.calibration_size == s.total_size == len(rows)
 
 
 class TestDataSplit:

@@ -11,7 +11,6 @@ from randpred import (
     FULL_LINE,
     ClassifierSpec,
     DataSplit,
-    Example,
     HedgedPrediction,
     Interval,
     RegressorSpec,
@@ -20,9 +19,8 @@ from randpred import (
     fit_classification_pipeline,
     fit_regression_pipeline,
     prediction_set,
-    score_margin,
-    score_regression,
-    split_training,
+    score_margin_batch,
+    score_regression_batch,
 )
 
 
@@ -36,33 +34,29 @@ def predict_classification(split, test_x, method="irp"):
     return fit_classification_pipeline(split).predict(test_x, method)
 
 
-def reg_examples(labels, feature=0.0):
-    return [Example(features=(feature,), label=v) for v in labels]
-
-
 def mean_split(proper_labels, calibration_labels):
     """A split driving the mean predictor: g == mean(proper), h == max residual."""
-    examples = reg_examples(list(proper_labels) + list(calibration_labels))
-    return split_training(examples, len(proper_labels))
+    y = np.array(list(proper_labels) + list(calibration_labels))
+    return DataSplit(np.zeros((len(y), 1)), y, len(proper_labels))
 
 
 def linear_split(seed=0, l=20, m=12, noise=0.2):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1, 1, size=(l + m, 2))
     y = X @ [1.0, -1.5] + 0.2 + rng.uniform(-noise, noise, size=l + m)
-    examples = [Example(tuple(r), float(v)) for r, v in zip(X, y)]
-    return split_training(examples, l)
+    return DataSplit(X, y, l)
 
 
 def cls_split(seed=3, l=30, m=10, gap=0.2):
     rng = np.random.default_rng(seed)
-    examples = []
-    while len(examples) < l + m:
+    rows = []
+    while len(rows) < l + m:
         x = rng.uniform(-1, 1, size=2)
         if abs(x[0] + x[1]) < gap:
             continue
-        examples.append(Example(tuple(x), 1 if x[0] + x[1] > 0 else -1))
-    return split_training(examples, l)
+        rows.append(x)
+    X = np.array(rows)
+    return DataSplit(X, np.where(X[:, 0] + X[:, 1] > 0, 1.0, -1.0), l)
 
 
 class TestRegressionPipelines:
@@ -116,8 +110,8 @@ class TestRegressionPipelines:
         assert a.incertitude != b.incertitude
 
     def test_fallback_surfaced(self):
-        examples = [Example((1.0, 1.0), 2.0), Example((2.0, 2.0), 4.0), Example((0.0, 0.0), 1.0)]
-        pipeline = fit_regression_pipeline(split_training(examples, 2))
+        X = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
+        pipeline = fit_regression_pipeline(DataSplit(X, np.array([2.0, 4.0, 1.0]), 2))
         assert pipeline.fallback_reason is not None
 
     def test_unknown_method_rejected(self):
@@ -162,10 +156,8 @@ class TestClassificationPipelines:
     def test_k_equals_m_is_degenerate(self):
         # single-class proper set, oppositely labeled calibration: every
         # calibration summary is 1
-        examples = [Example((0.0,), 1), Example((1.0,), 1)] + [
-            Example((float(i),), -1) for i in range(4)
-        ]
-        split = split_training(examples, 2)
+        X = np.array([[0.0], [1.0]] + [[float(i)] for i in range(4)])
+        split = DataSplit(X, np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0]), 2)
         pred = predict_classification(split, (0.5,))
         assert pred.k == pred.m == 4
         assert pred.incertitude == 1.0
@@ -180,7 +172,7 @@ class TestClassificationPipelines:
 
 
 class TestPipelineKMatchesScalarScores:
-    """k from the pipeline's batch pass equals the count of per-row bits."""
+    """k from the pipeline's batch pass equals the count of one-row bits."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), l=st.integers(3, 40), m=st.integers(1, 30))
@@ -194,7 +186,7 @@ class TestPipelineKMatchesScalarScores:
         y = np.concatenate([y, y[:l]])
         pipeline = fit_regression_pipeline(DataSplit(X, y, l))
         cal_X, cal_y = X[l:], y[l:]
-        bits = [score_regression(pipeline.measure, x, v) for x, v in zip(cal_X, cal_y)]
+        bits = [score_regression_batch(pipeline.measure, [x], [v])[0] for x, v in zip(cal_X, cal_y)]
         assert pipeline.m == m + l
         assert pipeline.k == sum(bits)
         assert not any(bits[m:])
@@ -208,7 +200,7 @@ class TestPipelineKMatchesScalarScores:
         pipeline = fit_classification_pipeline(
             DataSplit(X, y, l), ClassifierSpec(epochs=30)
         )
-        bits = [score_margin(pipeline.measure, x, int(v)) for x, v in zip(X[l:], y[l:])]
+        bits = [score_margin_batch(pipeline.measure, [x], [v])[0] for x, v in zip(X[l:], y[l:])]
         assert pipeline.k == sum(bits)
 
 
@@ -236,7 +228,8 @@ def random_pipeline(seed, task, fallback, n, d, scale):
 
 
 class TestBatchSetsMatchScalar:
-    """The batch set methods equal the per-row ones bit for bit."""
+    """predict(X[i], method) has row i of the batch sets, the method's
+    incertitude and the pipeline's (k, m)."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -250,22 +243,24 @@ class TestBatchSetsMatchScalar:
     def test_batch_sets_equal_per_row_sets(self, seed, task, fallback, n, d, scale):
         pipeline, test_X = random_pipeline(seed, task, fallback, n, d, scale)
         if task == "regression":
-            lower, upper = pipeline.interval_bounds(test_X)
-            for i, x in enumerate(test_X):
-                interval = pipeline.interval(x)
-                assert (lower[i], upper[i]) == (interval.lower, interval.upper)
+            sets = [Interval(lo, hi) for lo, hi in zip(*pipeline.interval_bounds(test_X))]
         else:
-            assert pipeline.label_sets(test_X) == [pipeline.label_set(x) for x in test_X]
+            sets = pipeline.label_sets(test_X)
         for method in ("irp", "icp"):
-            assert pipeline.incertitude(method) == pipeline.predict(test_X[0], method).incertitude
+            for x, expected in zip(test_X, sets):
+                prediction = pipeline.predict(x, method)
+                assert prediction.prediction_set == expected
+                assert prediction.incertitude == pipeline.incertitude(method)
+                assert (prediction.k, prediction.m) == (pipeline.k, pipeline.m)
+                assert prediction.vacuous == (expected == ALL_LABELS)
 
     def test_interval_bounds_reject_nan(self):
         pipeline = fit_regression_pipeline(linear_split())
         X = np.array([[0.0, 0.0], [np.nan, 0.0]])
-        with pytest.raises(ValueError, match="invalid interval"):
+        with pytest.raises(ValueError, match="test row 2: point prediction nan"):
             pipeline.interval_bounds(X)
         with pytest.raises(ValueError, match="invalid interval"):
-            pipeline.interval(X[1])
+            pipeline.predict(X[1])
 
     @pytest.mark.parametrize("row", [[1e308, -1e308], [-1e308, 1e308]], ids=["inf", "-inf"])
     def test_interval_bounds_reject_overflowing_center(self, row):
@@ -275,13 +270,15 @@ class TestBatchSetsMatchScalar:
         with pytest.raises(ValueError, match="test row 2: point prediction -?inf is not finite"):
             pipeline.interval_bounds(X)
         with pytest.raises(ValueError, match="point prediction -?inf is not finite"):
-            pipeline.interval(X[1])
+            pipeline.predict(X[1])
 
     def test_label_sets_match_per_row_on_overflow(self):
         # scores that overflow to +-inf, or to inf - inf, warn nowhere
         pipeline = fit_classification_pipeline(cls_split())
         X = np.array([[1e308, 1e308], [-1e308, -1e308], [1e308, -1e308], [1.7e308, -1.7e308]])
-        assert pipeline.label_sets(X) == [pipeline.label_set(x) for x in X]
+        sets = pipeline.label_sets(X)
+        assert sets == [pipeline.predict(x).prediction_set for x in X]
+        assert sets[:2] == [frozenset({1}), frozenset({-1})]
 
     def test_overflowing_bound_matches_per_row(self):
         # a finite center whose upper bound overflows is a valid interval
@@ -290,7 +287,7 @@ class TestBatchSetsMatchScalar:
         pipeline = fit_regression_pipeline(split)
         test_X = np.array([[17.785]])
         lower, upper = pipeline.interval_bounds(test_X)
-        interval = pipeline.interval(test_X[0])
+        interval = pipeline.predict(test_X[0]).prediction_set
         assert math.isfinite(lower[0]) and upper[0] == math.inf
         assert (lower[0], upper[0]) == (interval.lower, interval.upper)
 

@@ -14,6 +14,11 @@ from randpred import (
 )
 
 
+def predict_one(model, x):
+    """The model's prediction for one object, from a one-row batch."""
+    return model.predict_batch(np.array([x], dtype=float))[0]
+
+
 def linear_data(coef, intercept, n=30, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1, 1, size=(n, len(coef)))
@@ -23,7 +28,7 @@ def linear_data(coef, intercept, n=30, seed=0):
 class TestMeanRegressor:
     def test_predicts_training_mean(self):
         model = MeanRegressor().fit([[0.0], [1.0]], [1.0, 3.0])
-        assert model.predict((5.0,)) == 2.0
+        assert predict_one(model, (5.0,)) == 2.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -31,7 +36,7 @@ class TestMeanRegressor:
 
     def test_requires_fit(self):
         with pytest.raises(RuntimeError):
-            MeanRegressor().predict((0.0,))
+            predict_one(MeanRegressor(), (0.0,))
 
 
 class TestLeastSquaresRegressor:
@@ -39,28 +44,27 @@ class TestLeastSquaresRegressor:
         X, y = linear_data([1.5, -2.0], 0.3)
         model = LeastSquaresRegressor().fit(X, y)
         assert model.fallback_reason is None
-        for x, label in zip(X, y):
-            assert model.predict(x) == pytest.approx(label, abs=1e-10)
-        assert model.predict((0.5, 0.5)) == pytest.approx(1.5 * 0.5 - 2.0 * 0.5 + 0.3, abs=1e-10)
+        assert model.predict_batch(X) == pytest.approx(y, abs=1e-10)
+        assert predict_one(model, (0.5, 0.5)) == pytest.approx(1.5 * 0.5 - 2.0 * 0.5 + 0.3, abs=1e-10)
 
     def test_rank_deficient_falls_back_to_mean(self):
         # one example, two features: the design cannot have full column rank
         model = LeastSquaresRegressor().fit([[1.0, 2.0]], [5.0])
         assert model.fallback_reason is not None
         assert "rank" in model.fallback_reason
-        assert model.predict((9.0, 9.0)) == 5.0
+        assert predict_one(model, (9.0, 9.0)) == 5.0
 
     def test_collinear_features_fall_back(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])
         model = LeastSquaresRegressor().fit(np.column_stack([v, 2 * v]), 3 * v)
         assert model.fallback_reason is not None
-        assert model.predict((1.0, 2.0)) == pytest.approx(7.5)
+        assert predict_one(model, (1.0, 2.0)) == pytest.approx(7.5)
 
     def test_deterministic(self):
         X, y = linear_data([0.7], -0.1, seed=3)
         a = LeastSquaresRegressor().fit(X, y)
         b = LeastSquaresRegressor().fit(X, y)
-        assert a.predict((0.321,)) == b.predict((0.321,))
+        assert predict_one(a, (0.321,)) == predict_one(b, (0.321,))
 
     def test_satisfies_protocol(self):
         assert isinstance(LeastSquaresRegressor(), PointPredictor)
@@ -68,8 +72,8 @@ class TestLeastSquaresRegressor:
 
 class TestConstantClassifier:
     def test_infinite_scores(self):
-        assert ConstantClassifier(1).predict((0.0,)) == math.inf
-        assert ConstantClassifier(-1).predict((0.0,)) == -math.inf
+        assert predict_one(ConstantClassifier(1), (0.0,)) == math.inf
+        assert predict_one(ConstantClassifier(-1), (0.0,)) == -math.inf
 
     def test_rejects_bad_label(self):
         with pytest.raises(ValueError):
@@ -94,18 +98,17 @@ class TestHingeLossLinearClassifier:
         X, y = self.separable()
         model = HingeLossLinearClassifier().fit(X, y)
         assert model.fallback_reason is None
-        correct = sum(1 for x, label in zip(X, y) if (model.predict(x) > 0) == (label > 0))
-        assert correct == len(y)
+        assert ((model.predict_batch(X) > 0) == (y > 0)).all()
 
     def test_two_point_symmetry(self):
         model = HingeLossLinearClassifier().fit([[-1.0], [1.0]], [-1, 1])
-        assert model.predict((0.0,)) == pytest.approx(0.0, abs=1e-9)
-        assert model.predict((1.0,)) > 0 > model.predict((-1.0,))
+        assert predict_one(model, (0.0,)) == pytest.approx(0.0, abs=1e-9)
+        assert predict_one(model, (1.0,)) > 0 > predict_one(model, (-1.0,))
 
     def test_single_class_falls_back(self):
         model = HingeLossLinearClassifier().fit([[0.0], [1.0]], [1, 1])
         assert model.fallback_reason is not None
-        assert model.predict((5.0,)) == math.inf
+        assert predict_one(model, (5.0,)) == math.inf
 
     def test_rejects_non_sign_labels(self):
         with pytest.raises(ValueError):
@@ -121,7 +124,7 @@ class TestHingeLossLinearClassifier:
         X, y = self.separable(seed=5)
         a = HingeLossLinearClassifier().fit(X, y)
         b = HingeLossLinearClassifier().fit(X, y)
-        assert a.predict((0.2, -0.4)) == b.predict((0.2, -0.4))
+        assert predict_one(a, (0.2, -0.4)) == predict_one(b, (0.2, -0.4))
 
     def test_seeded_init_reproducible(self):
         X, y = self.separable(seed=6)
@@ -129,8 +132,8 @@ class TestHingeLossLinearClassifier:
         b = HingeLossLinearClassifier(seed=11).fit(X, y)
         c = HingeLossLinearClassifier(seed=12).fit(X, y)
         x = (0.3, 0.3)
-        assert a.predict(x) == b.predict(x)
-        assert a.predict(x) != c.predict(x)
+        assert predict_one(a, x) == predict_one(b, x)
+        assert predict_one(a, x) != predict_one(c, x)
 
     @staticmethod
     def hinge_data(case, seed, n, d):
@@ -217,9 +220,34 @@ def _fitted_predictors(X, y, signs):
     yield ConstantClassifier(-1)
 
 
+def python_float_reference(model, X):
+    """The model's prediction for every row of X in Python floats: for a
+    linear model, w.x summed column by column, then the intercept."""
+    while getattr(model, "_fallback", None) is not None:
+        model = model._fallback
+    if isinstance(model, MeanRegressor):
+        return [model._mean] * len(X)
+    if isinstance(model, ConstantClassifier):
+        return [model._score] * len(X)
+    if isinstance(model, LeastSquaresRegressor):
+        coef, intercept = model._coef, model._intercept
+    else:
+        coef, intercept = model._weights, model._bias
+    predictions = []
+    for row in X.tolist():
+        total = 0.0
+        for c, v in zip(coef, row):
+            total += c * v
+        predictions.append(total + intercept)
+    return predictions
+
+
 class TestBatchMatchesScalar:
-    """predict_batch(X)[i] must equal predict(X[i]) bit for bit: a measure
-    fitted in batch must score every row as the scalar scorers do."""
+    """predict_batch equals, bit for bit, a Python-float reference that
+    sums w.x column by column and adds the intercept last, and a row's
+    prediction does not depend on the batch it is in: a measure scores
+    every row alike, and a pipeline's one-row predict agrees with its
+    batch sets."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -239,16 +267,24 @@ class TestBatchMatchesScalar:
             for rows in (X, test_X):
                 batch = model.predict_batch(rows)
                 assert batch.shape == (len(rows),)
-                for i, row in enumerate(rows):
-                    assert batch[i] == model.predict(row), type(model).__name__
-                    assert batch[i] == model.predict(tuple(row.tolist()))
+                assert batch.tolist() == python_float_reference(model, rows), type(model).__name__
+                assert [predict_one(model, row) for row in rows] == batch.tolist()
 
     def test_batch_shape_is_checked(self):
         model = LeastSquaresRegressor().fit(*linear_data([1.0, 2.0], 0.5))
         with pytest.raises(ValueError):
             model.predict_batch(np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            model.predict((1.0,))
+            model.predict_batch(np.zeros(2))
+
+    def test_overflow_is_silent(self):
+        # +-inf and inf - inf come out without a numpy warning
+        model = LeastSquaresRegressor().fit(*linear_data([2.0, -2.0], 0.0))
+        rows = np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]])
+        with np.errstate(all="raise"):
+            predictions = model.predict_batch(rows)
+        assert predictions[0] == math.inf and predictions[1] == -math.inf
+        assert math.isnan(predictions[2])
 
     def test_fit_shapes_are_checked(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from randpred import (
     AsymptoticConstant,
-    EngineConfig,
     SummarySequence,
     asymptotic_constant,
     binary_irp_pvalue,
@@ -22,7 +21,6 @@ from randpred import (
     maximize_objective,
     objective,
     optimal_p_k1,
-    verification_scan,
 )
 
 # ---------------------------------------------------------------------------
@@ -62,6 +60,29 @@ def grid_argmax(m: int, k: int, coarse_step: float = 1e-4, fine_step: float = 1e
     hi = min(center + 2 * coarse_step, 1.0)
     fine = np.arange(lo, hi, fine_step)
     return float(fine[int(np.argmax(values(fine)))])
+
+
+def verification_scan(m: int, k: int, points: int = 40960):
+    """Exhaustive scan of the objective over an even grid of points in [0, 1].
+
+    A slow check on maximize_objective that shares none of its code:
+    every term is exp(lgamma sum + power logs), vectorized over the grid.
+    Returns (argmax, maximum) over the grid.
+    """
+    if not isinstance(points, int) or isinstance(points, bool) or points < 2:
+        raise ValueError(f"points must be an integer >= 2, got {points!r}")
+    if k == m:
+        return 1.0, 1.0
+    ps = np.linspace(0.0, 1.0, points)
+    with np.errstate(divide="ignore"):
+        log_p = np.log(ps)
+        log_q = np.log1p(-ps)
+    values = np.zeros_like(ps)
+    for i in range(k + 1):
+        log_c = math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1)
+        values += np.exp(log_c + (i + 1) * log_p + (m - i) * log_q)
+    best = int(np.argmax(values))
+    return float(ps[best]), float(values[best])
 
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -191,10 +212,6 @@ class TestBinaryIrpPvalue:
         k = data.draw(st.integers(0, m))
         v = binary_irp_pvalue(m, k)
         assert 0.0 < v <= 1.0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EngineConfig(constant_tol=-1e-9)
 
     def test_large_m_sharp_peak(self):
         # at k = 1 the peak is about 1/m wide and sits near p = 2.4/m

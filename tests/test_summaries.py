@@ -7,17 +7,14 @@ from hypothesis import strategies as st
 
 from randpred import (
     ClassifierSpec,
-    Example,
+    DataSplit,
     FittedMarginMeasure,
-    FittedRegressionMeasure,
     RegressorSpec,
     fit_margin_measure,
     fit_regression_measure,
-    score_margin,
+    fit_regression_pipeline,
     score_margin_batch,
-    score_regression,
     score_regression_batch,
-    summarize,
 )
 
 
@@ -30,15 +27,8 @@ class FixedScore:
     def fit(self, X, y):
         return self
 
-    def predict(self, features):
-        return self.score
-
     def predict_batch(self, X):
         return np.full(len(X), self.score)
-
-
-def reg_examples(labels, feature=0.0):
-    return [Example(features=(feature,), label=v) for v in labels]
 
 
 def reg_arrays(labels, feature=0.0):
@@ -74,6 +64,18 @@ class TestFitRegressionMeasure:
             RegressorSpec("boosted")
 
 
+def regression_bit(measure, x, y):
+    """The bit of one example, from a one-row batch."""
+    (bit,) = score_regression_batch(measure, [x], [y])
+    return bit
+
+
+def margin_bit(measure, x, y):
+    """The bit of one example, from a one-row batch."""
+    (bit,) = score_margin_batch(measure, [x], [y])
+    return bit
+
+
 class TestScoreRegression:
     @pytest.fixture
     def measure(self):
@@ -81,20 +83,20 @@ class TestScoreRegression:
         return fit_regression_measure(*reg_arrays([0.0, 1.0]), RegressorSpec("mean"))
 
     def test_strict_exceedance_scores_one(self, measure):
-        assert score_regression(measure, (0.0,), 1.1) == 1
+        assert regression_bit(measure, (0.0,), 1.1) == 1
 
     def test_boundary_residual_conforms(self, measure):
-        assert score_regression(measure, (0.0,), 1.0) == 0
-        assert score_regression(measure, (0.0,), 0.0) == 0
+        assert regression_bit(measure, (0.0,), 1.0) == 0
+        assert regression_bit(measure, (0.0,), 0.0) == 0
 
     def test_perfect_prediction_conforms(self, measure):
-        assert score_regression(measure, (0.0,), 0.5) == 0
+        assert regression_bit(measure, (0.0,), 0.5) == 0
 
     def test_rejects_nonfinite(self, measure):
-        with pytest.raises(ValueError):
-            score_regression(measure, (math.nan,), 0.5)
-        with pytest.raises(ValueError):
-            score_regression(measure, (0.0,), math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            regression_bit(measure, (math.nan,), 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            regression_bit(measure, (0.0,), math.inf)
 
 
 class TestFitMarginMeasure:
@@ -105,14 +107,14 @@ class TestFitMarginMeasure:
 
     def test_two_point_threshold_at_zero(self):
         measure = fit_margin_measure([[-1.0], [1.0]], [-1, 1])
-        assert measure.classifier.predict((0.0,)) == pytest.approx(0.0, abs=1e-9)
+        assert measure.classifier.predict_batch([[0.0]])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_single_class_fallback(self):
         measure = fit_margin_measure([[0.0], [1.0]], [1, 1])
         assert measure.fallback_reason is not None
         # every test object is classified +1 outside the margin
-        assert score_margin(measure, (9.9,), -1) == 1
-        assert score_margin(measure, (9.9,), 1) == 0
+        assert margin_bit(measure, (9.9,), -1) == 1
+        assert margin_bit(measure, (9.9,), 1) == 0
 
     def test_rejects_empty_proper(self):
         with pytest.raises(ValueError):
@@ -124,35 +126,36 @@ class TestFitMarginMeasure:
         y = np.where(X[:, 0] - X[:, 1] > 0, 1, -1)
         a = fit_margin_measure(X, y, ClassifierSpec(seed=5))
         b = fit_margin_measure(X, y, ClassifierSpec(seed=5))
-        assert a.classifier.predict((0.4, -0.2)) == b.classifier.predict((0.4, -0.2))
+        assert a.classifier.predict_batch([[0.4, -0.2]]) == b.classifier.predict_batch([[0.4, -0.2]])
 
 
 class TestScoreMargin:
     def test_wrong_class_outside_margin(self):
         measure = FittedMarginMeasure(classifier=FixedScore(2.0), margin_width=1.0)
-        assert score_margin(measure, (0.0,), -1) == 1
+        assert margin_bit(measure, (0.0,), -1) == 1
 
     def test_inside_margin_conforms(self):
         measure = FittedMarginMeasure(classifier=FixedScore(0.5), margin_width=1.0)
-        assert score_margin(measure, (0.0,), -1) == 0
+        assert margin_bit(measure, (0.0,), -1) == 0
 
     def test_correct_class_conforms(self):
         measure = FittedMarginMeasure(classifier=FixedScore(2.0), margin_width=1.0)
-        assert score_margin(measure, (0.0,), 1) == 0
+        assert margin_bit(measure, (0.0,), 1) == 0
 
     def test_boundary_score_conforms(self):
         measure = FittedMarginMeasure(classifier=FixedScore(-1.0), margin_width=1.0)
-        assert score_margin(measure, (0.0,), 1) == 0
+        assert margin_bit(measure, (0.0,), 1) == 0
 
     def test_zero_score_conforms(self):
         measure = FittedMarginMeasure(classifier=FixedScore(0.0), margin_width=1.0)
-        assert score_margin(measure, (0.0,), 1) == 0
-        assert score_margin(measure, (0.0,), -1) == 0
+        assert margin_bit(measure, (0.0,), 1) == 0
+        assert margin_bit(measure, (0.0,), -1) == 0
 
     def test_rejects_bad_label(self):
         measure = FittedMarginMeasure(classifier=FixedScore(2.0), margin_width=1.0)
-        with pytest.raises(ValueError):
-            score_margin(measure, (0.0,), 0)
+        for bad in (0, 0.5, 2):
+            with pytest.raises(ValueError, match="-1 or \\+1"):
+                margin_bit(measure, (0.0,), bad)
 
     def test_margin_width_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -160,42 +163,41 @@ class TestScoreMargin:
 
 
 class TestSummarize:
+    """A pipeline fit reduces the calibration part to bits and counts the
+    ones; the test example scores as any other row."""
+
     @pytest.fixture
     def measure(self):
         # mean predictor over {-0.55, 0.55}: g == 0, half_width == 0.55
         return fit_regression_measure(*reg_arrays([-0.55, 0.55]), RegressorSpec("mean"))
 
+    @staticmethod
+    def pipeline(calibration):
+        X, y = reg_arrays([-0.55, 0.55] + list(calibration))
+        return fit_regression_pipeline(DataSplit(X, y, 2), RegressorSpec("mean"))
+
     def test_counting(self, measure):
-        calibration = reg_examples([0.5, 1.0, -0.2, -1.0])  # bits (0, 1, 0, 1)
-        seq = summarize(measure, calibration, (0.0,), 2.0)
-        assert seq.calibration_summaries == (0, 1, 0, 1)
-        assert seq.test_summary == 1
-        assert seq.k == 2
-        assert seq.m == 4
+        calibration = [0.5, 1.0, -0.2, -1.0]  # bits (0, 1, 0, 1)
+        assert score_regression_batch(measure, *reg_arrays(calibration)).tolist() == [0, 1, 0, 1]
+        pipeline = self.pipeline(calibration)
+        assert (pipeline.k, pipeline.m) == (2, 4)
+        assert regression_bit(measure, (0.0,), 2.0) == 1
 
     def test_all_conforming(self, measure):
-        calibration = reg_examples([0.1, -0.1, 0.3])
-        seq = summarize(measure, calibration, (0.0,), 0.2)
-        assert seq.k == 0
-        assert seq.test_summary == 0
+        pipeline = self.pipeline([0.1, -0.1, 0.3])
+        assert pipeline.k == 0
+        assert regression_bit(measure, (0.0,), 0.2) == 0
 
-    def test_rejects_empty_calibration(self, measure):
-        with pytest.raises(ValueError):
-            summarize(measure, [], (0.0,), 0.0)
-
-    def test_rejects_unknown_measure(self):
-        with pytest.raises(TypeError):
-            summarize(object(), reg_examples([0.0]), (0.0,), 0.0)
+    def test_rejects_empty_calibration(self):
+        X, y = reg_arrays([-0.55, 0.55])
+        with pytest.raises(ValueError, match="calibration"):
+            fit_regression_pipeline(DataSplit(X, y, 2))
 
     @settings(max_examples=40)
     @given(labels=st.lists(st.floats(-2, 2), min_size=1, max_size=12), data=st.data())
     def test_k_invariant_under_calibration_permutation(self, labels, data):
-        measure = fit_regression_measure(*reg_arrays([-0.55, 0.55]), RegressorSpec("mean"))
-        calibration = reg_examples(labels)
-        permuted = data.draw(st.permutations(calibration))
-        a = summarize(measure, calibration, (0.0,), 1.0)
-        b = summarize(measure, list(permuted), (0.0,), 1.0)
-        assert a.k == b.k
+        permuted = data.draw(st.permutations(labels))
+        assert self.pipeline(labels).k == self.pipeline(permuted).k
 
 
 class TestProperSelfConsistency:
@@ -206,7 +208,7 @@ class TestProperSelfConsistency:
         X = rng.uniform(-1, 1, size=(12, 2))
         y = X @ [1.0, -0.5] + rng.uniform(-0.3, 0.3, size=12)
         measure = fit_regression_measure(X, y)
-        assert all(score_regression(measure, x, label) == 0 for x, label in zip(X, y))
+        assert not score_regression_batch(measure, X, y).any()
 
 
 class FirstFeature:
@@ -215,16 +217,13 @@ class FirstFeature:
     def fit(self, X, y):
         return self
 
-    def predict(self, features):
-        return float(features[0])
-
     def predict_batch(self, X):
         return np.asarray(X, dtype=float)[:, 0].copy()
 
 
 class TestBatchScoring:
-    """The batch scorers give the bits of the per-row scorers, boundaries
-    included."""
+    """The batch scorers give every row the bit of its one-row batch,
+    boundaries included."""
 
     def test_residual_exactly_at_half_width_conforms(self):
         # mean predictor over {0, 1}: g == 0.5, half_width == 0.5
@@ -232,7 +231,7 @@ class TestBatchScoring:
         X, y = reg_arrays([1.0, 0.0, 1.1, -0.1, 0.5])
         bits = score_regression_batch(measure, X, y)
         assert bits.tolist() == [0, 0, 1, 1, 0]
-        assert bits.tolist() == [score_regression(measure, x, v) for x, v in zip(X, y)]
+        assert bits.tolist() == [regression_bit(measure, x, v) for x, v in zip(X, y)]
 
     def test_zero_score_and_score_at_margin_conform(self):
         measure = FittedMarginMeasure(classifier=FirstFeature(), margin_width=1.0)
@@ -241,7 +240,7 @@ class TestBatchScoring:
         X = np.array(scores)[:, None]
         bits = score_margin_batch(measure, X, labels)
         assert bits.tolist() == [0, 0, 0, 0, 1, 1, 0, 1]
-        assert bits.tolist() == [score_margin(measure, x, v) for x, v in zip(X, labels)]
+        assert bits.tolist() == [margin_bit(measure, x, v) for x, v in zip(X, labels)]
 
     def test_infinite_scores_of_the_constant_fallback(self):
         measure = fit_margin_measure([[0.0], [1.0]], [1, 1])
@@ -255,7 +254,7 @@ class TestBatchScoring:
         X = rng.uniform(-3, 3, size=(40, 3))
         y = X @ rng.standard_normal(3) + rng.uniform(-0.5, 0.5, size=40)
         measure = fit_regression_measure(X[:20], y[:20], RegressorSpec(kind))
-        scalar = [score_regression(measure, x, v) for x, v in zip(X, y)]
+        scalar = [regression_bit(measure, x, v) for x, v in zip(X, y)]
         assert score_regression_batch(measure, X, y).tolist() == scalar
         # every proper row conforms, the one at the half-width included
         assert not any(scalar[:20])
