@@ -54,15 +54,21 @@ def _training_arrays(X, y):
     return X, y
 
 
+def _feature_array(X, width: int) -> np.ndarray:
+    """X as a float64 array of shape (n, width), or ValueError."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != width:
+        raise ValueError(f"expected X of shape (n, {width}), got {X.shape}")
+    return X
+
+
 def _affine_batch(coef: tuple, intercept: float, X) -> np.ndarray:
     """sum_j coef[j] * X[:, j], then + intercept, for every row of X.
 
     A row that overflows gives +-inf, or NaN from inf - inf, without a
     warning: the caller decides what a non-finite prediction means.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != len(coef):
-        raise ValueError(f"expected X of shape (n, {len(coef)}), got {X.shape}")
+    X = _feature_array(X, len(coef))
     total = np.zeros(len(X))
     with np.errstate(over="ignore", invalid="ignore"):
         for j, c in enumerate(coef):
@@ -71,20 +77,26 @@ def _affine_batch(coef: tuple, intercept: float, X) -> np.ndarray:
 
 
 class MeanRegressor:
-    """Constant predictor returning the mean training label."""
+    """Constant predictor returning the mean training label.
+
+    It answers rows of the width it was fitted on, as the linear
+    predictors do.
+    """
 
     def __init__(self):
         self._mean = None
+        self._width = None
 
     def fit(self, X, y):
-        _, y = _training_arrays(X, y)
+        X, y = _training_arrays(X, y)
         self._mean = float(np.mean(y))
+        self._width = X.shape[1]
         return self
 
     def predict_batch(self, X) -> np.ndarray:
         if self._mean is None:
             raise RuntimeError("predictor is not fitted")
-        return np.full(len(X), self._mean)
+        return np.full(len(_feature_array(X, self._width)), self._mean)
 
 
 class LeastSquaresRegressor:
@@ -128,17 +140,25 @@ class LeastSquaresRegressor:
 
 class ConstantClassifier:
     """Degenerate classifier that always predicts one class with an
-    infinite margin score.  Used as the single-class fallback."""
+    infinite margin score.  Used as the single-class fallback.
+
+    The label is fixed at construction, so it predicts unfitted, on rows
+    of any width; once fitted it answers rows of the fitted width only.
+    """
 
     def __init__(self, label: int):
         if label not in (-1, 1):
             raise ValueError(f"label must be -1 or +1, got {label!r}")
         self._score = math.inf if label > 0 else -math.inf
+        self._width = None
 
     def fit(self, X, y):
+        self._width = _training_arrays(X, y)[0].shape[1]
         return self
 
     def predict_batch(self, X) -> np.ndarray:
+        if self._width is not None:
+            X = _feature_array(X, self._width)
         return np.full(len(X), self._score)
 
 
@@ -178,7 +198,7 @@ class HingeLossLinearClassifier:
             )
         if (y == y[0]).all():
             only = int(y[0])
-            self._fallback = ConstantClassifier(only)
+            self._fallback = ConstantClassifier(only).fit(X, y)
             self.fallback_reason = (
                 f"single-class training sequence (all labels {only:+d}); "
                 "using a constant classifier with infinite margin score"

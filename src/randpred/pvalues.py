@@ -19,10 +19,30 @@ where q F = p (m-k) b(k; m, p).  In r = q/p that reads
 R is a polynomial in r with positive coefficients, so the left side
 increases strictly from 0 to infinity: the root is unique and the
 objective is unimodal.  In s = log r the residual
-psi(s) = s + log R - log(m-k) is convex and increasing with psi' >= 1,
-so Newton's method in s converges from any start.  With p = c/m and m
-growing, the equation tends to the Poisson one solved by
-asymptotic_constant (see _stationarity_residual).
+psi(s) = s + log R - log(m-k) is convex and increasing, with
+psi' = 1 + E[k-i] >= 1 and psi'' = Var[k-i] over the weights b(i), i <= k.
+At the rank-based rate p = (k+1)/(m+1) every coefficient of R is below 1,
+so psi < 0 there and the root lies at a smaller p.
+
+maximize_objective starts near the root and takes Halley steps.  At k = 1
+it starts at the closed form optimal_p_k1, and one pass confirms it.  For
+k >= 2 the Normal approximation of the binomial, with F near 1 at the
+root, puts the mean at m p = k + 1/2 - z sd, where sd = sqrt(k(1 - k/m))
+and the Normal density at z is 1/sd; z is 0 when sd <= sqrt(2 pi), and
+the start is capped at the rank-based rate.  One pass over the terms
+gives psi, psi' and psi''.  With h = psi/psi' the Newton step, the Halley
+step is h / (1 - h psi''/(2 psi')), which converges cubically near the
+root.  Every step has the sign of psi, so it heads for the root.  Where
+psi < 0 the denominator is at least 1 and the step is no longer than
+Newton's; where psi > 0 the step is taken only while the denominator is
+at least 1/2, so it is at most twice Newton's, and the Newton step is
+taken otherwise.  Newton's method alone converges from any start on a
+convex increasing psi; for the corrected steps that is checked, not
+proved: at most 5 passes on every case the tests try.  A search that has
+not converged after _MAX_NEWTON passes raises rather than returns.
+
+With p = c/m and m growing, the equation tends to the Poisson one solved
+by asymptotic_constant (see _stationarity_residual).
 
 Binomial terms come from Loader's saddle-point form (stirlerr and bd0;
 C. Loader, Fast and Accurate Computation of Binomial Probabilities,
@@ -60,6 +80,7 @@ __all__ = [
 ]
 
 _LN_2PI = math.log(2.0 * math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 0..15, from a
 # 40-digit evaluation; larger n use the Stirling series in _stirlerr,
@@ -86,8 +107,8 @@ _STIRLERR = (
 # A term of F below this fraction of the running sum ends the summation
 # in its direction: every later term is smaller still.
 _TAIL = 2.0**-60
-# Newton stops at a step in s below _STEP_TOL.  The objective is flat at
-# its maximum, so the value there is off by the square of that.
+# The root search stops at a step in s below _STEP_TOL.  The objective is
+# flat at its maximum, so the value there is off by the square of that.
 _STEP_TOL = 1e-12
 _MAX_NEWTON = 100
 
@@ -157,34 +178,45 @@ def _log_pmf(i: int, m: int, p: float, q: float) -> float:
     )
 
 
-def _mode_sums(m: int, k: int, p: float, q: float) -> Tuple[int, float, float]:
-    """F(k; m, p) and its first moment about k, relative to the top term.
+def _mode_sums(m: int, k: int, p: float, q: float) -> Tuple[int, float, float, float, float]:
+    """F(k; m, p) and its first two moments about k, relative to the top term.
 
-    Returns (i0, total, moment) with i0 = min(k, mode),
-    total = sum_{i<=k} b(i)/b(i0) and moment = sum_{i<=k} (k-i) b(i)/b(i0).
+    Returns (i0, total, moment, moment2, top) with i0 = min(k, mode),
+    total = sum_{i<=k} b(i)/b(i0), moment = sum_{i<=k} (k-i) b(i)/b(i0),
+    moment2 = sum_{i<=k} (k-i)^2 b(i)/b(i0), and top = b(k)/b(i0) as the
+    upward sum reached it, or 0.0 where that sum stopped short of k.
     The terms fall monotonically away from the mode, so each direction
     stops at the first term too small to count.  Requires 0 < p < 1, k < m.
     """
     i0 = min(k, int((m + 1) * p))
     total = 1.0
     moment = float(k - i0)
+    moment2 = moment * moment
     ratio = q / p
     term = 1.0
+    gap = moment  # k - i of the latest term, a float so products stay float
     for i in range(i0, 0, -1):
         term *= i * ratio / (m - i + 1)
         total += term
-        moment += (k - i + 1) * term
+        gap += 1.0
+        weighted = gap * term
+        moment += weighted
+        moment2 += gap * weighted
         if term < _TAIL * total:
             break
     ratio = p / q
     term = 1.0
+    gap = float(k - i0)
     for i in range(i0, k):
         term *= (m - i) * ratio / (i + 1)
         total += term
-        moment += (k - i - 1) * term
+        gap -= 1.0
+        weighted = gap * term
+        moment += weighted
+        moment2 += gap * weighted
         if term < _TAIL * total:
-            break
-    return i0, total, moment
+            return i0, total, moment, moment2, 0.0
+    return i0, total, moment, moment2, term
 
 
 def _rates(s: float) -> Tuple[float, float]:
@@ -213,7 +245,7 @@ def objective(m: int, k: int, p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     q = 1.0 - p
-    i0, total, _ = _mode_sums(m, k, p, q)
+    i0, total = _mode_sums(m, k, p, q)[:2]
     return p * math.exp(_log_pmf(i0, m, p, q)) * total
 
 
@@ -221,10 +253,14 @@ def maximize_objective(m: int, k: int) -> Tuple[float, float]:
     """Maximize the objective over p in [0,1]; return (argmax, maximum).
 
     k = 0 is the closed form m^m/(m+1)^(m+1) at p = 1/(m+1), and k = m
-    is p itself, maximal at 1.  Otherwise Newton's method in
+    is p itself, maximal at 1.  Otherwise Halley's method in
     s = log((1-p)/p) solves s + log R(e^s) = log(m-k), whose root is the
-    unique maximizer (see the module docstring); its derivative
-    1 + E[k - i | i <= k] comes from the same pass over the terms.
+    unique maximizer, from a start near it; a step that the curvature
+    term would more than double is a Newton step (see the module
+    docstring).  One pass over the terms gives the residual and its first
+    two derivatives, 1 + E[k - i | i <= k] and Var[k - i | i <= k], and
+    b(k)/b(i0) for the residual comes from the same pass unless the sum
+    stopped short of k.  Iteration ends at a step below _STEP_TOL.
     """
     _validate_mk(m, k)
     if k == m:
@@ -232,18 +268,39 @@ def maximize_objective(m: int, k: int) -> Tuple[float, float]:
     if k == 0:
         return 1.0 / (m + 1), exact_pvalue_k0(m)
     log_gap = math.log(m - k)
-    s = math.log((m - k) / (k + 1))  # the rank-based rate p = (k+1)/(m+1)
+    s = _start(m, k)
     for _ in range(_MAX_NEWTON):
         p, q = _rates(s)
-        i0, total, moment = _mode_sums(m, k, p, q)
+        i0, total, moment, moment2, top = _mode_sums(m, k, p, q)
         psi = s + math.log(total) - log_gap
-        if i0 < k:
+        if top > 0.0:
+            psi -= math.log(top)
+        else:
             psi += _log_pmf(i0, m, p, q) - _log_pmf(k, m, p, q)
-        step = psi / (1.0 + moment / total)
+        mean = moment / total
+        slope = 1.0 + mean
+        newton = psi / slope
+        halley = 1.0 - 0.5 * newton * (moment2 / total - mean * mean) / slope
+        step = newton / halley if halley >= 0.5 else newton
         if abs(step) <= _STEP_TOL:
             return p, p * math.exp(_log_pmf(i0, m, p, q)) * total
         s -= step
-    raise RuntimeError(f"Newton's method did not converge at m = {m}, k = {k}")
+    raise RuntimeError(f"the root search did not converge at m = {m}, k = {k}")
+
+
+def _start(m: int, k: int) -> float:
+    """A starting s = log((1-p)/p) near the stationarity root, 0 < k < m.
+
+    The closed form at k = 1; otherwise the Normal approximation of the
+    module docstring, capped at the rank-based rate (k+1)/(m+1).
+    """
+    if k == 1:
+        p = optimal_p_k1(m)
+        return math.log((1.0 - p) / p)
+    sd = math.sqrt(k * (1.0 - k / m))
+    z = math.sqrt(2.0 * math.log(sd / _SQRT_2PI)) if sd > _SQRT_2PI else 0.0
+    mean = k + 0.5 - z * sd
+    return max(math.log((m - mean) / mean), math.log((m - k) / (k + 1)))
 
 
 @lru_cache(maxsize=65536)
@@ -313,8 +370,9 @@ def asymptotic_constant(k: int) -> AsymptoticConstant:
     at c = k+3 the sum is below 1/(c-k) = 1/3, so the bracket always
     straddles the root.  It halves the bracket until its ends are adjacent
     floats and the midpoint rounds to one of them: at most 54 steps for
-    k <= 64.  Examples: c_star(0) = 1 with a_0 = exp(-1); c_star(1) is
-    the golden ratio.
+    k <= 64, and as many at k = 5000.  a_k is finite at every k (see
+    _numerator_at).  Examples: c_star(0) = 1 with a_0 = exp(-1); c_star(1)
+    is the golden ratio.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
@@ -334,15 +392,43 @@ def asymptotic_constant(k: int) -> AsymptoticConstant:
             hi = c
         c = 0.5 * (lo + hi)
 
-    # a_k = exp(-c) * sum_{i=0}^k c^(i+1)/i!, the i-th power term built
-    # iteratively to keep every intermediate in range for k <= 64.
-    terms = []
-    term = c
-    for i in range(k + 1):
-        terms.append(term)
-        term *= c / (i + 1)
-    a_k = math.exp(-c) * math.fsum(terms)
-    return AsymptoticConstant(k=k, c_star=c, a_k=a_k)
+    return AsymptoticConstant(k=k, c_star=c, a_k=_numerator_at(k, c))
+
+
+def _numerator_at(k: int, c: float) -> float:
+    """a_k = exp(-c) * sum_{i=0}^k c^(i+1)/i!, for c the stationarity root.
+
+    Below c = 700 the i-th power term is built iteratively and the terms
+    stay in range: the largest is about c e^c / sqrt(2 pi c), under 1e306.
+    The tabulated a_k (k <= 64, c < 67) come from this sum.  Above c = 700
+    that term overflows and exp(-c) underflows, so the terms are summed as
+    ratios to the largest, at i* = min(k, floor(c)), outward until they no
+    longer count, and scaled once by c times the Poisson probability
+    exp(-c) c^i*/i*!, from Loader's form.
+    """
+    if c < 700.0:
+        terms = []
+        term = c
+        for i in range(k + 1):
+            terms.append(term)
+            term *= c / (i + 1)
+        return math.exp(-c) * math.fsum(terms)
+    top = min(k, int(c))
+    ratios = [1.0]
+    ratio = 1.0
+    for i in range(top, 0, -1):
+        ratio *= i / c
+        ratios.append(ratio)
+        if ratio < _TAIL:
+            break
+    ratio = 1.0
+    for i in range(top, k):
+        ratio *= c / (i + 1)
+        ratios.append(ratio)
+        if ratio < _TAIL:
+            break
+    log_poisson = -_stirlerr(top) - _bd0(top, c) - 0.5 * (_LN_2PI + math.log(top))
+    return c * math.exp(log_poisson) * math.fsum(ratios)
 
 
 def icp_pvalue(calibration_alphas: Sequence[float], test_alpha: float) -> Fraction:

@@ -23,6 +23,8 @@ from randpred import (
     DataSplit,
     FittedRegressionMeasure,
     Interval,
+    asymptotic_constant,
+    binary_irp_pvalue,
     fit_classification_pipeline,
     fit_regression_pipeline,
     prediction_set,
@@ -402,6 +404,19 @@ class TestPvalue:
         assert payload["engine_pvalue"] == pytest.approx(math.exp(-1.0) / 1e6, rel=1e-9)
         assert payload["a_k"] == pytest.approx(math.exp(-1.0), rel=1e-10)
         assert payload["c_star"] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("k", [800, 1200])
+    def test_asymptotic_mode_past_the_float_range(self, runner, k):
+        # the sum of the terms of a_k overflows a double from k = 762
+        result = runner.invoke(
+            main, ["pvalue", "--m", "1000000", "--k", str(k), "--asymptotic", "--json"]
+        )
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["a_k"] == pytest.approx(asymptotic_constant(k).a_k, rel=1e-11)
+        assert payload["engine_pvalue"] == pytest.approx(
+            binary_irp_pvalue(1000000, k), rel=1e-4
+        )
 
     def test_text_output_mentions_ratio(self, runner):
         result = runner.invoke(main, ["pvalue", "--m", "10", "--k", "2"])

@@ -114,6 +114,14 @@ class TestRegressionPipelines:
         pipeline = fit_regression_pipeline(DataSplit(X, np.array([2.0, 4.0, 1.0]), 2))
         assert pipeline.fallback_reason is not None
 
+    def test_mean_fallback_rejects_other_widths(self):
+        # the rank-deficient fallback answers rows of the fitted width only,
+        # as a full-rank least-squares pipeline does
+        pipeline = fit_regression_pipeline(DataSplit(np.zeros((6, 2)), np.arange(6.0), 3))
+        assert pipeline.fallback_reason is not None
+        with pytest.raises(ValueError, match=r"expected X of shape \(n, 2\), got \(1, 4\)"):
+            pipeline.predict((1.0, 2.0, 3.0, 4.0))
+
     def test_unknown_method_rejected(self):
         pipeline = fit_regression_pipeline(linear_split())
         with pytest.raises(ValueError):
@@ -164,6 +172,15 @@ class TestClassificationPipelines:
         assert pred.degenerate
         # with incertitude 1 the level set is the whole label space
         assert prediction_set(pred, 0.9) == ALL_LABELS
+
+    def test_single_class_fallback_rejects_other_widths(self):
+        X = np.zeros((6, 2))
+        split = DataSplit(X, np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]), 3)
+        pipeline = fit_classification_pipeline(split)
+        assert pipeline.fallback_reason is not None
+        assert pipeline.predict((1.0, 2.0)).prediction_set == frozenset({1})
+        with pytest.raises(ValueError, match=r"expected X of shape \(n, 2\), got \(1, 1\)"):
+            pipeline.predict((1.0,))
 
     def test_icp_incertitude_value(self):
         split = cls_split(seed=11)

@@ -38,6 +38,11 @@ class TestMeanRegressor:
         with pytest.raises(RuntimeError):
             predict_one(MeanRegressor(), (0.0,))
 
+    def test_rejects_other_widths(self):
+        model = MeanRegressor().fit(np.zeros((3, 2)), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"expected X of shape \(n, 2\), got \(1, 3\)"):
+            predict_one(model, (1.0, 2.0, 3.0))
+
 
 class TestLeastSquaresRegressor:
     def test_recovers_exact_linear_signal(self):
@@ -78,6 +83,12 @@ class TestConstantClassifier:
     def test_rejects_bad_label(self):
         with pytest.raises(ValueError):
             ConstantClassifier(0)
+
+    def test_fitted_rejects_other_widths(self):
+        model = ConstantClassifier(1).fit(np.zeros((2, 2)), [1.0, 1.0])
+        assert predict_one(model, (0.0, 0.0)) == math.inf
+        with pytest.raises(ValueError, match=r"expected X of shape \(n, 2\), got \(1, 1\)"):
+            predict_one(model, (0.0,))
 
 
 class TestHingeLossLinearClassifier:
@@ -209,7 +220,8 @@ class TestHingeLossLinearClassifier:
 def _fitted_predictors(X, y, signs):
     """One fitted instance of every predictor, fallbacks included."""
     n, d = X.shape
-    collinear = np.column_stack([X[:, :1], 2.0 * X[:, :1]])
+    collinear = X.copy()
+    collinear[:, 0] = 1.0  # a constant column, collinear with the intercept
     yield MeanRegressor().fit(X, y)
     yield LeastSquaresRegressor().fit(X, y)
     yield LeastSquaresRegressor().fit(X[:1], y[:1])  # rank-deficient fallback

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randpred.pvalues as pvalues_module
 from randpred import (
     AsymptoticConstant,
     SummarySequence,
@@ -280,6 +281,13 @@ NEIGHBOUR_CASES = [
 ]
 
 
+PASS_CASES = sorted(
+    {(m, k) for m, k in ACCURACY_GRID + NEIGHBOUR_CASES if 0 < k < m}
+    | {(m, k) for m in (2, 3, 5, 10, 50, 1000) for k in range(1, m)}
+    | {(10**6, 5 * 10**5), (10**6, 10**5), (10**7, 2)}
+)
+
+
 def assert_log_concave(m: int, k: int, ps) -> None:
     """Second differences of log objective on an even grid are <= 0.
 
@@ -299,9 +307,31 @@ class TestStationarityRoot:
         for m, k in ACCURACY_GRID:
             reference = mpmath_pvalue(m, k)
             error = abs(binary_irp_pvalue(m, k) - reference) / reference
-            if error > 1e-13:
+            if error > 4e-15:
                 bad.append((m, k, error))
         assert not bad
+
+    def test_passes_over_the_terms(self, monkeypatch):
+        # every step of the root search is one _mode_sums pass; the total
+        # bound is 40% below Newton's method from the rank-based rate, which
+        # takes 7420 passes on these cases, up to 13 on one
+        mode_sums = pvalues_module._mode_sums
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return mode_sums(*args)
+
+        monkeypatch.setattr(pvalues_module, "_mode_sums", counted)
+        passes = {}
+        for m, k in PASS_CASES:
+            calls.clear()
+            maximize_objective(m, k)
+            passes[m, k] = len(calls)
+        assert len(passes) == 1102
+        assert {n for (m, k), n in passes.items() if k == 1} == {1}
+        assert max(passes.values()) <= 5
+        assert sum(passes.values()) <= 0.6 * 7420
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 5000), data=st.data())
@@ -460,6 +490,25 @@ class TestAsymptoticConstant:
             for i in range(65)
         )
         assert abs(total - 1.0) <= 1e-11
+
+    def test_a_k_finite_past_the_float_range(self):
+        # from k = 762 the sum of the terms c^(i+1)/i! overflows a double
+        previous = 0.0
+        for k in (761, 762, 800, 914, 1200, 1298, 1299, 1300, 5000):
+            a_k = asymptotic_constant(k).a_k
+            assert math.isfinite(a_k) and previous < a_k < k + 1, k
+            previous = a_k
+
+    def test_a_k_at_large_k_matches_40_digits(self):
+        mpmath = pytest.importorskip("mpmath")
+        for k in (761, 762, 800, 1200, 2000):
+            constant = asymptotic_constant(k)
+            with mpmath.workdps(40):
+                c = mpmath.mpf(constant.c_star)
+                exact = mpmath.exp(-c) * mpmath.fsum(
+                    c ** (i + 1) / mpmath.factorial(i) for i in range(k + 1)
+                )
+            assert constant.a_k == pytest.approx(float(exact), rel=4e-15), k
 
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
