@@ -60,9 +60,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
-from .core import SummarySequence
+if TYPE_CHECKING:
+    # Annotations only: importing .core at run time would load numpy.
+    from .core import SummarySequence
 
 __all__ = [
     "AsymptoticConstant",
@@ -354,12 +356,20 @@ def _stationarity_residual(k: int, c: float) -> float:
     diverging to +inf at 0+ and tending to -1 at infinity, so the sign
     change brackets the unique positive root of
     sum_{i=0}^k c^i/i! = c^(k+1)/k!.
+
+    The j-th summand is k!/((k-j)! c^(j+1)); it grows while k - j > c and
+    shrinks after.  Past that peak, a summand below total * 2^-54 is under
+    half an ulp of total, as is every later one, so the sum stops there
+    (or once it is inf) with the same bits as the full sum: O(sqrt(k))
+    summands near the root instead of k + 1.
     """
     total = 0.0
     term = 1.0 / c
     for j in range(k + 1):
         total += term
         term *= (k - j) / c
+        if (k - j <= c and term < total * 2.0**-54) or total == math.inf:
+            break
     return total - 1.0
 
 

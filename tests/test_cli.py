@@ -719,10 +719,21 @@ class TestPredictRenderer:
 
 @pytest.mark.parametrize("module", ["randpred", "randpred.cli"])
 def test_import_does_not_load_scipy(module):
-    # scipy serves only the exact audit oracle, which imports it on first use
+    # scipy serves only the exact audit oracle, which imports it on first use.
+    # The package and its p-value engine load numpy neither; the CLI does.
+    calls, unloaded = "", ("scipy",)
+    if module == "randpred":
+        calls = (
+            "randpred.binary_irp_pvalue(10**6, 10**3); randpred.asymptotic_constant(5); "
+            "randpred.exact_pvalue_k0(7); "
+        )
+        unloaded = ("numpy", "scipy")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        f"import sys, {module}; {calls}"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {unloaded!r}))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )

@@ -1,0 +1,88 @@
+"""The package namespace: the p-value engine on import, every other name on first use."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import randpred
+
+# Every public name, by the submodule that defines it.
+PUBLIC = {
+    "core": [
+        "ALL_LABELS", "FULL_LINE", "DataSplit", "HedgedPrediction", "Interval",
+        "PredictionSet", "SummarySequence",
+    ],
+    "pipelines": [
+        "FittedPipeline", "fit_classification_pipeline", "fit_regression_pipeline",
+        "prediction_set",
+    ],
+    "predictors": [
+        "ConstantClassifier", "HingeLossLinearClassifier", "LeastSquaresRegressor",
+        "MeanRegressor", "PointPredictor",
+    ],
+    "pvalues": [
+        "AsymptoticConstant", "asymptotic_constant", "binary_irp_pvalue",
+        "binary_irp_pvariable", "dominating_pvalue", "dominating_pvariable",
+        "exact_pvalue_k0", "icp_pvalue", "icp_pvariable", "maximize_objective", "objective",
+        "optimal_p_k1",
+    ],
+    "summaries": [
+        "ClassifierSpec", "FittedMarginMeasure", "FittedRegressionMeasure", "RegressorSpec",
+        "fit_margin_measure", "fit_regression_measure", "score_margin_batch",
+        "score_regression_batch",
+    ],
+    "validity": [
+        "EXACT_M_LIMIT", "BoundedNoiseLinearGenerator", "DominanceResult", "DominanceWitness",
+        "PipelineSpec", "TableRow", "ValidityCell", "ValidityReport", "audit_pvariable",
+        "check_dominance", "monte_carlo_coverage", "reproduce_table_k", "urp_binary_event",
+    ],
+}
+SRC = Path(__file__).resolve().parent.parent / "src"
+NAMES = {name: module for module, names in PUBLIC.items() for name in names}
+
+
+def test_all_lists_the_public_names_once():
+    assert len(NAMES) == 49
+    assert sorted(randpred.__all__) == sorted(NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(NAMES))
+def test_name_is_the_defining_modules_object(name):
+    module = importlib.import_module(f"randpred.{NAMES[name]}")
+    assert getattr(randpred, name) is getattr(module, name)
+
+
+def test_dir_lists_every_name():
+    assert set(NAMES) <= set(dir(randpred))
+
+
+def test_unknown_attribute_is_named():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        randpred.no_such_name
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from randpred import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(NAMES)
+
+
+def test_names_and_submodules_load_on_first_access():
+    # in a fresh interpreter, where nothing but the engine is loaded yet
+    code = (
+        "import sys, randpred; assert 'randpred.core' not in sys.modules; "
+        "assert randpred.core is sys.modules['randpred.core']; "
+        "assert randpred.pipelines is sys.modules['randpred.pipelines']; "
+        "assert randpred.DataSplit is randpred.core.DataSplit; "
+        "assert 'DataSplit' in vars(randpred)"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr

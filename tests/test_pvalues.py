@@ -463,6 +463,24 @@ class TestAsymptoticConstant:
             rhs = c ** (k + 1) / math.factorial(k)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
 
+    def test_residual_stops_with_the_bits_of_the_full_sum(self):
+        def full_residual(k, c):
+            total = 0.0
+            term = 1.0 / c
+            for j in range(k + 1):
+                total += term
+                term *= (k - j) / c
+            return total - 1.0
+
+        for k in (0, 1, 2, 3, 7, 64, 100, 757, 758, 1000, 5000):
+            # from 1e-12 (where the sum is inf) to k + 3, and around the root
+            grid = [1e-12 * (1e12 * (k + 3)) ** (i / 40) for i in range(41)]
+            root = asymptotic_constant(k).c_star
+            grid += [root * (1.0 + d) for d in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3)]
+            for c in grid:
+                expected = full_residual(k, c)
+                assert pvalues_module._stationarity_residual(k, c) == expected, (k, c)
+
     def test_numerator_is_stationary_at_c_star(self):
         def numerator(k, c):
             return math.exp(-c) * math.fsum(
