@@ -10,6 +10,10 @@ fixtures cover both tasks and both methods, the mean-regressor and
 single-class fallbacks, k = m splits, numbers that exercise the 12-digit
 rounding and the points where its layout and repr's part, and an epsilon
 below the incertitude (full level sets).
+
+The other four commands are pinned the same way, stdout and exit code,
+in text and --json: table, pvalue (finite, degenerate k = m, asymptotic),
+validate (exact, Monte Carlo passing and failing) and dominate.
 """
 
 import hashlib
@@ -240,3 +244,51 @@ def test_predict_output_is_pinned(tmp_path, case, as_json):
     output = predict_output(tmp_path, case, as_json)
     digest = hashlib.sha256(output.encode()).hexdigest()
     assert digest == PINNED[case, "json" if as_json else "text"], output
+
+
+# name: argv, each run as text and with --json appended
+COMMAND_CASES = {
+    "table": ["table"],
+    "pvalue-finite": ["pvalue", "--m", "10", "--k", "2"],
+    "pvalue-degenerate": ["pvalue", "--m", "5", "--k", "5"],
+    "pvalue-asymptotic": ["pvalue", "--m", "1000", "--k", "3", "--asymptotic"],
+    "validate-exact": ["validate", "--mode", "exact", "--m", "6"],
+    "validate-mc": ["validate", "--mode", "mc", "--m", "20", "--trials", "200", "--seed", "3"],
+    # one trial whose test label falls outside both sets: exit 1
+    "validate-mc-fail": [
+        "validate", "--mode", "mc", "--m", "3", "--trials", "1", "--seed", "1",
+        "--epsilon", "0.5",
+    ],
+    "dominate": ["dominate", "--m", "4", "--threshold", "0.25"],
+}
+
+# (case, format): (exit code, sha256 of stdout)
+COMMAND_PINNED = {
+    ("dominate", "json"): (0, "ab986dcabc1dd6cbecfb8ed6dcb1971e14eab472d0eb9316fd83a6a6500a5139"),
+    ("dominate", "text"): (0, "f3b584d0d885eda8e6398dc1d0e83832d1bbe242def40ae41581f8b71f2a336a"),
+    ("pvalue-asymptotic", "json"): (0, "11b8f84d0980cc00fc93660624c3219acc47519a7a39dd95b11d76e2ebe0f217"),
+    ("pvalue-asymptotic", "text"): (0, "6fbd38be25a3d0b60448dad83a161f319438097020a9819b5631b4df13159d59"),
+    ("pvalue-degenerate", "json"): (0, "98af271fc3972941034abaa08f4d8fb46444cc92b685da82a29a49745f628e8a"),
+    ("pvalue-degenerate", "text"): (0, "f638bac0ad0456f93b05a9e94e59a1c4e72dfcfa2e8a3ac847d9ea4b115f752d"),
+    ("pvalue-finite", "json"): (0, "15b3a5943493468ff8ce36704e3bebdbf713219546d9d230b9063433f2b0520c"),
+    ("pvalue-finite", "text"): (0, "872a3a71f33ab98756c1db9591f643e5affea5bda07df8f332c5f3b9861fffba"),
+    ("table", "json"): (0, "ee0c78a55948f9524c136192276b8e52ba27a4f2f1b204f2f61ecab224239114"),
+    ("table", "text"): (0, "b0b4214df3bf4e9b8ccbd2490d89db5cfd0bda20c52e6ae9a75a0bc01cb81026"),
+    ("validate-exact", "json"): (0, "86234b7d8fc481b11ff02b02a83e07dd5d71949d7f5540bb146710658f2cc500"),
+    ("validate-exact", "text"): (0, "bb84f2264d804798d540383f96ba360b323daa5b352be10c01abe0f2dc8ce505"),
+    ("validate-mc", "json"): (0, "0dca361e664c7090379eb6aec4b3c31b065a5384f7267182dbec480197bcf2bd"),
+    ("validate-mc", "text"): (0, "e97b31eceb0ee93cb862bc0037de4fac694eb834f575459f43517d9e489f770e"),
+    ("validate-mc-fail", "json"): (1, "5fa6df3866b3d4525a4d61d9e63392e97803263c7cc973ac49998af4b0a4dc2e"),
+    ("validate-mc-fail", "text"): (1, "41c5a72126d2ae50e4c4cc941fa1cc91a95e8f37e3b76d948ed50b4b579f7656"),
+}
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+@pytest.mark.parametrize("case", sorted(COMMAND_CASES))
+def test_command_output_is_pinned(case, as_json):
+    argv = COMMAND_CASES[case] + (["--json"] if as_json else [])
+    result = CliRunner().invoke(main, argv)
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert (result.exit_code, digest) == COMMAND_PINNED[case, "json" if as_json else "text"], (
+        result.output
+    )
