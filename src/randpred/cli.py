@@ -18,7 +18,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, repeat
@@ -74,21 +74,28 @@ def _jsonify(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit_json(payload: dict) -> None:
-    click.echo(json.dumps(_jsonify(payload), sort_keys=True, indent=2))
+def _json_text(payload) -> str:
+    """The layout of every --json output: keys sorted, indent 2."""
+    return json.dumps(_jsonify(payload), sort_keys=True, indent=2)
 
 
-def _interval_payload(interval: Interval) -> dict:
-    return {
-        "type": "interval",
-        "lower": None if math.isinf(interval.lower) else interval.lower,
-        "upper": None if math.isinf(interval.upper) else interval.upper,
-    }
+def _emit(as_json: bool, payload: dict, lines: Iterable[str]) -> None:
+    """Write the command's output: payload as JSON, under the schema
+    version and the command's name, or else the text lines."""
+    if as_json:
+        command = click.get_current_context().command.name
+        click.echo(_json_text({"schema_version": SCHEMA_VERSION, "command": command, **payload}))
+    else:
+        click.echo("\n".join(lines))
+
+
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
 
 
 def _set_payload(s) -> dict:
     if isinstance(s, Interval):
-        return _interval_payload(s)
+        return {"type": "interval", **asdict(s)}
     return {"type": "labels", "members": sorted(int(v) for v in s)}
 
 
@@ -140,16 +147,16 @@ def _row_pieces(
     Returns the text between the cuts, one piece more than there are
     cuts, and the field at each cut: 0 for the row number, 1 and 2 for
     the lower and upper bound.  indent None renders a text line;
-    otherwise a JSON record nested at that indent, as _emit_json would
-    lay it out.
+    otherwise a JSON record nested at that indent, as _json_text lays
+    it out.
     """
     gamma = prediction_set(prediction, epsilon)
     if indent is None:
         text = _prediction_line(_ROW_STAND_IN, prediction, gamma, epsilon)
         value = _fmt
     else:
-        record = _jsonify(_prediction_record(_ROW_STAND_IN, prediction, gamma))
-        text = json.dumps(record, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+        record = _prediction_record(_ROW_STAND_IN, prediction, gamma)
+        text = _json_text(record).replace("\n", "\n" + indent)
         value = _json_value
     stand_ins = [str(_ROW_STAND_IN), *map(value, _BOUND_STAND_INS)]
     parts = re.split("(" + "|".join(map(re.escape, stand_ins)) + ")", text)
@@ -208,7 +215,7 @@ def _prediction_rows(
 
 
 def _predict_json(task: str, method: str, epsilon: float, pipeline, X) -> str:
-    """The `predict --json` output, laid out as _emit_json lays it out."""
+    """The `predict --json` output, laid out as _json_text lays it out."""
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "predict",
@@ -220,7 +227,7 @@ def _predict_json(task: str, method: str, epsilon: float, pipeline, X) -> str:
         "fallback": pipeline.fallback_reason,
         "predictions": [_ROW_STAND_IN],
     }
-    text = json.dumps(_jsonify(payload), sort_keys=True, indent=2)
+    text = _json_text(payload)
     head, tail = text.split(str(_ROW_STAND_IN))
     indent = head[head.rindex("\n") + 1 :]
     rows = _prediction_rows(pipeline, X, method, epsilon, ",\n" + indent, indent)
@@ -416,38 +423,24 @@ def main(ctx: click.Context, config: Optional[str]) -> None:
 
 @main.command()
 @click.option("--k-max", type=click.IntRange(0, 64), default=7, show_default=True)
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True
-)
-@click.option("--json", "as_json", is_flag=True, help="Shorthand for --format json.")
-def table(k_max: int, fmt: str, as_json: bool) -> None:
+@click.option("--json", "as_json", is_flag=True)
+def table(k_max: int, as_json: bool) -> None:
     """Print the asymptotic incertitude-numerator table."""
-    rows = reproduce_table_k(k_max)
-    if as_json or fmt == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "table",
-                "k_max": k_max,
-                "rows": [
-                    {
-                        "k": row.k,
-                        "a_k": row.a_k,
-                        "a_k_rounded": row.a_k_rounded,
-                        "icp_numerator": row.icp_numerator,
-                        "ratio": row.ratio,
-                        "ratio_rounded": row.ratio_rounded,
-                    }
-                    for row in rows
-                ],
-            }
+    rows = [
+        {**asdict(row), "a_k_rounded": row.a_k_rounded, "ratio_rounded": row.ratio_rounded}
+        for row in reproduce_table_k(k_max)
+    ]
+    # one text line per column of the table: label, format, row key
+    lines = [
+        f"{label:6s}" + "".join(format(row[key], ">8" + spec) for row in rows)
+        for label, spec, key in (
+            ("k", "d", "k"),
+            ("irp", ".3f", "a_k_rounded"),
+            ("icp", "d", "icp_numerator"),
+            ("ratio", ".3f", "ratio_rounded"),
         )
-        return
-    width = 8
-    click.echo("k     " + "".join(f"{row.k:>{width}d}" for row in rows))
-    click.echo("irp   " + "".join(f"{row.a_k_rounded:>{width}.3f}" for row in rows))
-    click.echo("icp   " + "".join(f"{row.icp_numerator:>{width}d}" for row in rows))
-    click.echo("ratio " + "".join(f"{row.ratio_rounded:>{width}.3f}" for row in rows))
+    ]
+    _emit(as_json, {"k_max": k_max, "rows": rows}, lines)
 
 
 @main.command()
@@ -464,44 +457,39 @@ def pvalue(m: int, k: int, finite: bool, as_json: bool) -> None:
     """Engine p-value at (m, k) next to the rank-based one."""
     if k > m:
         raise click.UsageError(f"--k must not exceed --m (got k={k}, m={m})")
+    if m > sys.float_info.max:
+        raise click.BadParameter(
+            f"must not exceed the largest float, {sys.float_info.max:.6g}; "
+            f"got an integer of {len(str(m))} digits",
+            param_hint="'--m'",
+        )
+    if finite:
+        mode, engine, extra = "finite", binary_irp_pvalue(m, k), {}
+    else:
+        extra = asdict(asymptotic_constant(k))
+        mode, engine = "asymptotic", extra["a_k"] / m
     icp = Fraction(k + 1, m + 1)
+    exact = f"{icp.numerator}/{icp.denominator}"
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "pvalue",
+        **extra,
         "m": m,
         "k": k,
+        "mode": mode,
         "icp_pvalue": float(icp),
-        "icp_exact": f"{icp.numerator}/{icp.denominator}",
+        "icp_exact": exact,
+        "engine_pvalue": engine,
+        "ratio": engine / float(icp),
+        "degenerate": finite and k == m,
     }
-    if finite:
-        engine = binary_irp_pvalue(m, k)
-        payload.update(
-            mode="finite",
-            engine_pvalue=engine,
-            ratio=engine / float(icp),
-            degenerate=(k == m),
-        )
-    else:
-        constant = asymptotic_constant(k)
-        approx = constant.a_k / m
-        payload.update(
-            mode="asymptotic",
-            a_k=constant.a_k,
-            c_star=constant.c_star,
-            engine_pvalue=approx,
-            ratio=approx / float(icp),
-            degenerate=False,
-        )
-    if as_json:
-        _emit_json(payload)
-        return
-    tag = "finite" if finite else "asymptotic"
-    click.echo(f"m = {m}  k = {k}  ({tag})")
-    click.echo(f"engine p-value : {_fmt(payload['engine_pvalue'])}")
-    click.echo(f"rank p-value   : {_fmt(float(icp))}  ({icp.numerator}/{icp.denominator})")
-    click.echo(f"ratio          : {_fmt(payload['ratio'])}")
+    lines = [
+        f"m = {m}  k = {k}  ({mode})",
+        f"engine p-value : {_fmt(engine)}",
+        f"rank p-value   : {_fmt(float(icp))}  ({exact})",
+        f"ratio          : {_fmt(payload['ratio'])}",
+    ]
     if payload["degenerate"]:
-        click.echo("degenerate: k = m, every configuration conforms")
+        lines.append("degenerate: k = m, every configuration conforms")
+    _emit(as_json, payload, lines)
 
 
 @main.command()
@@ -589,93 +577,63 @@ def validate(
             "icp": audit_pvariable(icp_pvariable, m),
             "dominating": audit_pvariable(dominating_pvariable, m),
         }
-        all_passed = all(report.passed for report in reports.values())
-        if as_json:
-            _emit_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "validate",
-                    "mode": "exact",
-                    "m": m,
-                    "passed": all_passed,
-                    "pvariables": [
-                        {
-                            "name": name,
-                            "passed": report.passed,
-                            "cells": [
-                                {
-                                    "epsilon": cell.epsilon,
-                                    "probability": cell.probability,
-                                    "passed": cell.passed,
-                                    "detail": cell.detail,
-                                }
-                                for cell in report.cells
-                            ],
-                        }
-                        for name, report in reports.items()
-                    ],
-                }
-            )
-        else:
-            click.echo(f"mode=exact m={m}")
-            for name, report in reports.items():
-                for cell in report.cells:
-                    verdict = "PASS" if cell.passed else "FAIL"
-                    click.echo(
-                        f"{name:11s} eps={_fmt(cell.epsilon):<15s} "
-                        f"URP={_fmt(cell.probability):<15s} {verdict}"
-                    )
-            click.echo(f"overall: {'PASS' if all_passed else 'FAIL'}")
-        if not all_passed:
-            sys.exit(1)
-        return
-
-    if not 0.0 < epsilon < 1.0:
-        raise click.UsageError(f"--epsilon must lie strictly between 0 and 1, got {epsilon}")
-    generator = BoundedNoiseLinearGenerator(calibration_size=30 if m is None else m)
-    report = monte_carlo_coverage(PipelineSpec(), generator, epsilon, trials, seed)
-    if as_json:
-        _emit_json(
+        passed = all(report.passed for report in reports.values())
+        # exact cells carry neither a name nor a standard error
+        pvariables = [
             {
-                "schema_version": SCHEMA_VERSION,
-                "command": "validate",
-                "mode": "mc",
-                "m": report.m,
-                "trials": report.trials,
-                "seed": report.seed,
-                "epsilon": epsilon,
+                "name": name,
                 "passed": report.passed,
                 "cells": [
                     {
-                        "name": cell.name,
                         "epsilon": cell.epsilon,
                         "probability": cell.probability,
-                        "standard_error": cell.standard_error,
                         "passed": cell.passed,
                         "detail": cell.detail,
                     }
                     for cell in report.cells
                 ],
             }
-        )
+            for name, report in reports.items()
+        ]
+        payload = {"mode": "exact", "m": m, "passed": passed, "pvariables": pvariables}
+        lines = [f"mode=exact m={m}"] + [
+            f"{name:11s} eps={_fmt(cell.epsilon):<15s} "
+            f"URP={_fmt(cell.probability):<15s} {_verdict(cell.passed)}"
+            for name, report in reports.items()
+            for cell in report.cells
+        ]
     else:
-        click.echo(
-            f"mode=mc m={report.m} trials={report.trials} seed={report.seed} epsilon={epsilon}"
-        )
-        for cell in report.cells:
-            verdict = "PASS" if cell.passed else "FAIL"
-            click.echo(
-                f"{cell.name:18s} rate={_fmt(cell.probability):<15s} "
-                f"se={_fmt(cell.standard_error):<15s} {verdict} ({cell.detail})"
+        if not 0.0 < epsilon < 1.0:
+            raise click.UsageError(
+                f"--epsilon must lie strictly between 0 and 1, got {epsilon}"
             )
-        click.echo(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    if not report.passed:
+        generator = BoundedNoiseLinearGenerator(calibration_size=30 if m is None else m)
+        report = monte_carlo_coverage(PipelineSpec(), generator, epsilon, trials, seed)
+        passed = report.passed
+        payload = {**asdict(report), "mode": "mc", "epsilon": epsilon, "passed": passed}
+        lines = [
+            f"mode=mc m={report.m} trials={report.trials} seed={report.seed} epsilon={epsilon}"
+        ] + [
+            f"{cell.name:18s} rate={_fmt(cell.probability):<15s} "
+            f"se={_fmt(cell.standard_error):<15s} {_verdict(cell.passed)} ({cell.detail})"
+            for cell in report.cells
+        ]
+    lines.append(f"overall: {_verdict(passed)}")
+    _emit(as_json, payload, lines)
+    if not passed:
         sys.exit(1)
 
 
 @main.command()
 @click.option("--m", type=click.IntRange(min=1, max=EXACT_M_LIMIT), required=True)
-@click.option("--threshold", type=float, default=0.5, show_default=True)
+@click.option(
+    "--threshold",
+    type=float,
+    default=0.5,
+    show_default=True,
+    help="Summary threshold in (0, 1).  On binary summaries every such value "
+    "gives the same verdict and witness.",
+)
 @click.option("--json", "as_json", is_flag=True)
 def dominate(m: int, threshold: float, as_json: bool) -> None:
     """Check that the threshold construction dominates the rank-based p-variable."""
@@ -687,33 +645,23 @@ def dominate(m: int, threshold: float, as_json: bool) -> None:
         partial(dominating_pvariable, threshold_a=threshold), icp_pvariable, m
     )
     witness = result.witness
-    if as_json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "dominate",
-                "m": m,
-                "threshold": threshold,
-                "verdict": result.verdict,
-                "witness": None
-                if witness is None
-                else {
-                    "calibration_ones": witness.calibration_ones,
-                    "test_summary": witness.test_summary,
-                    "dominating_pvalue": witness.p1_value,
-                    "icp_pvalue": witness.p2_value,
-                },
-            }
-        )
-    else:
-        click.echo(f"m={m} threshold={_fmt(threshold)} verdict={result.verdict}")
-        if witness is not None:
-            click.echo(
-                f"witness: calibration ones={witness.calibration_ones} "
-                f"test summary={witness.test_summary}"
-            )
-            click.echo(f"  dominating p-value = {_fmt(witness.p1_value)}")
-            click.echo(f"  rank-based p-value = {_fmt(witness.p2_value)}")
+    payload = {"m": m, "threshold": threshold, "verdict": result.verdict, "witness": None}
+    lines = [f"m={m} threshold={_fmt(threshold)} verdict={result.verdict}"]
+    if witness is not None:
+        # the keys name the p-variables compared as p1 and p2
+        payload["witness"] = {
+            "calibration_ones": witness.calibration_ones,
+            "test_summary": witness.test_summary,
+            "dominating_pvalue": witness.p1_value,
+            "icp_pvalue": witness.p2_value,
+        }
+        lines += [
+            f"witness: calibration ones={witness.calibration_ones} "
+            f"test summary={witness.test_summary}",
+            f"  dominating p-value = {_fmt(witness.p1_value)}",
+            f"  rank-based p-value = {_fmt(witness.p2_value)}",
+        ]
+    _emit(as_json, payload, lines)
     if result.verdict != "strict":
         sys.exit(1)
 

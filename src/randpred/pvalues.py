@@ -57,10 +57,11 @@ dominates it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, NoReturn, Sequence, Tuple
 
 if TYPE_CHECKING:
     # Annotations only: importing .core at run time would load numpy.
@@ -83,6 +84,9 @@ __all__ = [
 
 _LN_2PI = math.log(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+# The largest float, an integer; as an int it compares fast with m.
+_M_MAX = int(sys.float_info.max)
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 0..15, from a
 # 40-digit evaluation; larger n use the Stirling series in _stirlerr,
@@ -129,9 +133,21 @@ class AsymptoticConstant:
     a_k: float
 
 
+def _reject_m(m, least: int = 1) -> NoReturn:
+    """Raise the ValueError for an m that is not an integer from least up
+    to the largest float.  Every evaluation converts m to a float."""
+    if not isinstance(m, int) or isinstance(m, bool) or m < least:
+        text = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"m must be {text}, got {m!r}")
+    raise ValueError(
+        f"m must not exceed the largest float, {_M_MAX:.6g}; "
+        f"got an integer of {len(str(m))} digits"
+    )
+
+
 def _validate_mk(m: int, k: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= _M_MAX:
+        _reject_m(m)
     if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= m:
         raise ValueError(f"k must be an integer in [0, m={m}], got {k!r}")
 
@@ -331,8 +347,8 @@ def exact_pvalue_k0(m: int) -> float:
     equal large logarithms at large m.  Satisfies
     exact_pvalue_k0(m) <= exp(-1)/m for every m >= 1.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= _M_MAX:
+        _reject_m(m)
     return math.exp(-math.log1p(m) - m * math.log1p(1.0 / m))
 
 
@@ -343,10 +359,16 @@ def optimal_p_k1(m: int) -> float:
     root in [0, 1].  Grows like phi/m with phi the golden ratio.  m = 1
     is rejected: the denominator vanishes and k = 1 = m is the degenerate
     case handled by binary_irp_pvalue.
+
+    From m ~ 6e153, 5m^2 overflows a float.  There the terms in 1/m are
+    far below an ulp of the root, which rounds to phi/m.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise ValueError(f"m must be an integer >= 2, got {m!r}")
-    return (m - 2 + math.sqrt(5.0 * m * m - 4.0 * m)) / (2.0 * (m * m - 1.0))
+    if not isinstance(m, int) or isinstance(m, bool) or not 2 <= m <= _M_MAX:
+        _reject_m(m, least=2)
+    square = 5.0 * m * m
+    if square == math.inf:
+        return _PHI / m
+    return (m - 2 + math.sqrt(square - 4.0 * m)) / (2.0 * (m * m - 1.0))
 
 
 def _stationarity_residual(k: int, c: float) -> float:

@@ -395,6 +395,20 @@ class TestPvalue:
         assert result.exit_code == 2
         assert "must not exceed" in result.output
 
+    @pytest.mark.parametrize("mode", ["--finite", "--asymptotic"])
+    def test_m_past_the_float_range_is_usage_error(self, runner, mode):
+        # the finite engine and a_k / m would both convert m to a float
+        result = runner.invoke(main, ["pvalue", "--m", str(10**400), "--k", "0", mode])
+        assert result.exit_code == 2, result.output
+        assert "'--m'" in result.output
+        assert "largest float" in result.output
+
+    def test_k_one_past_the_square_overflow(self, runner):
+        # 5 m^2 overflows a float here; the engine takes the root as phi/m
+        result = runner.invoke(main, ["pvalue", "--m", str(10**155), "--k", "1", "--json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["engine_pvalue"] == 8.39962094657e-156
+
     def test_asymptotic_mode(self, runner):
         result = runner.invoke(
             main, ["pvalue", "--m", "1000000", "--k", "0", "--asymptotic", "--json"]
@@ -804,6 +818,30 @@ class TestDominate:
         result = runner.invoke(main, ["dominate", "--m", "6"])
         assert result.exit_code == 0
         assert "verdict=strict" in result.output
+
+
+# one valid invocation of every subcommand, without --json
+COMMAND_ARGV = {
+    "table": ["--k-max", "2"],
+    "pvalue": ["--m", "10", "--k", "2"],
+    "predict": ["--split-at", "8", "--epsilon", "0.5"],
+    "validate": ["--m", "4"],
+    "dominate": ["--m", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_has_json_with_its_name(runner, reg_files, command):
+    options = {name for param in main.commands[command].params for name in param.opts}
+    assert "--json" in options
+    argv = [command, *COMMAND_ARGV[command], "--json"]
+    if command == "predict":
+        argv += ["--train", reg_files[0], "--test", reg_files[1]]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["schema_version"] == "1"
+    assert payload["command"] == command
 
 
 class TestJsonDeterminism:

@@ -228,15 +228,17 @@ class TestBinaryIrpPvalue:
 
 
 def mpmath_pvalue(m: int, k: int) -> float:
-    """max_p p F(k; m, p) from a 50-digit bisection on the stationarity equation.
+    """max_p p F(k; m, p) from a bisection on the stationarity equation.
 
     (1-p) F(k; m, p) - p (m-k) b(k; m, p) has the sign of the objective's
     derivative.  Its sign change is bracketed, then bisected in log p to a
     relative width of 1e-12, where the flat maximum is exact far beyond
-    double precision.  F is summed term by term from i = 0.
+    double precision.  F is summed term by term from i = 0.  The working
+    precision is 50 digits beyond those of m, so 1 - p keeps 50 digits at
+    p ~ 1/m.
     """
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
+    with mpmath.workdps(50 + len(str(m))):
 
         def cdf_and_pmf(p):
             ratio = p / (1 - p)
@@ -366,6 +368,12 @@ class TestStationarityRoot:
         assert objective(10**6, 500000, p_star) == pytest.approx(value, rel=1e-12)
         assert elapsed < 0.5
 
+    @pytest.mark.parametrize("m", [10**155, 10**300])
+    def test_k_one_past_the_square_overflow(self, m):
+        # optimal_p_k1 squares m, which overflows a float from m ~ 6e153
+        reference = mpmath_pvalue(m, 1)
+        assert abs(binary_irp_pvalue(m, 1) - reference) <= 4e-15 * reference
+
     def test_verification_scan_points(self):
         p_coarse, coarse = verification_scan(5, 1, points=101)
         assert p_coarse == pytest.approx(round(p_coarse, 2), abs=1e-12)
@@ -377,6 +385,24 @@ class TestStationarityRoot:
 # ---------------------------------------------------------------------------
 # exact_pvalue_k0
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: binary_irp_pvalue(m, 0),
+        lambda m: binary_irp_pvalue(m, 1),
+        lambda m: maximize_objective(m, 2),
+        lambda m: objective(m, 2, 0.5),
+        exact_pvalue_k0,
+        optimal_p_k1,
+    ],
+    ids=["pvalue-k0", "pvalue-k1", "maximize", "objective", "k0", "k1"],
+)
+def test_m_past_the_float_range_is_rejected(call):
+    # the largest float is about 1.8e308; m is converted to a float
+    with pytest.raises(ValueError, match="largest float"):
+        call(10**309)
 
 
 class TestExactK0:
@@ -430,6 +456,21 @@ class TestOptimalPK1:
     def test_rejects_m1(self):
         with pytest.raises(ValueError):
             optimal_p_k1(1)
+
+    def test_closed_form_bits_below_the_square_overflow(self):
+        # up to where 5 m^2 overflows the value is the quadratic's root as written
+        for m in (3, 10**8 + 7, 10**17 + 1, 10**100, 5 * 10**153):
+            closed = (m - 2 + math.sqrt(5.0 * m * m - 4.0 * m)) / (2.0 * (m * m - 1.0))
+            assert optimal_p_k1(m) == closed
+
+    @pytest.mark.parametrize("m", [6 * 10**153, 10**155, 10**300])
+    def test_past_the_square_overflow(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50 + len(str(m))):
+            root = (m - 2 + mpmath.sqrt(5 * mpmath.mpf(m) ** 2 - 4 * m)) / (
+                2 * (mpmath.mpf(m) ** 2 - 1)
+            )
+            assert abs(optimal_p_k1(m) - root) <= 4e-16 * root
 
 
 # ---------------------------------------------------------------------------
