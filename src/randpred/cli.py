@@ -30,11 +30,13 @@ import numpy as np
 from .core import DataSplit, HedgedPrediction, Interval
 from .pipelines import fit_classification_pipeline, fit_regression_pipeline, prediction_set
 from .pvalues import (
+    M_MAX,
     asymptotic_constant,
     binary_irp_pvalue,
     binary_irp_pvariable,
     dominating_pvariable,
     icp_pvariable,
+    m_error,
 )
 from .summaries import ClassifierSpec, FittedMarginMeasure, RegressorSpec
 from .validity import (
@@ -457,12 +459,8 @@ def pvalue(m: int, k: int, finite: bool, as_json: bool) -> None:
     """Engine p-value at (m, k) next to the rank-based one."""
     if k > m:
         raise click.UsageError(f"--k must not exceed --m (got k={k}, m={m})")
-    if m > sys.float_info.max:
-        raise click.BadParameter(
-            f"must not exceed the largest float, {sys.float_info.max:.6g}; "
-            f"got an integer of {len(str(m))} digits",
-            param_hint="'--m'",
-        )
+    if m > M_MAX:
+        raise click.BadParameter(str(m_error(m)), param_hint="'--m'")
     if finite:
         mode, engine, extra = "finite", binary_irp_pvalue(m, k), {}
     else:

@@ -61,7 +61,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, NoReturn, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 if TYPE_CHECKING:
     # Annotations only: importing .core at run time would load numpy.
@@ -85,8 +85,8 @@ __all__ = [
 _LN_2PI = math.log(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
-# The largest float, an integer; as an int it compares fast with m.
-_M_MAX = int(sys.float_info.max)
+# The largest m, the largest float as an int, with which m compares fast.
+M_MAX = int(sys.float_info.max)
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 0..15, from a
 # 40-digit evaluation; larger n use the Stirling series in _stirlerr,
@@ -133,21 +133,17 @@ class AsymptoticConstant:
     a_k: float
 
 
-def _reject_m(m, least: int = 1) -> NoReturn:
-    """Raise the ValueError for an m that is not an integer from least up
-    to the largest float.  Every evaluation converts m to a float."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < least:
-        text = "a positive integer" if least == 1 else f"an integer >= {least}"
-        raise ValueError(f"m must be {text}, got {m!r}")
-    raise ValueError(
-        f"m must not exceed the largest float, {_M_MAX:.6g}; "
-        f"got an integer of {len(str(m))} digits"
+def m_error(m, least: int = 1) -> ValueError:
+    """The ValueError for an m that is not an integer from least up to
+    M_MAX: every evaluation converts m to a float."""
+    return ValueError(
+        f"m must be an integer from {least} to the largest float, {M_MAX:.6g}; got {m!r}"
     )
 
 
 def _validate_mk(m: int, k: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= _M_MAX:
-        _reject_m(m)
+    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= M_MAX:
+        raise m_error(m)
     if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= m:
         raise ValueError(f"k must be an integer in [0, m={m}], got {k!r}")
 
@@ -160,12 +156,15 @@ def _stirlerr(n: int) -> float:
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188) / nn) / nn) / nn) / nn) / n
 
 
-def _bd0(x: float, mean: float) -> float:
-    """The deviance x log(x/mean) + mean - x, by its series near x = mean."""
-    if abs(x - mean) < 0.1 * (x + mean):
-        v = (x - mean) / (x + mean)
-        total = (x - mean) * v
-        term = 2.0 * x * v
+def _bd0(x: float, mean: float, d: float) -> float:
+    """The deviance x log(x/mean) + mean - x, given d = x - mean, by its
+    series near x = mean.  The half sum keeps it finite up to the largest
+    float."""
+    half = 0.5 * x + 0.5 * mean
+    if abs(d) < 0.2 * half:
+        v = 0.5 * d / half
+        total = d * v
+        term = 2.0 * (x * v)
         v *= v
         j = 3
         while True:
@@ -175,23 +174,28 @@ def _bd0(x: float, mean: float) -> float:
                 return total
             total = new
             j += 2
-    return x * math.log(x / mean) + mean - x
+    return x * math.log(x / mean) - d
 
 
 def _log_pmf(i: int, m: int, p: float, q: float) -> float:
     """log b(i; m, p) for 0 <= i < m, with q = 1 - p passed in separately.
 
     Loader's form: Stirling remainders and deviances, each small near the
-    mode, in place of differences of large log-factorials.
+    mode, in place of differences of large log-factorials.  Both
+    deviances take the gap m p - i from the smaller mean, where it keeps
+    its digits.  Taken as (m - i) - m q it would be off by up to an ulp
+    of m, whose square over m swamps the pmf from m ~ 2^106.
     """
     if i == 0:
         return m * (math.log1p(-p) if p < 0.5 else math.log(q))
+    mp = m * p
+    gap = mp - i if p <= q else (m - i) - m * q
     return (
         _stirlerr(m)
         - _stirlerr(i)
         - _stirlerr(m - i)
-        - _bd0(i, m * p)
-        - _bd0(m - i, m * q)
+        - _bd0(i, mp, -gap)
+        - _bd0(m - i, m * q, gap)
         - 0.5 * (_LN_2PI + math.log(i * (m - i) / m))
     )
 
@@ -347,8 +351,8 @@ def exact_pvalue_k0(m: int) -> float:
     equal large logarithms at large m.  Satisfies
     exact_pvalue_k0(m) <= exp(-1)/m for every m >= 1.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= _M_MAX:
-        _reject_m(m)
+    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= M_MAX:
+        raise m_error(m)
     return math.exp(-math.log1p(m) - m * math.log1p(1.0 / m))
 
 
@@ -363,8 +367,8 @@ def optimal_p_k1(m: int) -> float:
     From m ~ 6e153, 5m^2 overflows a float.  There the terms in 1/m are
     far below an ulp of the root, which rounds to phi/m.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or not 2 <= m <= _M_MAX:
-        _reject_m(m, least=2)
+    if not isinstance(m, int) or isinstance(m, bool) or not 2 <= m <= M_MAX:
+        raise m_error(m, least=2)
     square = 5.0 * m * m
     if square == math.inf:
         return _PHI / m
@@ -459,7 +463,7 @@ def _numerator_at(k: int, c: float) -> float:
         ratios.append(ratio)
         if ratio < _TAIL:
             break
-    log_poisson = -_stirlerr(top) - _bd0(top, c) - 0.5 * (_LN_2PI + math.log(top))
+    log_poisson = -_stirlerr(top) - _bd0(top, c, top - c) - 0.5 * (_LN_2PI + math.log(top))
     return c * math.exp(log_poisson) * math.fsum(ratios)
 
 

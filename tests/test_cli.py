@@ -403,11 +403,20 @@ class TestPvalue:
         assert "'--m'" in result.output
         assert "largest float" in result.output
 
-    def test_k_one_past_the_square_overflow(self, runner):
-        # 5 m^2 overflows a float here; the engine takes the root as phi/m
-        result = runner.invoke(main, ["pvalue", "--m", str(10**155), "--k", "1", "--json"])
+    @pytest.mark.parametrize(
+        "m, k, engine",
+        [
+            (10**155, 1, 8.39962094657e-156),
+            (10**308, 1, 8.39962094657e-309),
+            (10**308, 2, 1.3711016049e-308),
+        ],
+        ids=["1e155-1", "1e308-1", "1e308-2"],
+    )
+    def test_m_near_the_float_range(self, runner, m, k, engine):
+        # 5 m^2 overflows a float from m ~ 6e153, m - k + m (1 - p) from ~9e307
+        result = runner.invoke(main, ["pvalue", "--m", str(m), "--k", str(k), "--json"])
         assert result.exit_code == 0, result.output
-        assert json.loads(result.output)["engine_pvalue"] == 8.39962094657e-156
+        assert json.loads(result.output)["engine_pvalue"] == engine
 
     def test_asymptotic_mode(self, runner):
         result = runner.invoke(

@@ -23,6 +23,7 @@ from randpred import (
     objective,
     optimal_p_k1,
 )
+from randpred.pvalues import M_MAX
 
 # ---------------------------------------------------------------------------
 # Independent oracles.  Nothing below reuses the engine's maximizer.
@@ -368,11 +369,27 @@ class TestStationarityRoot:
         assert objective(10**6, 500000, p_star) == pytest.approx(value, rel=1e-12)
         assert elapsed < 0.5
 
-    @pytest.mark.parametrize("m", [10**155, 10**300])
-    def test_k_one_past_the_square_overflow(self, m):
-        # optimal_p_k1 squares m, which overflows a float from m ~ 6e153
-        reference = mpmath_pvalue(m, 1)
-        assert abs(binary_irp_pvalue(m, 1) - reference) <= 4e-15 * reference
+    @pytest.mark.parametrize(
+        "m, k",
+        [
+            (2**80 + 12345, 2),
+            (10**155, 1),
+            (10**300, 1),
+            (2**600 + 3 * 2**547, 1),
+            (2**600 + 3 * 2**547, 2),
+            (10**308, 1),
+            (10**308, 2),
+            (M_MAX, 1),
+        ],
+        ids=["2^80+12345-2", "1e155-1", "1e300-1", "2^600+3*2^547-1", "2^600+3*2^547-2",
+             "1e308-1", "1e308-2", "largest-float-1"],
+    )
+    def test_m_past_double_precision(self, m, k):
+        # past 2^53 m - i and m (1 - p) round apart (by an ulp of m at
+        # 2^600 + 3*2^547), past ~6e153 5 m^2 overflows in optimal_p_k1, and
+        # past ~9e307 so does m - i + m (1 - p); the p-value keeps its digits
+        reference = mpmath_pvalue(m, k)
+        assert abs(binary_irp_pvalue(m, k) - reference) <= 4e-15 * reference
 
     def test_verification_scan_points(self):
         p_coarse, coarse = verification_scan(5, 1, points=101)
@@ -400,9 +417,9 @@ class TestStationarityRoot:
     ids=["pvalue-k0", "pvalue-k1", "maximize", "objective", "k0", "k1"],
 )
 def test_m_past_the_float_range_is_rejected(call):
-    # the largest float is about 1.8e308; m is converted to a float
+    # m is converted to a float, whose largest value M_MAX is about 1.8e308
     with pytest.raises(ValueError, match="largest float"):
-        call(10**309)
+        call(M_MAX + 1)
 
 
 class TestExactK0:
@@ -463,7 +480,7 @@ class TestOptimalPK1:
             closed = (m - 2 + math.sqrt(5.0 * m * m - 4.0 * m)) / (2.0 * (m * m - 1.0))
             assert optimal_p_k1(m) == closed
 
-    @pytest.mark.parametrize("m", [6 * 10**153, 10**155, 10**300])
+    @pytest.mark.parametrize("m", [6 * 10**153, 10**155, 10**300], ids=["6e153", "1e155", "1e300"])
     def test_past_the_square_overflow(self, m):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50 + len(str(m))):
