@@ -346,14 +346,14 @@ def binary_irp_pvalue(m: int, k: int) -> float:
 def exact_pvalue_k0(m: int) -> float:
     """Closed-form p-value at k = 0: m^m / (m+1)^(m+1).
 
-    Evaluated as exp(-log1p(m) - m*log1p(1/m)), an algebraic rearrangement
-    of exp(m log m - (m+1) log(m+1)) that avoids cancelling two nearly
-    equal large logarithms at large m.  Satisfies
+    Evaluated as exp(-m*log1p(1/m)) / (m+1): the exponent stays in
+    [-1, -log 2], so its rounding error does not grow with log m as that
+    of exp(-log1p(m) - m*log1p(1/m)) does.  Satisfies
     exact_pvalue_k0(m) <= exp(-1)/m for every m >= 1.
     """
     if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= M_MAX:
         raise m_error(m)
-    return math.exp(-math.log1p(m) - m * math.log1p(1.0 / m))
+    return math.exp(-m * math.log1p(1.0 / m)) / (m + 1)
 
 
 def optimal_p_k1(m: int) -> float:
@@ -509,6 +509,15 @@ def binary_irp_pvariable(seq: SummarySequence) -> float:
     A conforming test summary yields p-value 1 (the aggregating statistic
     max(test - mean, 0) is at its minimum, so the exceedance event is
     sure); a nonconforming one yields binary_irp_pvalue(m, k).
+
+    It dominates icp_pvariable at every m, strictly wherever the test
+    summary is nonconforming and k < m.  With N ~ Bin(m+1, p) and
+    C(m, i) = C(m+1, i+1) (i+1)/(m+1),
+    p F(k; m, p) = E[N 1{N <= k+1}]/(m+1) <= (k+1)/(m+1) P(1 <= N <= k+1),
+    and P(1 <= N <= k+1) < 1 at every p, since P(N = 0) = 1 at p = 0 and
+    P(N = m+1) > 0 elsewhere.  The maximum over p is attained, so
+    binary_irp_pvalue(m, k) < (k+1)/(m+1), the rank-based p-value; both
+    are 1 for a conforming test summary and at k = m.
     """
     if seq.test_summary == 0:
         return 1.0

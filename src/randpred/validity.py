@@ -2,10 +2,11 @@
 
 Everything here recomputes guarantees by routes independent of the
 p-value engine: the exact oracle enumerates binary outcome sequences and
-maximizes the resulting coverage polynomial with a bounded scalar
-minimizer, the Monte Carlo harness measures coverage frequencies on
-seeded synthetic data, and the dominance checker compares p-variables
-exhaustively over summary configurations.
+maximizes the resulting coverage polynomial on a grid refined by
+bisection on the sign of its derivative, the Monte Carlo harness
+measures coverage frequencies on seeded synthetic data, and the
+dominance checker compares p-variables exhaustively over summary
+configurations.
 """
 
 from __future__ import annotations
@@ -79,38 +80,48 @@ class ValidityReport:
         return all(cell.passed for cell in self.cells)
 
 
-def _sup_coverage_polynomial(counts: Sequence[int], total_bits: int) -> float:
-    """Supremum over p in [0,1] of sum_j counts[j] p^j (1-p)^(total_bits-j).
+def _bernstein_sum(coefficients: Sequence[int], n: int, p: float) -> float:
+    """sum_j coefficients[j] p^j (1-p)^(n-j) by fsum; exponents stay <= 21."""
+    return math.fsum(c * p**j * (1.0 - p) ** (n - j) for j, c in enumerate(coefficients) if c)
 
-    Dense grid to bracket the global maximum, then a bounded scalar
-    minimizer on the negated polynomial.  Direct power evaluation is safe
-    here: exponents stay at or below total_bits <= 21.
+
+def _sup_coverage_polynomial(counts: Sequence[int], n: int) -> float:
+    """Supremum over p in [0,1] of P(p) = sum_j counts[j] p^j (1-p)^(n-j).
+
+    counts has n + 1 entries.  A 4097-point grid brackets the global
+    maximum between the neighbours of its best point.  The derivative is
+    P'(p) = sum_{j<n} t_j p^j (1-p)^(n-1-j) with integer t_j =
+    (j+1) counts[j+1] - (n-j) counts[j].  Where P' > 0 at the left end of
+    the bracket and P' <= 0 at the right end, bisection on the sign of P'
+    closes the bracket to adjacent floats, and the largest of P at the
+    best grid point and at both ends is returned, else P at the best grid
+    point.  Every returned P is an fsum, not the grid's numpy sum.
     """
-    # Imported here, its only use, so that importing the package skips scipy.
-    from scipy.optimize import minimize_scalar
-
     if not any(counts):
         return 0.0
     ps = np.linspace(0.0, 1.0, 4097)
     values = np.zeros_like(ps)
     for j, count in enumerate(counts):
         if count:
-            values += count * ps**j * (1.0 - ps) ** (total_bits - j)
+            values += count * ps**j * (1.0 - ps) ** (n - j)
     best = int(np.argmax(values))
-    lo = ps[max(best - 1, 0)]
-    hi = ps[min(best + 1, len(ps) - 1)]
+    value = _bernstein_sum(counts, n, float(ps[best]))
+    lo, hi = float(ps[max(best - 1, 0)]), float(ps[min(best + 1, len(ps) - 1)])
+    slopes = [(j + 1) * counts[j + 1] - (n - j) * counts[j] for j in range(n)]
+    if not _bernstein_sum(slopes, n - 1, lo) > 0.0 >= _bernstein_sum(slopes, n - 1, hi):
+        return value
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if _bernstein_sum(slopes, n - 1, mid) > 0.0 else (lo, mid)
+    return max(value, _bernstein_sum(counts, n, lo), _bernstein_sum(counts, n, hi))
 
-    def negated(p: float) -> float:
-        return -math.fsum(
-            count * p**j * (1.0 - p) ** (total_bits - j)
-            for j, count in enumerate(counts)
-            if count
+
+def _check_exact_m(m: int) -> None:
+    """The exact oracle's one m check: an integer from 1 to EXACT_M_LIMIT."""
+    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= EXACT_M_LIMIT:
+        raise ValueError(
+            f"m must be an integer from 1 to {EXACT_M_LIMIT}, got {m!r}; "
+            "use monte_carlo_coverage for larger m"
         )
-
-    result = minimize_scalar(
-        negated, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
-    )
-    return max(float(values[best]), float(-result.fun))
 
 
 def urp_binary_event(
@@ -123,13 +134,7 @@ def urp_binary_event(
     probability p^j (1-p)^(m+1-j) depends on nothing else — and returns
     the supremum over p of the resulting polynomial.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    if m > EXACT_M_LIMIT:
-        raise ValueError(
-            f"exhaustive enumeration is capped at m = {EXACT_M_LIMIT}; "
-            "use monte_carlo_coverage for larger m"
-        )
+    _check_exact_m(m)
     counts = [0] * (m + 2)
     for bits in itertools.product((0, 1), repeat=m):
         ones = sum(bits)
@@ -140,26 +145,24 @@ def urp_binary_event(
 
 
 def _class_value_table(pvariable, m: int) -> dict:
-    """p-variable values per (calibration one-count, test bit) class."""
+    """p-variable values per (calibration one-count, test bit) class.
+
+    The grouped audit is only exact for permutation-symmetric
+    p-variables, so each class is also checked with its bits reversed.
+    """
     table = {}
     for k in range(m + 1):
         bits = (1,) * k + (0,) * (m - k)
         for test_bit in (0, 1):
             seq = SummarySequence(calibration_summaries=bits, test_summary=test_bit)
             table[(k, test_bit)] = pvariable(seq)
-    return table
-
-
-def _assert_permutation_symmetric(pvariable, m: int, table: dict) -> None:
-    """The grouped audit is only exact for permutation-symmetric p-variables."""
-    for k in range(1, m):
-        bits = (0,) * (m - k) + (1,) * k
-        seq = SummarySequence(calibration_summaries=bits, test_summary=1)
-        if pvariable(seq) != table[(k, 1)]:
+        seq = SummarySequence(calibration_summaries=bits[::-1], test_summary=1)
+        if 0 < k < m and pvariable(seq) != table[(k, 1)]:
             raise ValueError(
                 "p-variable is not permutation-symmetric in the calibration "
                 "summaries; the grouped exact audit does not apply"
             )
+    return table
 
 
 def audit_pvariable(
@@ -173,15 +176,8 @@ def audit_pvariable(
     weighted by binomial counts computed directly — the oracle shares no
     code with the engine being audited.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    if m > EXACT_M_LIMIT:
-        raise ValueError(
-            f"exact audits are capped at m = {EXACT_M_LIMIT}; "
-            "use monte_carlo_coverage for larger m"
-        )
+    _check_exact_m(m)
     table = _class_value_table(pvariable, m)
-    _assert_permutation_symmetric(pvariable, m, table)
     thresholds = sorted(set(table.values()))
     cells = []
     for threshold in thresholds:
@@ -376,14 +372,9 @@ def check_dominance(
     Comparisons use the values exactly as returned (exact rationals stay
     exact), so verdicts are not at the mercy of float rounding.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    if m > EXACT_M_LIMIT:
-        raise ValueError(f"exhaustive dominance checks are capped at m = {EXACT_M_LIMIT}")
+    _check_exact_m(m)
     table1 = _class_value_table(p1, m)
     table2 = _class_value_table(p2, m)
-    _assert_permutation_symmetric(p1, m, table1)
-    _assert_permutation_symmetric(p2, m, table2)
     strict_witness = None
     for k in range(m + 1):
         for test_bit in (0, 1):

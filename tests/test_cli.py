@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -31,6 +32,7 @@ from randpred import (
 )
 from randpred import cli
 from randpred.cli import _jsonify, _predict_json, _predict_text, main, read_csv_dataset
+from test_cli_pinned import COMMAND_PINNED
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -742,7 +744,7 @@ class TestPredictRenderer:
 
 @pytest.mark.parametrize("module", ["randpred", "randpred.cli"])
 def test_import_does_not_load_scipy(module):
-    # scipy serves only the exact audit oracle, which imports it on first use.
+    # randpred does not depend on scipy, so nothing may load it.
     # The package and its p-value engine load numpy neither; the CLI does.
     calls, unloaded = "", ("scipy",)
     if module == "randpred":
@@ -762,6 +764,25 @@ def test_import_does_not_load_scipy(module):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_exact_audit_runs_without_scipy():
+    # scipy blocked: the exact oracle and `validate --mode exact` still work,
+    # with the pinned output
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from randpred import urp_binary_event; "
+        "assert urp_binary_event(5, lambda bits, t: t == 1 and sum(bits) == 0) > 0; "
+        "from randpred.cli import main; "
+        "main(['validate', '--mode', 'exact', '--m', '6', '--json'])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert (result.returncode, digest) == COMMAND_PINNED["validate-exact", "json"], result.stderr
 
 
 class TestValidate:

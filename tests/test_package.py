@@ -1,7 +1,9 @@
 """The package namespace: the p-value engine on import, every other name on first use."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -86,3 +88,21 @@ def test_names_and_submodules_load_on_first_access():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_imports_are_exactly_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as f:
+        declared = {
+            re.match(r"[A-Za-z0-9_.-]+", requirement).group()
+            for requirement in tomllib.load(f)["project"]["dependencies"]
+        }
+    imported = set()
+    for path in (SRC / "randpred").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"randpred"}
+    assert third_party == declared == {"numpy", "click"}

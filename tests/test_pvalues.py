@@ -445,6 +445,17 @@ class TestExactK0:
         with pytest.raises(ValueError):
             exact_pvalue_k0(2.0)
 
+    @pytest.mark.parametrize(
+        "m", [10**17, 10**100, 10**300, M_MAX], ids=["1e17", "1e100", "1e300", "M_MAX"]
+    )
+    def test_large_m_matches_50_digits(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50 + len(str(m))):
+            reference = mpmath.mpf(m) ** m / mpmath.mpf(m + 1) ** (m + 1)
+        # at M_MAX the value is subnormal, good only to half its spacing
+        # 5e-324, which is 1.2e-15 of it there
+        assert abs(exact_pvalue_k0(m) - reference) <= 1e-15 * reference + math.ulp(0.0)
+
 
 # ---------------------------------------------------------------------------
 # optimal_p_k1
@@ -670,3 +681,12 @@ class TestPvariables:
     def test_domination_pointwise(self, bits, t):
         seq = SummarySequence(calibration_summaries=tuple(bits), test_summary=t)
         assert dominating_pvariable(seq) <= icp_pvariable(seq)
+
+    def test_engine_below_rank_based_at_every_k(self):
+        # The tightest case is k = m - 1, ratio (m+1)^(-1/m): 1 - 2.8e-11 at
+        # m = 1e12, far above the engine's 4e-15 error.  The large-k middle
+        # is left out for speed.
+        for m in sorted({int(10 ** (e / 4)) for e in range(4, 49)}):
+            for k in {0, 1, 2, 3, 10, 100, 1000, m - 1}:
+                if k < m:
+                    assert binary_irp_pvalue(m, k) < Fraction(k + 1, m + 1), (m, k)

@@ -1,9 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from randpred import (
+    EXACT_M_LIMIT,
     BoundedNoiseLinearGenerator,
     PipelineSpec,
     SummarySequence,
@@ -20,6 +23,7 @@ from randpred import (
     reproduce_table_k,
     urp_binary_event,
 )
+from randpred.validity import _sup_coverage_polynomial
 
 # 3-decimal reference rows for the asymptotic-numerator table.
 IRP_ROW = (0.368, 0.840, 1.371, 1.942, 2.544, 3.168, 3.812, 4.472)
@@ -51,6 +55,80 @@ class TestUrpBinaryEvent:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             urp_binary_event(0, lambda bits, t: True)
+
+
+def _reference_sup(counts, n, mpmath):
+    """50-digit maximum of sum_j counts[j] p^j (1-p)^(n-j) over [0, 1].
+
+    The candidates are 0, 1 and the real roots in (0, 1) of the
+    derivative, taken in the power basis with exact integer coefficients,
+    located by numpy and polished by Newton's method at 50 digits.
+    """
+    power = [0] * (n + 1)
+    for j, count in enumerate(counts):
+        for i in range(n - j + 1):
+            power[j + i] += count * math.comb(n - j, i) * (-1) ** i
+    slope = [i * power[i] for i in range(n, 0, -1)]
+    while slope and slope[0] == 0:
+        slope.pop(0)
+    with mpmath.workdps(50):
+        points = [mpmath.mpf(0), mpmath.mpf(1)]
+        for root in np.roots(slope) if len(slope) > 1 else ():
+            if abs(root.imag) < 1e-3 and -1e-3 < root.real < 1.0 + 1e-3:
+                x = mpmath.mpf(root.real)
+                for _ in range(30):
+                    value, derivative = mpmath.polyval(slope, x, derivative=True)
+                    x -= value / derivative if derivative else 0
+                if 0 < x < 1:
+                    points.append(x)
+        return max(
+            mpmath.fsum(c * p**j * (1 - p) ** (n - j) for j, c in enumerate(counts))
+            for p in points
+        )
+
+
+class TestSupCoveragePolynomial:
+    def test_matches_a_50_digit_maximum(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(2024)
+        for trial in range(240):
+            n = rng.randint(1, 21)
+            if trial % 2:
+                # arbitrary counts, about half of them zero
+                counts = [rng.choice((0, rng.randint(1, 10**6))) for _ in range(n + 1)]
+            else:
+                # a random set of audit classes (calibration ones, test bit)
+                counts = [0] * (n + 1)
+                for k in range(n):
+                    for test_bit in (0, 1):
+                        if rng.random() < 0.5:
+                            counts[k + test_bit] += math.comb(n - 1, k)
+            value = _sup_coverage_polynomial(counts, n)
+            reference = _reference_sup(counts, n, mpmath)
+            assert abs(value - reference) <= 4e-15 * reference, (counts, value, reference)
+
+    def test_no_mass_gives_zero(self):
+        assert _sup_coverage_polynomial([0] * 8, 7) == 0.0
+
+    def test_mass_at_zero_peaks_at_p_zero(self):
+        assert _sup_coverage_polynomial([7] + [0] * 9, 9) == 7.0
+
+    def test_mass_at_n_peaks_at_p_one(self):
+        assert _sup_coverage_polynomial([0] * 9 + [5], 9) == 5.0
+
+    @pytest.mark.parametrize("n", range(1, 22))
+    def test_binomial_row_sums_to_one(self, n):
+        value = _sup_coverage_polynomial([math.comb(n, j) for j in range(n + 1)], n)
+        assert abs(value - 1.0) <= math.ulp(1.0)
+
+    def test_global_maximum_in_the_right_half(self):
+        mpmath = pytest.importorskip("mpmath")
+        # peaks near p = 0.1 (about 0.285) and p = 0.85 (about 0.486)
+        counts = [0] * 21
+        counts[2], counts[17] = math.comb(20, 2), 2 * math.comb(20, 17)
+        value = _sup_coverage_polynomial(counts, 20)
+        assert value > 0.48
+        assert abs(value - _reference_sup(counts, 20, mpmath)) <= 4e-15 * value
 
 
 class TestAuditPvariable:
@@ -113,9 +191,10 @@ class TestCheckDominance:
         assert result.witness.test_summary == 1
         assert result.witness.p1_value > result.witness.p2_value
 
-    def test_engine_dominates_rank_on_binary_summaries(self):
-        result = check_dominance(binary_irp_pvariable, icp_pvariable, 8)
-        assert result.verdict == "strict"
+    @pytest.mark.parametrize("m", range(1, EXACT_M_LIMIT + 1))
+    def test_engine_dominates_rank_on_binary_summaries(self, m):
+        # at every m: the proof is in the binary_irp_pvariable docstring
+        assert check_dominance(binary_irp_pvariable, icp_pvariable, m).verdict == "strict"
 
     def test_m_cap_and_validation(self):
         with pytest.raises(ValueError):
@@ -200,8 +279,6 @@ class TestMonteCarloPinned:
 
 class TestGenerators:
     def test_sample_shapes(self):
-        import numpy as np
-
         gen = BoundedNoiseLinearGenerator(proper_size=5, calibration_size=3)
         split, x, y = gen.sample(np.random.default_rng(0))
         assert split.proper_size == 5
@@ -209,8 +286,6 @@ class TestGenerators:
         assert x.shape == (2,) and isinstance(y, float)
 
     def test_noise_is_bounded(self):
-        import numpy as np
-
         gen = BoundedNoiseLinearGenerator(noise_half_width=0.25)
         split, x, y = gen.sample(np.random.default_rng(1))
         rows = list(zip(split.X.tolist(), split.y.tolist())) + [(x.tolist(), y)]
@@ -220,8 +295,6 @@ class TestGenerators:
             assert abs(label - signal) <= gen.noise_half_width
 
     def test_same_draws_as_per_row_examples(self):
-        import numpy as np
-
         # The split is built straight from the generator's arrays, in the
         # order the rng drew them: features, then noise.
         gen = BoundedNoiseLinearGenerator(proper_size=4, calibration_size=3)
