@@ -81,14 +81,20 @@ def _json_text(payload) -> str:
     return json.dumps(_jsonify(payload), sort_keys=True, indent=2)
 
 
+def _write(text: str) -> None:
+    """Write text and a newline to stdout.  No output holds an ANSI escape
+    code, so color=True spares click's regex strip over the whole text."""
+    click.echo(text, color=True)
+
+
 def _emit(as_json: bool, payload: dict, lines: Iterable[str]) -> None:
     """Write the command's output: payload as JSON, under the schema
     version and the command's name, or else the text lines."""
     if as_json:
         command = click.get_current_context().command.name
-        click.echo(_json_text({"schema_version": SCHEMA_VERSION, "command": command, **payload}))
+        _write(_json_text({"schema_version": SCHEMA_VERSION, "command": command, **payload}))
     else:
-        click.echo("\n".join(lines))
+        _write("\n".join(lines))
 
 
 def _verdict(passed: bool) -> str:
@@ -508,7 +514,9 @@ def pvalue(m: int, k: int, finite: bool, as_json: bool) -> None:
 )
 @click.option("--epsilon", type=float, default=0.05, show_default=True)
 @click.option("--method", type=click.Choice(["irp", "icp"]), default="irp", show_default=True)
-@click.option("--seed", type=int, default=None, help="Classifier initialization seed.")
+@click.option(
+    "--seed", type=click.IntRange(min=0), default=None, help="Classifier initialization seed."
+)
 @click.option("--json", "as_json", is_flag=True)
 def predict(
     train: str,
@@ -550,7 +558,7 @@ def predict(
         output = render(task, method, epsilon, pipeline, test_ds.X)
     except ValueError as exc:
         raise click.UsageError(f"{test}: {exc}")
-    click.echo(output)
+    _write(output)
 
 
 @main.command()
@@ -560,7 +568,7 @@ def predict(
 @click.option("--m", type=click.IntRange(min=1), default=None, help="Calibration size.")
 @click.option("--trials", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--epsilon", type=float, default=0.05, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def validate(
     mode: str, m: Optional[int], trials: int, epsilon: float, seed: int, as_json: bool

@@ -6,12 +6,15 @@ test object to a hedged prediction: a conforming set plus an incertitude.
 The set never depends on the calibration sequence — only the incertitude
 does, through the one-count k.  The measure decides the kind of set: an
 interval for the regression measure, a label set for the margin measure.
+
+The regression pipeline takes its half-width and its calibration bits
+from one prediction pass over all of the split's rows; the margin
+pipeline predicts its calibration rows only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -30,10 +33,9 @@ from .summaries import (
     FittedMarginMeasure,
     FittedRegressionMeasure,
     RegressorSpec,
+    _fit_regression,
     fit_margin_measure,
-    fit_regression_measure,
     score_margin_batch,
-    score_regression_batch,
 )
 
 __all__ = [
@@ -72,7 +74,8 @@ class FittedPipeline:
         if method == "irp":
             return binary_irp_pvalue(self.m, self.k)
         if method == "icp":
-            return float(Fraction(self.k + 1, self.m + 1))
+            # int true division is correctly rounded: the float nearest the ratio
+            return (self.k + 1) / (self.m + 1)
         raise ValueError(f"method must be 'irp' or 'icp', got {method!r}")
 
     def interval_bounds(self, X) -> Tuple[np.ndarray, np.ndarray]:
@@ -127,25 +130,25 @@ class FittedPipeline:
         return self.hedge(Interval(lower, upper), method)
 
 
-def _fit_pipeline(fit_measure, score_batch, split: DataSplit, spec) -> FittedPipeline:
-    """Fit a measure on the proper part and count the calibration ones."""
-    measure = fit_measure(*split.proper, spec)
-    bits = score_batch(measure, *split.calibration)
-    return FittedPipeline(measure, int(bits.sum()), len(bits), measure.fallback_reason)
+def _pipeline(measure, bits: np.ndarray) -> FittedPipeline:
+    """The pipeline of a fitted measure and its calibration bits."""
+    return FittedPipeline(measure, int(np.count_nonzero(bits)), len(bits), measure.fallback_reason)
 
 
 def fit_regression_pipeline(
     split: DataSplit, predictor_spec: Optional[RegressorSpec] = None
 ) -> FittedPipeline:
-    """Fit the regression measure on the split and score its calibration."""
-    return _fit_pipeline(fit_regression_measure, score_regression_batch, split, predictor_spec)
+    """Fit the regression measure on the split and score its calibration,
+    in one prediction pass over all of its rows."""
+    return _pipeline(*_fit_regression(split.X, split.y, split.proper_size, predictor_spec))
 
 
 def fit_classification_pipeline(
     split: DataSplit, classifier_spec: Optional[ClassifierSpec] = None
 ) -> FittedPipeline:
     """Fit the margin measure on the split and score its calibration."""
-    return _fit_pipeline(fit_margin_measure, score_margin_batch, split, classifier_spec)
+    measure = fit_margin_measure(*split.proper, classifier_spec)
+    return _pipeline(measure, score_margin_batch(measure, *split.calibration))
 
 
 def prediction_set(prediction: HedgedPrediction, epsilon: float) -> PredictionSet:

@@ -117,7 +117,9 @@ class LeastSquaresRegressor:
 
     def fit(self, X, y):
         X, y = _training_arrays(X, y)
-        design = np.column_stack([X, np.ones(len(y))])
+        design = np.empty((len(y), X.shape[1] + 1))
+        design[:, :-1] = X
+        design[:, -1] = 1.0
         beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
         if rank < design.shape[1]:
             self._fallback = MeanRegressor().fit(X, y)
@@ -179,6 +181,10 @@ class HingeLossLinearClassifier:
             raise ValueError("epochs must be at least 1")
         if l2 < 0:
             raise ValueError("l2 must be nonnegative")
+        if seed is not None and (
+            not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0
+        ):
+            raise ValueError(f"seed must be None or a nonnegative integer, got {seed!r}")
         self.learning_rate = float(learning_rate)
         self.epochs = int(epochs)
         self.l2 = float(l2)

@@ -13,7 +13,7 @@ array of examples in one pass; one example is a one-row array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -108,6 +108,31 @@ class FittedMarginMeasure:
             raise ValueError(f"margin_width must be positive, got {self.margin_width!r}")
 
 
+def _nonconforming(residuals: np.ndarray, half_width: float) -> np.ndarray:
+    """The regression bits, as an int8 array: 1 iff the residual strictly
+    exceeds half_width."""
+    return (residuals > half_width).astype(np.int8)
+
+
+def _fit_regression(
+    X: np.ndarray, y: np.ndarray, proper_size: int, predictor_spec: Optional[RegressorSpec]
+) -> Tuple[FittedRegressionMeasure, np.ndarray]:
+    """The measure fitted on the first proper_size rows of the checked
+    arrays X and y, and the bits of the rows after them, from one
+    predict_batch pass over all rows.  A prediction does not depend on
+    the other rows of its batch, so the values are those of separate
+    passes."""
+    spec = predictor_spec or RegressorSpec()
+    predictor = spec.build().fit(X[:proper_size], y[:proper_size])
+    residuals = np.abs(y - predictor.predict_batch(X))
+    measure = FittedRegressionMeasure(
+        predictor=predictor,
+        half_width=float(residuals[:proper_size].max()),
+        fallback_reason=getattr(predictor, "fallback_reason", None),
+    )
+    return measure, _nonconforming(residuals[proper_size:], measure.half_width)
+
+
 def fit_regression_measure(
     X, y, predictor_spec: Optional[RegressorSpec] = None
 ) -> FittedRegressionMeasure:
@@ -118,15 +143,8 @@ def fit_regression_measure(
     pass.  A degenerate design falls back to the mean-label predictor,
     recorded in fallback_reason.
     """
-    spec = predictor_spec or RegressorSpec()
     X, y = xy_arrays(X, y)
-    predictor = spec.build().fit(X, y)
-    half_width = np.max(np.abs(y - predictor.predict_batch(X)))
-    return FittedRegressionMeasure(
-        predictor=predictor,
-        half_width=float(half_width),
-        fallback_reason=getattr(predictor, "fallback_reason", None),
-    )
+    return _fit_regression(X, y, len(y), predictor_spec)[0]
 
 
 def fit_margin_measure(
@@ -164,7 +182,7 @@ def score_regression_batch(measure: FittedRegressionMeasure, X, y) -> np.ndarray
     """
     X, y = _batch_arrays(X, y)
     residuals = np.abs(y - measure.predictor.predict_batch(X))
-    return (residuals > measure.half_width).astype(np.int8)
+    return _nonconforming(residuals, measure.half_width)
 
 
 def score_margin_batch(measure: FittedMarginMeasure, X, y) -> np.ndarray:

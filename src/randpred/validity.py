@@ -265,13 +265,16 @@ def monte_carlo_coverage(
     coverage cell passes when the empirical miscoverage rate is at most
     epsilon + 3 standard errors.  Each trial fits one pipeline, forms the
     test row's interval once, and pairs it with every method's
-    incertitude.  When both methods run, an interval-identity cell
-    compares the two hedged predictions: it checks that the method
-    changes only the incertitude, never the interval.  It does not compare
-    independently fitted pipelines.
+    incertitude.  A level set is the interval or the whole line, so it
+    can only exclude the label where the interval does; the level sets
+    are formed on those trials only.  When both methods run, an
+    interval-identity cell compares the two hedged predictions of every
+    trial: it checks that the method changes only the incertitude, never
+    the interval.  It does not compare independently fitted pipelines.
 
     Each trial derives its random stream from (seed, trial index), so the
-    report is identical under any execution order.
+    report is identical under any execution order.  seed must be a
+    nonnegative int, as trials must be a positive one.
     """
     from .pipelines import fit_regression_pipeline, prediction_set
 
@@ -281,6 +284,8 @@ def monte_carlo_coverage(
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
     methods = ("irp", "icp") if spec.method == "both" else (spec.method,)
     misses = dict.fromkeys(methods, 0)
@@ -289,16 +294,15 @@ def monte_carlo_coverage(
         rng = np.random.default_rng([seed, trial])
         split, x, y = generator.sample(rng)
         pipeline = fit_regression_pipeline(split, spec.predictor)
-        (lower,), (upper,) = pipeline.interval_bounds(x[np.newaxis])
-        interval = Interval(lower, upper)
-        predictions = {}
-        for method in methods:
-            predictions[method] = pipeline.hedge(interval, method)
-            if not prediction_set(predictions[method], epsilon).contains(y):
-                misses[method] += 1
-        if len(methods) == 2:
-            if predictions["irp"].prediction_set == predictions["icp"].prediction_set:
-                identical_intervals += 1
+        lower, upper = pipeline.interval_bounds(x[np.newaxis])
+        interval = Interval(lower.item(), upper.item())
+        predictions = [pipeline.hedge(interval, method) for method in methods]
+        if not interval.contains(y):  # else every level set holds y
+            for method, prediction in zip(methods, predictions):
+                if not prediction_set(prediction, epsilon).contains(y):
+                    misses[method] += 1
+        if len(predictions) == 2:
+            identical_intervals += predictions[0].prediction_set == predictions[1].prediction_set
 
     cells = []
     for method in methods:

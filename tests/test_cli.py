@@ -824,6 +824,30 @@ class TestValidate:
         assert identity["probability"] == 1.0
 
 
+class TestSeedDomain:
+    """A negative --seed is a usage error (exit 2) naming the option, not
+    numpy's ValueError and not exit 1, which marks a failed audit."""
+
+    def test_validate_mc(self, runner):
+        result = runner.invoke(main, ["validate", "--mode", "mc", "--trials", "5", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+
+    def test_predict_classification(self, runner, cls_files):
+        train, test = cls_files
+        result = runner.invoke(
+            main,
+            ["predict", "--task", "classification", "--train", train, "--split-at", "6",
+             "--test", test, "--seed", "-1"],
+        )
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+
+    def test_zero_is_accepted(self, runner):
+        result = runner.invoke(main, ["validate", "--mode", "mc", "--trials", "5", "--seed", "0"])
+        assert result.exit_code == 0, result.output
+
+
 class TestDominate:
     def test_strict_with_witness(self, runner):
         result = runner.invoke(main, ["dominate", "--m", "4", "--json"])

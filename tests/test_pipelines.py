@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from randpred import (
     binary_irp_pvalue,
     exact_pvalue_k0,
     fit_classification_pipeline,
+    fit_regression_measure,
     fit_regression_pipeline,
     prediction_set,
     score_margin_batch,
@@ -186,6 +188,83 @@ class TestClassificationPipelines:
         split = cls_split(seed=11)
         pred = predict_classification(split, (0.9, 0.9), "icp")
         assert pred.incertitude == pytest.approx((pred.k + 1) / (pred.m + 1), abs=1e-15)
+
+
+class TestOnePassFitMatchesPublicCalls:
+    """fit_regression_pipeline takes the half-width and the calibration
+    bits from one prediction pass over the whole split; they are those of
+    fit_regression_measure on the proper part followed by
+    score_regression_batch on the calibration part."""
+
+    @staticmethod
+    def assert_matches(split, spec=None):
+        pipeline = fit_regression_pipeline(split, spec)
+        measure = fit_regression_measure(*split.proper, spec)
+        bits = score_regression_batch(measure, *split.calibration)
+        assert pipeline.measure.half_width == measure.half_width
+        assert (pipeline.k, pipeline.m) == (int(bits.sum()), len(bits))
+        assert pipeline.fallback_reason == measure.fallback_reason
+        assert np.array_equal(
+            pipeline.measure.predictor.predict_batch(split.X),
+            measure.predictor.predict_batch(split.X),
+        )
+        return pipeline, bits
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["least_squares", "mean"]),
+        deficient=st.booleans(),
+        l=st.integers(1, 40),
+        m=st.integers(1, 30),
+        d=st.integers(1, 3),
+        scale=st.sampled_from([1e-3, 1.0, 1e6]),
+    )
+    def test_random_splits(self, seed, kind, deficient, l, m, d, scale):
+        rng = np.random.default_rng(seed)
+        X = scale * rng.standard_normal((l + m, d))
+        if deficient:
+            X[:, 0] = 1.0  # collinear with the intercept
+        y = X @ rng.standard_normal(d) + scale * rng.uniform(-1.0, 1.0, l + m)
+        pipeline, _ = self.assert_matches(DataSplit(X, y, l), RegressorSpec(kind))
+        if kind == "least_squares" and deficient:
+            assert "rank-deficient" in pipeline.fallback_reason
+
+    def test_rank_deficient_fallback(self):
+        X = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0], [3.0, 3.0], [1.0, 1.0]])
+        y = np.array([2.0, 4.0, 1.0, 9.0, 2.5])
+        pipeline, bits = self.assert_matches(DataSplit(X, y, 3))
+        assert "rank-deficient" in pipeline.fallback_reason
+        # mean 7/3 and half-width 5/3 from the proper labels 2, 4, 1
+        assert bits.tolist() == [1, 0]
+
+    def test_residual_equal_to_half_width_conforms(self):
+        # g == 1 and h == 1; the calibration residuals are 2, 1, 1, 2
+        split = mean_split([0.0, 2.0], [3.0, 2.0, 0.0, -1.0])
+        pipeline, bits = self.assert_matches(split, RegressorSpec("mean"))
+        assert pipeline.measure.half_width == 1.0
+        assert bits.tolist() == [1, 0, 0, 1]
+        assert pipeline.k == 2
+
+
+class TestIcpIncertitudeByIntegerDivision:
+    """(k + 1) / (m + 1) in int true division is the float of the exact
+    fraction, well past 2**53, where a float division of the operands
+    would round them first."""
+
+    @pytest.mark.parametrize("m", [2**53 - 1, 2**53 + 1, 10**17 + 1, 10**300])
+    def test_large_m(self, m):
+        pipeline = fit_regression_pipeline(linear_split())
+        for k in (0, 1, 2, 7, 2**52 + 1, m // 3, m // 2, m - 2, m - 1, m):
+            at = replace(pipeline, k=k, m=m)
+            assert at.incertitude("icp") == float(Fraction(k + 1, m + 1))
+
+    @settings(max_examples=200)
+    @given(m=st.integers(1, 10**40), share=st.fractions(0, 1))
+    def test_random_k_and_m(self, m, share):
+        k = int(m * share)
+        pipeline = replace(fit_regression_pipeline(linear_split()), k=k, m=m)
+        assert pipeline.incertitude("icp") == float(Fraction(k + 1, m + 1))
 
 
 class TestPipelineKMatchesScalarScores:

@@ -131,6 +131,15 @@ class TestHingeLossLinearClassifier:
         with pytest.raises(ValueError, match="-1 or \\+1"):
             HingeLossLinearClassifier().fit([[0.0], [1.0], [2.0]], [-1.0, 1.0, label])
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "3"])
+    def test_bad_seed_rejected_when_built(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            HingeLossLinearClassifier(seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, 7, np.int64(7)])
+    def test_good_seed_accepted(self, seed):
+        assert HingeLossLinearClassifier(seed=seed).seed == seed
+
     def test_deterministic_without_seed(self):
         X, y = self.separable(seed=5)
         a = HingeLossLinearClassifier().fit(X, y)

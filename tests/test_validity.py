@@ -8,6 +8,7 @@ import pytest
 from randpred import (
     EXACT_M_LIMIT,
     BoundedNoiseLinearGenerator,
+    Interval,
     PipelineSpec,
     SummarySequence,
     ValidityCell,
@@ -17,9 +18,11 @@ from randpred import (
     binary_irp_pvariable,
     check_dominance,
     dominating_pvariable,
+    fit_regression_pipeline,
     icp_pvariable,
     RegressorSpec,
     monte_carlo_coverage,
+    prediction_set,
     reproduce_table_k,
     urp_binary_event,
 )
@@ -230,6 +233,68 @@ class TestMonteCarloCoverage:
             monte_carlo_coverage(None, None, 0.05, 0, 1)
         with pytest.raises(ValueError):
             PipelineSpec(method="oracle")
+
+    @pytest.mark.parametrize("seed", [-1, True, False, 1.5, "3", None])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo_coverage(None, None, 0.05, 5, seed)
+
+
+def _recount(spec, generator, epsilon, trials, seed):
+    """The report of monte_carlo_coverage, recounted trial by trial through
+    the public API, with every method's level set formed on every trial."""
+    methods = ("irp", "icp") if spec.method == "both" else (spec.method,)
+    misses = dict.fromkeys(methods, 0)
+    identical = 0
+    for trial in range(trials):
+        split, x, y = generator.sample(np.random.default_rng([seed, trial]))
+        pipeline = fit_regression_pipeline(split, spec.predictor)
+        (lower,), (upper,) = pipeline.interval_bounds(x[np.newaxis])
+        predictions = {method: pipeline.hedge(Interval(lower, upper), method) for method in methods}
+        for method, prediction in predictions.items():
+            if not prediction_set(prediction, epsilon).contains(y):
+                misses[method] += 1
+        if len(methods) == 2:
+            identical += predictions["irp"].prediction_set == predictions["icp"].prediction_set
+    cells = []
+    for method in methods:
+        rate = misses[method] / trials
+        stderr = math.sqrt(rate * (1.0 - rate) / trials)
+        cells.append(ValidityCell(
+            f"coverage-{method}", epsilon, rate, rate <= epsilon + 3.0 * stderr, stderr,
+            f"{misses[method]}/{trials} test labels excluded",
+        ))
+    if len(methods) == 2:
+        rate = identical / trials
+        cells.append(ValidityCell(
+            "interval-identity", epsilon, rate, identical == trials,
+            math.sqrt(rate * (1.0 - rate) / trials),
+            f"{identical}/{trials} trials with identical intervals",
+        ))
+    return ValidityReport("monte_carlo", tuple(cells), generator.calibration_size, trials, seed)
+
+
+class TestMonteCarloRecount:
+    """The harness forms level sets only where the interval misses the
+    label; its whole report equals a recount that forms them on every
+    trial."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2026])
+    @pytest.mark.parametrize("m", [5, 30, 60])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.2])
+    @pytest.mark.parametrize("method", ["both", "irp", "icp"])
+    def test_report_equals_recount(self, method, epsilon, m, seed):
+        spec = PipelineSpec(method=method)
+        generator = BoundedNoiseLinearGenerator(calibration_size=m)
+        report = monte_carlo_coverage(spec, generator, epsilon, 60, seed)
+        assert report == _recount(spec, generator, epsilon, 60, seed)
+
+    def test_recount_sees_misses(self):
+        # the recount is a check only where some label is excluded
+        spec, generator = PipelineSpec(), BoundedNoiseLinearGenerator(calibration_size=60)
+        report = _recount(spec, generator, 0.2, 300, 4)
+        assert all(cell.probability > 0 for cell in report.cells[:2])
+        assert report == monte_carlo_coverage(spec, generator, 0.2, 300, 4)
 
 
 def _miss_counts(report):
