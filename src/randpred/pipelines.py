@@ -9,7 +9,9 @@ interval for the regression measure, a label set for the margin measure.
 
 The regression pipeline takes its half-width and its calibration bits
 from one prediction pass over all of the split's rows; the margin
-pipeline predicts its calibration rows only.
+pipeline predicts its calibration rows only.  The Monte Carlo harness
+adds its test row to that pass, and forms the test row's interval by
+the one rule that interval_bounds also follows.
 """
 
 from __future__ import annotations
@@ -86,18 +88,7 @@ class FittedPipeline:
         point prediction g(x) is not finite, as an overflow or a NaN
         feature makes it.
         """
-        center = self.measure.predictor.predict_batch(X)
-        finite = np.isfinite(center)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise ValueError(
-                f"invalid interval: test row {i + 1}: "
-                f"point prediction {float(center[i])!r} is not finite"
-            )
-        h = self.measure.half_width
-        # a finite center can still have a bound that overflows to +-inf
-        with np.errstate(over="ignore"):
-            return center - h, center + h
+        return _interval_bounds(self.measure.predictor.predict_batch(X), self.measure.half_width)
 
     def label_sets(self, X) -> List[frozenset]:
         """The label set of every row x of X: the singleton of the score's
@@ -130,6 +121,22 @@ class FittedPipeline:
         return self.hedge(Interval(lower, upper), method)
 
 
+def _interval_bounds(center: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The bounds center - h and center + h of the point predictions
+    center, or ValueError naming the first row (counted from 1) whose
+    prediction is not finite."""
+    finite = np.isfinite(center)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(
+            f"invalid interval: test row {i + 1}: "
+            f"point prediction {float(center[i])!r} is not finite"
+        )
+    # a finite center can still have a bound that overflows to +-inf
+    with np.errstate(over="ignore"):
+        return center - h, center + h
+
+
 def _pipeline(measure, bits: np.ndarray) -> FittedPipeline:
     """The pipeline of a fitted measure and its calibration bits."""
     return FittedPipeline(measure, int(np.count_nonzero(bits)), len(bits), measure.fallback_reason)
@@ -140,7 +147,8 @@ def fit_regression_pipeline(
 ) -> FittedPipeline:
     """Fit the regression measure on the split and score its calibration,
     in one prediction pass over all of its rows."""
-    return _pipeline(*_fit_regression(split.X, split.y, split.proper_size, predictor_spec))
+    measure, bits, _ = _fit_regression(split.X, split.y, split.proper_size, predictor_spec)
+    return _pipeline(measure, bits)
 
 
 def fit_classification_pipeline(

@@ -55,7 +55,8 @@ class RegressorSpec:
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """Configuration for the margin classifier."""
+    """Configuration for the margin classifier, checked when it is made:
+    a setting HingeLossLinearClassifier rejects raises ValueError here."""
 
     kind: str = "hinge"
     learning_rate: float = 0.5
@@ -66,6 +67,7 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind != "hinge":
             raise ValueError(f"unknown classifier kind {self.kind!r}")
+        self.build()  # the classifier checks its own settings
 
     def build(self) -> PointPredictor:
         return HingeLossLinearClassifier(
@@ -116,21 +118,24 @@ def _nonconforming(residuals: np.ndarray, half_width: float) -> np.ndarray:
 
 def _fit_regression(
     X: np.ndarray, y: np.ndarray, proper_size: int, predictor_spec: Optional[RegressorSpec]
-) -> Tuple[FittedRegressionMeasure, np.ndarray]:
+) -> Tuple[FittedRegressionMeasure, np.ndarray, np.ndarray]:
     """The measure fitted on the first proper_size rows of the checked
-    arrays X and y, and the bits of the rows after them, from one
-    predict_batch pass over all rows.  A prediction does not depend on
-    the other rows of its batch, so the values are those of separate
-    passes."""
+    arrays X and y, the bits of the rows of y after them, and the point
+    predictions of the rows of X past the end of y (unlabelled test rows),
+    from one predict_batch pass over all rows of X.  A prediction does
+    not depend on the other rows of its batch, so the values are those of
+    separate passes."""
     spec = predictor_spec or RegressorSpec()
     predictor = spec.build().fit(X[:proper_size], y[:proper_size])
-    residuals = np.abs(y - predictor.predict_batch(X))
+    predictions = predictor.predict_batch(X)
+    residuals = np.abs(y - predictions[: len(y)])
     measure = FittedRegressionMeasure(
         predictor=predictor,
         half_width=float(residuals[:proper_size].max()),
         fallback_reason=getattr(predictor, "fallback_reason", None),
     )
-    return measure, _nonconforming(residuals[proper_size:], measure.half_width)
+    bits = _nonconforming(residuals[proper_size:], measure.half_width)
+    return measure, bits, predictions[len(y) :]
 
 
 def fit_regression_measure(

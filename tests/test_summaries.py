@@ -129,6 +129,22 @@ class TestFitMarginMeasure:
         assert a.classifier.predict_batch([[0.4, -0.2]]) == b.classifier.predict_batch([[0.4, -0.2]])
 
 
+class TestClassifierSpecDomain:
+    """A spec is checked when it is made, by the classifier's own rules."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", -1), ("seed", True), ("learning_rate", 0.0), ("epochs", 0), ("l2", -1.0)],
+    )
+    def test_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ClassifierSpec(**{field: value})
+
+    def test_defaults_and_seeds_accepted(self):
+        assert ClassifierSpec().seed is None
+        assert ClassifierSpec(seed=0, epochs=1, l2=0.0).seed == 0
+
+
 class TestScoreMargin:
     def test_wrong_class_outside_margin(self):
         measure = FittedMarginMeasure(classifier=FixedScore(2.0), margin_width=1.0)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randpred import (
     EXACT_M_LIMIT,
@@ -239,6 +241,42 @@ class TestMonteCarloCoverage:
         with pytest.raises(ValueError, match="seed"):
             monte_carlo_coverage(None, None, 0.05, 5, seed)
 
+    def test_overflowing_label_raises_the_split_error(self):
+        # finite coefficients whose labels overflow: the harness raises the
+        # error DataSplit raises for the same draw
+        generator = BoundedNoiseLinearGenerator(coefficients=(1e308, 1e308))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^features and labels must be finite$"):
+                monte_carlo_coverage(None, generator, 0.05, 20, 0)
+            with pytest.raises(ValueError, match="^features and labels must be finite$"):
+                generator.sample(np.random.default_rng([0, 0]))
+
+    def test_non_finite_test_center_raises_the_interval_error(self):
+        # the mean of labels near 1e308 overflows, so the test row's centre
+        # is inf, and the harness names it as interval_bounds does
+        generator = BoundedNoiseLinearGenerator(coefficients=(1e305,), intercept=1e308)
+        spec = PipelineSpec(predictor=RegressorSpec("mean"))
+        message = "^invalid interval: test row 1: point prediction inf is not finite$"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=message):
+                monte_carlo_coverage(spec, generator, 0.05, 3, 0)
+            split, x, _ = generator.sample(np.random.default_rng([0, 0]))
+            with pytest.raises(ValueError, match=message):
+                fit_regression_pipeline(split, spec.predictor).interval_bounds(x[np.newaxis])
+
+    def test_test_row_is_not_a_calibration_row(self):
+        # Five proper rows and the mean predictor: the interval often
+        # misses.  A miss counts for icp at (k, m) = (0, 3), where the
+        # incertitude is 0.25 <= 0.3.  Scoring the test row as one more
+        # calibration bit would give (1, 4) on exactly the trials where
+        # the interval misses, an incertitude of 0.4, and a level set that
+        # is the whole line.
+        spec = PipelineSpec(predictor=RegressorSpec("mean"))
+        generator = BoundedNoiseLinearGenerator(proper_size=5, calibration_size=3)
+        report = monte_carlo_coverage(spec, generator, 0.3, 200, 1)
+        assert report == _recount(spec, generator, 0.3, 200, 1)
+        assert all(cell.probability > 0.05 for cell in report.cells[:2])
+
 
 def _recount(spec, generator, epsilon, trials, seed):
     """The report of monte_carlo_coverage, recounted trial by trial through
@@ -381,6 +419,67 @@ class TestGenerators:
             BoundedNoiseLinearGenerator(noise_half_width=-1.0)
         with pytest.raises(ValueError):
             BoundedNoiseLinearGenerator(feature_low=1.0, feature_high=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("coefficients", (math.inf, 1.0)),
+            ("coefficients", (1.0, math.nan)),
+            ("coefficients", ("1.0",)),
+            ("intercept", math.nan),
+            ("intercept", True),
+            ("noise_half_width", math.nan),
+            ("noise_half_width", 1e308),  # 2 * 1e308 overflows
+            ("feature_low", -math.inf),
+            ("feature_high", math.inf),
+            ("feature_high", 1.7e308),  # 1.7e308 - (-1.0) is finite; -1e308 below is not
+            ("proper_size", 2.5),
+            ("proper_size", True),
+            ("calibration_size", True),
+            ("calibration_size", "30"),
+            ("calibration_size", -3),
+        ],
+    )
+    def test_rejected_at_construction_naming_the_field(self, field, value):
+        kwargs = {field: value}
+        if value == 1.7e308:
+            kwargs["feature_low"] = -1e308
+        with pytest.raises(ValueError, match=field):
+            BoundedNoiseLinearGenerator(**kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        gen = BoundedNoiseLinearGenerator(
+            coefficients=np.array([1.0, 2.0]), intercept=np.float32(0.5), proper_size=np.int64(4)
+        )
+        assert gen.coefficients == (1.0, 2.0) and gen.intercept == 0.5
+        assert type(gen.proper_size) is int and gen.proper_size == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        coefficients=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
+        intercept=st.floats(-1e3, 1e3),
+        noise_half_width=st.floats(0.0, 10.0),
+        proper_size=st.integers(1, 9),
+        calibration_size=st.integers(1, 9),
+        feature_low=st.floats(-100.0, 100.0),
+        feature_width=st.floats(1e-3, 100.0),
+    )
+    def test_sample_wraps_the_harness_draw(
+        self, seed, coefficients, intercept, noise_half_width, proper_size, calibration_size,
+        feature_low, feature_width,
+    ):
+        gen = BoundedNoiseLinearGenerator(
+            tuple(coefficients), intercept, noise_half_width, proper_size, calibration_size,
+            feature_low, feature_low + feature_width,
+        )
+        X, labels = gen._draw(np.random.default_rng(seed))
+        split, x, y = gen.sample(np.random.default_rng(seed))
+        n = proper_size + calibration_size
+        assert X.shape == (n + 1, len(coefficients)) and labels.shape == (n + 1,)
+        assert np.array_equal(split.X, X[:-1]) and np.array_equal(split.y, labels[:-1])
+        assert split.proper_size == proper_size
+        assert np.array_equal(x, X[-1]) and y == labels[-1]
 
 
 class TestReproduceTable:
