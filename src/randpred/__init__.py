@@ -1,11 +1,12 @@
 """Randomness predictors over binary nonconformity summaries.
 
 A library and CLI for hedged prediction with split (inductive) conformal
-inference: binary nonconformity measures, an exact p-value engine that
-maximizes the worst-case IID probability over Bernoulli rates, the
-rank-based conformal p-value it improves on, a construction that strictly
-dominates the rank-based p-value, and exact plus Monte Carlo validity
-oracles.
+inference: fitted pipelines (a point predictor with its binary
+nonconformity measure, residual or margin, and the one-count k of its m
+calibration bits), an exact p-value engine that maximizes the worst-case
+IID probability over Bernoulli rates, the rank-based conformal p-value it
+improves on, a construction that strictly dominates the rank-based
+p-value, and exact plus Monte Carlo validity oracles.
 
 The p-value engine (the pvalues module) needs only the standard library
 and is imported with the package.  Every other public name loads numpy,
@@ -25,20 +26,14 @@ _LAZY = {
         "core",
     ),
     **dict.fromkeys(
-        ("FittedPipeline", "fit_classification_pipeline", "fit_regression_pipeline",
-         "prediction_set"),
+        ("ClassifierSpec", "FittedPipeline", "RegressorSpec", "fit_classification_pipeline",
+         "fit_regression_pipeline", "prediction_set"),
         "pipelines",
     ),
     **dict.fromkeys(
         ("ConstantClassifier", "HingeLossLinearClassifier", "LeastSquaresRegressor",
          "MeanRegressor", "PointPredictor"),
         "predictors",
-    ),
-    **dict.fromkeys(
-        ("ClassifierSpec", "FittedMarginMeasure", "FittedRegressionMeasure", "RegressorSpec",
-         "fit_margin_measure", "fit_regression_measure", "score_margin_batch",
-         "score_regression_batch"),
-        "summaries",
     ),
     **dict.fromkeys(
         ("EXACT_M_LIMIT", "BoundedNoiseLinearGenerator", "DominanceResult", "DominanceWitness",

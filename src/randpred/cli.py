@@ -28,7 +28,13 @@ import click
 import numpy as np
 
 from .core import DataSplit, HedgedPrediction, Interval
-from .pipelines import fit_classification_pipeline, fit_regression_pipeline, prediction_set
+from .pipelines import (
+    ClassifierSpec,
+    RegressorSpec,
+    fit_classification_pipeline,
+    fit_regression_pipeline,
+    prediction_set,
+)
 from .pvalues import (
     M_MAX,
     asymptotic_constant,
@@ -38,7 +44,6 @@ from .pvalues import (
     icp_pvariable,
     m_error,
 )
-from .summaries import ClassifierSpec, FittedMarginMeasure, RegressorSpec
 from .validity import (
     EXACT_M_LIMIT,
     BoundedNoiseLinearGenerator,
@@ -194,7 +199,7 @@ def _prediction_rows(
     """Texts that join to the output row of every test object in X, in
     order, each but the first after separator.
 
-    The sets come from the pipeline's batch method for its measure.  Each
+    The sets come from the pipeline's batch method for its task.  Each
     row is spliced from the pieces of one rendered row: one for
     intervals, one per label set.  Interval rows are built column-wise:
     each bound column is formatted in one pass, and the texts interleave
@@ -202,7 +207,7 @@ def _prediction_rows(
     join.
     """
     rows = range(1, len(X) + 1)
-    if isinstance(pipeline.measure, FittedMarginMeasure):
+    if pipeline.task == "classification":
         label_sets = pipeline.label_sets(X)
         pieces = {
             labels: _row_pieces(pipeline.hedge(labels, method), epsilon, indent)[0]
@@ -222,12 +227,12 @@ def _prediction_rows(
     return chain.from_iterable(zip(*columns))
 
 
-def _predict_json(task: str, method: str, epsilon: float, pipeline, X) -> str:
+def _predict_json(method: str, epsilon: float, pipeline, X) -> str:
     """The `predict --json` output, laid out as _json_text lays it out."""
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "predict",
-        "task": task,
+        "task": pipeline.task,
         "method": method,
         "epsilon": epsilon,
         "m": pipeline.m,
@@ -242,10 +247,12 @@ def _predict_json(task: str, method: str, epsilon: float, pipeline, X) -> str:
     return "".join(chain([head], rows, [tail]))
 
 
-def _predict_text(task: str, method: str, epsilon: float, pipeline, X) -> str:
+def _predict_text(method: str, epsilon: float, pipeline, X) -> str:
     """The `predict` text output: a header line, the fallback note if
     any, and one line per test row."""
-    lines = [f"task={task} method={method} m={pipeline.m} k={pipeline.k} epsilon={epsilon}"]
+    lines = [
+        f"task={pipeline.task} method={method} m={pipeline.m} k={pipeline.k} epsilon={epsilon}"
+    ]
     if pipeline.fallback_reason:
         lines.append(f"note: {pipeline.fallback_reason}")
     head = "\n".join(lines) + "\n"
@@ -555,7 +562,7 @@ def predict(
         raise click.UsageError(str(exc))
     render = _predict_json if as_json else _predict_text
     try:
-        output = render(task, method, epsilon, pipeline, test_ds.X)
+        output = render(method, epsilon, pipeline, test_ds.X)
     except ValueError as exc:
         raise click.UsageError(f"{test}: {exc}")
     _write(output)

@@ -1,23 +1,29 @@
 """End-to-end prediction pipelines.
 
-A pipeline fits a binary nonconformity measure on the proper training
-arrays, scores the calibration arrays once in one batch pass, and maps a
-test object to a hedged prediction: a conforming set plus an incertitude.
-The set never depends on the calibration sequence — only the incertitude
-does, through the one-count k.  The measure decides the kind of set: an
-interval for the regression measure, a label set for the margin measure.
+A pipeline is a binary nonconformity measure fitted on the proper
+training arrays, plus k, the number of ones among the m calibration
+bits.  It maps a test object to a hedged prediction: a conforming set
+plus an incertitude.  The set never depends on the calibration sequence
+— only the incertitude does, through k.  The task decides the measure
+and the kind of set:
+
+- regression: a bit is 1 iff the residual |y - g(x)| strictly exceeds the
+  largest proper-training residual h, and the set is [g(x) - h, g(x) + h];
+- classification: a bit is 1 iff the score asserts the wrong class
+  outside the margin, and the set is the score's sign outside the margin,
+  both labels inside it.
 
 The regression pipeline takes its half-width and its calibration bits
-from one prediction pass over all of the split's rows; the margin
-pipeline predicts its calibration rows only.  The Monte Carlo harness
-adds its test row to that pass, and forms the test row's interval by
-the one rule that interval_bounds also follows.
+from one prediction pass over all of the split's rows; the
+classification pipeline predicts its calibration rows only.  The Monte
+Carlo harness adds its test row to that pass, and forms the test row's
+interval by the one rule that interval_bounds also follows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -29,44 +35,101 @@ from .core import (
     Interval,
     PredictionSet,
 )
-from .pvalues import binary_irp_pvalue
-from .summaries import (
-    ClassifierSpec,
-    FittedMarginMeasure,
-    FittedRegressionMeasure,
-    RegressorSpec,
-    _fit_regression,
-    fit_margin_measure,
-    score_margin_batch,
+from .predictors import (
+    HingeLossLinearClassifier,
+    LeastSquaresRegressor,
+    MeanRegressor,
+    PointPredictor,
 )
+from .pvalues import binary_irp_pvalue
 
 __all__ = [
+    "RegressorSpec",
+    "ClassifierSpec",
     "FittedPipeline",
     "fit_regression_pipeline",
     "fit_classification_pipeline",
     "prediction_set",
 ]
 
-# The three label sets a margin pipeline predicts, by sign of the score
-# (0: inside the margin, both labels).
+# The classifier scores with the raw affine output w.x + b, so the
+# functional margin is 1 in score units.
+_MARGIN = 1.0
+
+# The three label sets a classification pipeline predicts, by sign of the
+# score (0: inside the margin, both labels).
 _LABEL_SETS = {1: frozenset({1}), -1: frozenset({-1}), 0: ALL_LABELS}
 
 
 @dataclass(frozen=True)
-class FittedPipeline:
-    """A measure fitted once, and the one-count k of its m calibration bits.
+class RegressorSpec:
+    """Configuration for the regression point predictor."""
 
-    interval_bounds (regression measure) and label_sets (margin measure)
-    give the sets of a whole array of test objects; predict is a one-row
-    call of them, so per-row and batch sets agree by construction.  Every
-    method is pure, so one fitted pipeline can serve many test objects
+    kind: str = "least_squares"
+
+    def __post_init__(self):
+        if self.kind not in ("least_squares", "mean"):
+            raise ValueError(f"unknown regressor kind {self.kind!r}")
+
+    def build(self) -> PointPredictor:
+        if self.kind == "mean":
+            return MeanRegressor()
+        return LeastSquaresRegressor()
+
+
+@dataclass(frozen=True)
+class ClassifierSpec:
+    """Configuration for the margin classifier, checked when it is made:
+    a setting HingeLossLinearClassifier rejects raises ValueError here."""
+
+    learning_rate: float = 0.5
+    epochs: int = 200
+    l2: float = 1e-3
+    seed: Optional[int] = None
+
+    def __post_init__(self):
+        self.build()  # the classifier checks its own settings
+
+    def build(self) -> PointPredictor:
+        return HingeLossLinearClassifier(
+            learning_rate=self.learning_rate,
+            epochs=self.epochs,
+            l2=self.l2,
+            seed=self.seed,
+        )
+
+
+@dataclass(frozen=True)
+class FittedPipeline:
+    """A point predictor fitted once on the proper training part, and the
+    one-count k of the m calibration bits of its task's measure.
+
+    task is "regression" or "classification".  width is the half-width of
+    the conforming band: the largest proper-training residual for
+    regression, the margin (1 in score units) for classification.
+    interval_bounds (regression) and label_sets (classification) give the
+    sets of a whole array of test objects; predict is a one-row call of
+    them, so per-row and batch sets agree by construction.  Every method
+    is pure, so one fitted pipeline can serve many test objects
     concurrently.
     """
 
-    measure: Union[FittedRegressionMeasure, FittedMarginMeasure]
+    task: str
+    predictor: PointPredictor
+    width: float
     k: int
     m: int
-    fallback_reason: Optional[str] = None
+
+    def __post_init__(self):
+        if self.task not in ("regression", "classification"):
+            raise ValueError(f"task must be 'regression' or 'classification', got {self.task!r}")
+        if not self.width >= 0:
+            raise ValueError(f"width must be nonnegative, got {self.width!r}")
+
+    @property
+    def fallback_reason(self) -> Optional[str]:
+        """Why the predictor fell back to a constant one, or None."""
+        return getattr(self.predictor, "fallback_reason", None)
 
     def incertitude(self, method: str = "irp") -> float:
         """The incertitude of every prediction: the engine p-value at
@@ -80,21 +143,28 @@ class FittedPipeline:
             return (self.k + 1) / (self.m + 1)
         raise ValueError(f"method must be 'irp' or 'icp', got {method!r}")
 
+    def _check_task(self, task: str, method: str) -> None:
+        if self.task != task:
+            raise ValueError(f"{method} needs a {task} pipeline, not a {self.task} one")
+
     def interval_bounds(self, X) -> Tuple[np.ndarray, np.ndarray]:
         """The bounds g(x) - h and g(x) + h of every row x of X, with h
         the proper-training residual half-width.
 
-        Raises ValueError naming the first row (counted from 1) whose
-        point prediction g(x) is not finite, as an overflow or a NaN
-        feature makes it.
+        Raises ValueError on a classification pipeline, and ValueError
+        naming the first row (counted from 1) whose point prediction g(x)
+        is not finite, as an overflow or a NaN feature makes it.
         """
-        return _interval_bounds(self.measure.predictor.predict_batch(X), self.measure.half_width)
+        self._check_task("regression", "interval_bounds")
+        return _interval_bounds(self.predictor.predict_batch(X), self.width)
 
     def label_sets(self, X) -> List[frozenset]:
         """The label set of every row x of X: the singleton of the score's
-        sign outside the margin, both labels inside it."""
-        scores = self.measure.classifier.predict_batch(X)
-        outside = np.abs(scores) > self.measure.margin_width
+        sign outside the margin, both labels inside it.  Raises
+        ValueError on a regression pipeline."""
+        self._check_task("classification", "label_sets")
+        scores = self.predictor.predict_batch(X)
+        outside = np.abs(scores) > self.width
         signs = np.where(outside, np.where(scores > 0, 1, -1), 0)
         return [_LABEL_SETS[sign] for sign in signs.tolist()]
 
@@ -114,7 +184,7 @@ class FittedPipeline:
         """The hedged prediction for one test object x, from a one-row
         call of the batch set method."""
         X = np.asarray(x, dtype=np.float64)[np.newaxis]
-        if isinstance(self.measure, FittedMarginMeasure):
+        if self.task == "classification":
             (labels,) = self.label_sets(X)
             return self.hedge(labels, method)
         (lower,), (upper,) = self.interval_bounds(X)
@@ -137,9 +207,43 @@ def _interval_bounds(center: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarr
         return center - h, center + h
 
 
-def _pipeline(measure, bits: np.ndarray) -> FittedPipeline:
-    """The pipeline of a fitted measure and its calibration bits."""
-    return FittedPipeline(measure, int(np.count_nonzero(bits)), len(bits), measure.fallback_reason)
+def _fit_regression(
+    X: np.ndarray, y: np.ndarray, proper_size: int, predictor_spec: Optional[RegressorSpec]
+) -> Tuple[FittedPipeline, np.ndarray]:
+    """The regression pipeline fitted on the first proper_size rows of the
+    checked arrays X and y and calibrated on the rows of y after them, and
+    the point predictions of the rows of X past the end of y (unlabelled
+    test rows), from one predict_batch pass over all rows of X.  A
+    prediction does not depend on the other rows of its batch, so the
+    values are those of separate passes.
+
+    The half-width h is the largest proper residual, so every proper row
+    conforms; a calibration bit is 1 iff its residual strictly exceeds h
+    (a residual equal to h conforms).  A degenerate design falls back to
+    the mean-label predictor, recorded in its fallback_reason.
+    """
+    spec = predictor_spec or RegressorSpec()
+    predictor = spec.build().fit(X[:proper_size], y[:proper_size])
+    predictions = predictor.predict_batch(X)
+    residuals = np.abs(y - predictions[: len(y)])
+    width = float(residuals[:proper_size].max())
+    k = int(np.count_nonzero(residuals[proper_size:] > width))
+    pipeline = FittedPipeline("regression", predictor, width, k, len(y) - proper_size)
+    return pipeline, predictions[len(y) :]
+
+
+def _margin_bits(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The classification bits, as an int8 array: 1 iff the score asserts
+    -y (the wrong class) with magnitude strictly above the margin.
+
+    Correct classifications and anything inside the margin conform, as do
+    exactly-zero scores (no class is asserted).  Every label must be
+    exactly -1 or +1.
+    """
+    if not ((y == 1.0) | (y == -1.0)).all():
+        raise ValueError("classification labels must be -1 or +1")
+    wrong_class = ((scores > 0) & (y == -1.0)) | ((scores < 0) & (y == 1.0))
+    return (wrong_class & (np.abs(scores) > _MARGIN)).astype(np.int8)
 
 
 def fit_regression_pipeline(
@@ -147,16 +251,20 @@ def fit_regression_pipeline(
 ) -> FittedPipeline:
     """Fit the regression measure on the split and score its calibration,
     in one prediction pass over all of its rows."""
-    measure, bits, _ = _fit_regression(split.X, split.y, split.proper_size, predictor_spec)
-    return _pipeline(measure, bits)
+    return _fit_regression(split.X, split.y, split.proper_size, predictor_spec)[0]
 
 
 def fit_classification_pipeline(
     split: DataSplit, classifier_spec: Optional[ClassifierSpec] = None
 ) -> FittedPipeline:
-    """Fit the margin measure on the split and score its calibration."""
-    measure = fit_margin_measure(*split.proper, classifier_spec)
-    return _pipeline(measure, score_margin_batch(measure, *split.calibration))
+    """Fit the margin classifier on the proper part and score the
+    calibration part.  A single-class proper part falls back to a
+    constant classifier with infinite score, recorded in its
+    fallback_reason."""
+    classifier = (classifier_spec or ClassifierSpec()).build().fit(*split.proper)
+    X, y = split.calibration
+    k = int(np.count_nonzero(_margin_bits(classifier.predict_batch(X), y)))
+    return FittedPipeline("classification", classifier, _MARGIN, k, len(y))
 
 
 def prediction_set(prediction: HedgedPrediction, epsilon: float) -> PredictionSet:

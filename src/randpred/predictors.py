@@ -76,6 +76,19 @@ def _affine_batch(coef: tuple, intercept: float, X) -> np.ndarray:
         return total + intercept
 
 
+def _mean(y: np.ndarray) -> float:
+    """The mean of the finite labels y, always finite: np.mean's value
+    wherever that is finite.  Where the sum overflows, the sum of y / 2n,
+    doubled and kept within [min y, max y] (where the mean lies)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(y))
+    if math.isfinite(mean):
+        return mean
+    # each term is at most max|y| / 2n, so no partial sum overflows
+    mean = 2.0 * float(np.sum(y / (2 * len(y))))
+    return min(max(mean, float(y.min())), float(y.max()))
+
+
 class MeanRegressor:
     """Constant predictor returning the mean training label.
 
@@ -89,7 +102,7 @@ class MeanRegressor:
 
     def fit(self, X, y):
         X, y = _training_arrays(X, y)
-        self._mean = float(np.mean(y))
+        self._mean = _mean(y)
         self._width = X.shape[1]
         return self
 
@@ -175,12 +188,12 @@ class HingeLossLinearClassifier:
     """
 
     def __init__(self, learning_rate=0.5, epochs=200, l2=1e-3, seed=None):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if l2 < 0:
-            raise ValueError("l2 must be nonnegative")
+        if not (learning_rate > 0 and math.isfinite(learning_rate)):
+            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
+        if not isinstance(epochs, (int, np.integer)) or isinstance(epochs, bool) or epochs < 1:
+            raise ValueError(f"epochs must be an int of at least 1, got {epochs!r}")
+        if not (l2 >= 0 and math.isfinite(l2)):
+            raise ValueError(f"l2 must be nonnegative and finite, got {l2!r}")
         if seed is not None and (
             not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0
         ):

@@ -6,7 +6,8 @@ maximizes the resulting coverage polynomial on a grid refined by
 bisection on the sign of its derivative, the Monte Carlo harness
 measures coverage frequencies on seeded synthetic data, and the
 dominance checker compares p-variables exhaustively over summary
-configurations.
+configurations.  A Monte Carlo trial fits its regression pipeline by the
+one-pass fit of fit_regression_pipeline, with its test row in the pass.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import DataSplit, Interval, SummarySequence
+from .pipelines import RegressorSpec, _fit_regression, _interval_bounds, prediction_set
 from .pvalues import asymptotic_constant
-from .summaries import RegressorSpec, _fit_regression
 
 __all__ = [
     "ValidityCell",
@@ -317,8 +318,6 @@ def monte_carlo_coverage(
     report is identical under any execution order.  seed must be a
     nonnegative int, as trials must be a positive one.
     """
-    from .pipelines import _interval_bounds, _pipeline, prediction_set
-
     spec = pipeline_spec or PipelineSpec()
     generator = data_generator_spec or BoundedNoiseLinearGenerator()
     if not 0.0 < epsilon < 1.0:
@@ -336,9 +335,8 @@ def monte_carlo_coverage(
         y = labels[:-1]  # the training labels; X's last row is the test row
         if not np.isfinite(y).all():  # the features are finite by the generator's checks
             raise ValueError("features and labels must be finite")
-        measure, bits, center = _fit_regression(X, y, generator.proper_size, spec.predictor)
-        pipeline = _pipeline(measure, bits)
-        lower, upper = _interval_bounds(center, measure.half_width)
+        pipeline, center = _fit_regression(X, y, generator.proper_size, spec.predictor)
+        lower, upper = _interval_bounds(center, pipeline.width)
         interval = Interval(lower.item(), upper.item())
         predictions = [pipeline.hedge(interval, method) for method in methods]
         test_label = labels[-1].item()

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from randpred import (
     ClassifierSpec,
     DataSplit,
-    FittedRegressionMeasure,
     Interval,
     asymptotic_constant,
     binary_irp_pvalue,
@@ -729,8 +728,7 @@ class TestPredictRenderer:
             if interval is not None:
                 # every test row gets the interval [center - h, center + h]
                 center, h = interval
-                measure = FittedRegressionMeasure(FixedCenter(center), h)
-                pipeline = replace(pipeline, measure=measure)
+                pipeline = replace(pipeline, predictor=FixedCenter(center), width=h)
         else:
             y = np.where(scores > 0, 1.0, -1.0)
             if fallback:
@@ -738,8 +736,9 @@ class TestPredictRenderer:
             pipeline = fit_classification_pipeline(DataSplit(X, y, n), ClassifierSpec(epochs=20))
         args = (task, method, epsilon, pipeline, test_X)
         expected = json.dumps(_jsonify(per_row_payload(*args)), sort_keys=True, indent=2)
-        assert _predict_json(*args) == expected
-        assert _predict_text(*args) == per_row_text(*args)
+        # the renderers take the task from the pipeline
+        assert _predict_json(*args[1:]) == expected
+        assert _predict_text(*args[1:]) == per_row_text(*args)
 
 
 @pytest.mark.parametrize("module", ["randpred", "randpred.cli"])

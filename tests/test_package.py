@@ -19,8 +19,8 @@ PUBLIC = {
         "PredictionSet", "SummarySequence",
     ],
     "pipelines": [
-        "FittedPipeline", "fit_classification_pipeline", "fit_regression_pipeline",
-        "prediction_set",
+        "ClassifierSpec", "FittedPipeline", "RegressorSpec", "fit_classification_pipeline",
+        "fit_regression_pipeline", "prediction_set",
     ],
     "predictors": [
         "ConstantClassifier", "HingeLossLinearClassifier", "LeastSquaresRegressor",
@@ -31,11 +31,6 @@ PUBLIC = {
         "binary_irp_pvariable", "dominating_pvalue", "dominating_pvariable",
         "exact_pvalue_k0", "icp_pvalue", "icp_pvariable", "maximize_objective", "objective",
         "optimal_p_k1",
-    ],
-    "summaries": [
-        "ClassifierSpec", "FittedMarginMeasure", "FittedRegressionMeasure", "RegressorSpec",
-        "fit_margin_measure", "fit_regression_measure", "score_margin_batch",
-        "score_regression_batch",
     ],
     "validity": [
         "EXACT_M_LIMIT", "BoundedNoiseLinearGenerator", "DominanceResult", "DominanceWitness",
@@ -48,7 +43,7 @@ NAMES = {name: module for module, names in PUBLIC.items() for name in names}
 
 
 def test_all_lists_the_public_names_once():
-    assert len(NAMES) == 49
+    assert len(NAMES) == 43
     assert sorted(randpred.__all__) == sorted(NAMES)
 
 

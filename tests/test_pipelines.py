@@ -17,13 +17,12 @@ from randpred import (
     RegressorSpec,
     binary_irp_pvalue,
     exact_pvalue_k0,
+    FittedPipeline,
     fit_classification_pipeline,
-    fit_regression_measure,
     fit_regression_pipeline,
     prediction_set,
-    score_margin_batch,
-    score_regression_batch,
 )
+from randpred.pipelines import _margin_bits
 
 
 def predict_regression(split, test_x, method="irp", spec=None):
@@ -190,23 +189,63 @@ class TestClassificationPipelines:
         assert pred.incertitude == pytest.approx((pred.k + 1) / (pred.m + 1), abs=1e-15)
 
 
+class TestFittedPipelineTask:
+    """A pipeline's task decides its set method; the other one raises."""
+
+    def test_interval_bounds_on_classification_raises(self):
+        pipeline = fit_classification_pipeline(cls_split())
+        with pytest.raises(ValueError, match="interval_bounds needs a regression pipeline"):
+            pipeline.interval_bounds(np.zeros((2, 2)))
+
+    def test_label_sets_on_regression_raises(self):
+        pipeline = fit_regression_pipeline(linear_split())
+        with pytest.raises(ValueError, match="label_sets needs a classification pipeline"):
+            pipeline.label_sets(np.zeros((2, 2)))
+
+    def test_fields(self):
+        regression = fit_regression_pipeline(linear_split())
+        classification = fit_classification_pipeline(cls_split())
+        assert (regression.task, classification.task) == ("regression", "classification")
+        assert classification.width == 1.0  # the margin, in score units
+
+    def test_fallback_reason_is_the_predictors(self):
+        split = DataSplit(np.zeros((6, 2)), np.arange(6.0), 3)
+        pipeline = fit_regression_pipeline(split)
+        assert pipeline.fallback_reason is pipeline.predictor.fallback_reason
+        assert "rank-deficient" in pipeline.fallback_reason
+        # a predictor without the attribute never falls back
+        assert fit_regression_pipeline(split, RegressorSpec("mean")).fallback_reason is None
+
+    @pytest.mark.parametrize(
+        "task, width, match",
+        [("ranking", 1.0, "task"), ("regression", -1.0, "width"),
+         ("regression", math.nan, "width")],
+    )
+    def test_rejected_at_construction(self, task, width, match):
+        predictor = fit_regression_pipeline(linear_split()).predictor
+        with pytest.raises(ValueError, match=match):
+            FittedPipeline(task, predictor, width, 0, 1)
+
+
 class TestOnePassFitMatchesPublicCalls:
     """fit_regression_pipeline takes the half-width and the calibration
     bits from one prediction pass over the whole split; they are those of
-    fit_regression_measure on the proper part followed by
-    score_regression_batch on the calibration part."""
+    a predictor fitted on the proper part alone, with the numpy residuals
+    of each part predicted separately: the half-width is the largest
+    proper residual, and a bit is 1 iff its residual strictly exceeds it."""
 
     @staticmethod
     def assert_matches(split, spec=None):
         pipeline = fit_regression_pipeline(split, spec)
-        measure = fit_regression_measure(*split.proper, spec)
-        bits = score_regression_batch(measure, *split.calibration)
-        assert pipeline.measure.half_width == measure.half_width
+        predictor = (spec or RegressorSpec()).build().fit(*split.proper)
+        (X, y), (cal_X, cal_y) = split.proper, split.calibration
+        width = np.abs(y - predictor.predict_batch(X)).max()
+        bits = (np.abs(cal_y - predictor.predict_batch(cal_X)) > width).astype(int)
+        assert pipeline.width == width
         assert (pipeline.k, pipeline.m) == (int(bits.sum()), len(bits))
-        assert pipeline.fallback_reason == measure.fallback_reason
+        assert pipeline.fallback_reason == getattr(predictor, "fallback_reason", None)
         assert np.array_equal(
-            pipeline.measure.predictor.predict_batch(split.X),
-            measure.predictor.predict_batch(split.X),
+            pipeline.predictor.predict_batch(split.X), predictor.predict_batch(split.X)
         )
         return pipeline, bits
 
@@ -242,7 +281,7 @@ class TestOnePassFitMatchesPublicCalls:
         # g == 1 and h == 1; the calibration residuals are 2, 1, 1, 2
         split = mean_split([0.0, 2.0], [3.0, 2.0, 0.0, -1.0])
         pipeline, bits = self.assert_matches(split, RegressorSpec("mean"))
-        assert pipeline.measure.half_width == 1.0
+        assert pipeline.width == 1.0
         assert bits.tolist() == [1, 0, 0, 1]
         assert pipeline.k == 2
 
@@ -282,7 +321,8 @@ class TestPipelineKMatchesScalarScores:
         y = np.concatenate([y, y[:l]])
         pipeline = fit_regression_pipeline(DataSplit(X, y, l))
         cal_X, cal_y = X[l:], y[l:]
-        bits = [score_regression_batch(pipeline.measure, [x], [v])[0] for x, v in zip(cal_X, cal_y)]
+        centers = [pipeline.predictor.predict_batch([x])[0] for x in cal_X]
+        bits = [abs(v - c) > pipeline.width for v, c in zip(cal_y, centers)]
         assert pipeline.m == m + l
         assert pipeline.k == sum(bits)
         assert not any(bits[m:])
@@ -296,7 +336,8 @@ class TestPipelineKMatchesScalarScores:
         pipeline = fit_classification_pipeline(
             DataSplit(X, y, l), ClassifierSpec(epochs=30)
         )
-        bits = [score_margin_batch(pipeline.measure, [x], [v])[0] for x, v in zip(X[l:], y[l:])]
+        scores = [pipeline.predictor.predict_batch([x]) for x in X[l:]]
+        bits = [_margin_bits(score, np.array([v]))[0] for score, v in zip(scores, y[l:])]
         assert pipeline.k == sum(bits)
 
 

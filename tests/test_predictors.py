@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,30 @@ class TestMeanRegressor:
     def test_requires_fit(self):
         with pytest.raises(RuntimeError):
             predict_one(MeanRegressor(), (0.0,))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [1e308, 1e308],
+            [1.7e308] * 5,
+            [math.ulp(0.0), 1.7976931348623157e308, 1.7976931348623157e308],
+            [-1.7976931348623157e308] * 3 + [1e308],
+            [1.7976931348623157e308, -1.7976931348623157e308, 1.7976931348623157e308, 1.0],
+        ],
+    )
+    def test_mean_is_finite_where_the_sum_overflows(self, labels):
+        # no warning either: pytest turns warnings into errors
+        mean = predict_one(MeanRegressor().fit(np.zeros((len(labels), 1)), labels), (0.0,))
+        exact = sum(map(Fraction, labels)) / len(labels)
+        assert math.isfinite(mean)
+        assert min(labels) <= mean <= max(labels)
+        assert mean == pytest.approx(float(exact), rel=1e-15)
+
+    @settings(max_examples=50)
+    @given(labels=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40))
+    def test_mean_is_numpys_where_that_is_finite(self, labels):
+        model = MeanRegressor().fit(np.zeros((len(labels), 1)), labels)
+        assert predict_one(model, (0.0,)) == float(np.mean(np.array(labels)))
 
     def test_rejects_other_widths(self):
         model = MeanRegressor().fit(np.zeros((3, 2)), [1.0, 2.0, 3.0])

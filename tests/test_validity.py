@@ -252,17 +252,33 @@ class TestMonteCarloCoverage:
                 generator.sample(np.random.default_rng([0, 0]))
 
     def test_non_finite_test_center_raises_the_interval_error(self):
-        # the mean of labels near 1e308 overflows, so the test row's centre
-        # is inf, and the harness names it as interval_bounds does
-        generator = BoundedNoiseLinearGenerator(coefficients=(1e305,), intercept=1e308)
-        spec = PipelineSpec(predictor=RegressorSpec("mean"))
+        # the training labels are finite, but the test row's feature is
+        # near 1, where the fitted line passes the largest float: its
+        # centre is inf, and the harness names it as interval_bounds does
+        generator = BoundedNoiseLinearGenerator(
+            coefficients=(1e307,), intercept=1.7e308, proper_size=5, calibration_size=3
+        )
+        spec = PipelineSpec()
         message = "^invalid interval: test row 1: point prediction inf is not finite$"
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=message):
-                monte_carlo_coverage(spec, generator, 0.05, 3, 0)
-            split, x, _ = generator.sample(np.random.default_rng([0, 0]))
+                monte_carlo_coverage(spec, generator, 0.05, 1, 53)
+            split, x, _ = generator.sample(np.random.default_rng([53, 0]))
+            assert np.isfinite(split.y).all()
             with pytest.raises(ValueError, match=message):
                 fit_regression_pipeline(split, spec.predictor).interval_bounds(x[np.newaxis])
+
+    def test_mean_of_labels_near_the_largest_float_is_finite(self):
+        # the labels' sum overflows, but their mean does not: the harness
+        # reports, and the test row's centre is the labels' mean
+        generator = BoundedNoiseLinearGenerator(coefficients=(1e305,), intercept=1e308)
+        spec = PipelineSpec(predictor=RegressorSpec("mean"))
+        report = monte_carlo_coverage(spec, generator, 0.05, 3, 0)
+        assert report == _recount(spec, generator, 0.05, 3, 0)
+        split, x, _ = generator.sample(np.random.default_rng([0, 0]))
+        (center,) = fit_regression_pipeline(split, spec.predictor).predictor.predict_batch([x])
+        labels = split.proper[1].tolist()
+        assert center == pytest.approx(float(sum(map(Fraction, labels)) / len(labels)), rel=1e-15)
 
     def test_test_row_is_not_a_calibration_row(self):
         # Five proper rows and the mean predictor: the interval often
