@@ -160,10 +160,21 @@ class FittedPipeline:
 
     def label_sets(self, X) -> List[frozenset]:
         """The label set of every row x of X: the singleton of the score's
-        sign outside the margin, both labels inside it.  Raises
-        ValueError on a regression pipeline."""
+        sign outside the margin, both labels inside it.
+
+        Raises ValueError on a regression pipeline, and ValueError naming
+        the first row (counted from 1) whose score is NaN, as a NaN
+        feature or an inf - inf overflow makes it: such a score is neither
+        inside the margin nor signed.  A score of +-inf is outside the
+        margin, as the single-class fallback's always is.
+        """
         self._check_task("classification", "label_sets")
         scores = self.predictor.predict_batch(X)
+        nan = np.isnan(scores)
+        if nan.any():
+            raise ValueError(
+                f"invalid label set: test row {int(np.argmax(nan)) + 1}: score nan is not a number"
+            )
         outside = np.abs(scores) > self.width
         signs = np.where(outside, np.where(scores > 0, 1, -1), 0)
         return [_LABEL_SETS[sign] for sign in signs.tolist()]

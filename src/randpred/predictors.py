@@ -129,6 +129,8 @@ class LeastSquaresRegressor:
         self.fallback_reason = None
 
     def fit(self, X, y):
+        # a refit keeps nothing of an earlier fit, its fallback included
+        self._coef = self._intercept = self._fallback = self.fallback_reason = None
         X, y = _training_arrays(X, y)
         design = np.empty((len(y), X.shape[1] + 1))
         design[:, :-1] = X
@@ -208,6 +210,8 @@ class HingeLossLinearClassifier:
         self.fallback_reason = None
 
     def fit(self, X, y):
+        # a refit keeps nothing of an earlier fit, its fallback included
+        self._weights = self._bias = self._fallback = self.fallback_reason = None
         X, y = _training_arrays(X, y)
         bad = (y != 1.0) & (y != -1.0)
         if bad.any():
@@ -232,19 +236,30 @@ class HingeLossLinearClassifier:
         b = 0.0
         # Row i of yX is y[i] * X[i], the same products the subgradient
         # took per epoch, so hoisting them leaves every sum bit-identical.
-        # compress builds the array that yX[violating] builds, so its sum
-        # is the same; the sum of the violating labels, each +-1, is the
-        # exact integer 2 * (violating positives) - (violating rows).
+        # compress builds the array that yX[violating] builds, and einsum
+        # sums its columns in row order as .sum(axis=0) does, only without
+        # re-entering a loop per row; the sum of the violating labels, each
+        # +-1, is the exact integer 2 * (violating positives) - (violating
+        # rows).  The margin and mask buffers take the same IEEE operations
+        # as y * (X @ w + b) < 1.0, in place.
         yX = y[:, None] * X
         positive = y > 0.0
+        margins = np.empty(n)
+        violating = np.empty(n, dtype=bool)
         for _ in range(self.epochs):
-            margins = y * (X @ w + b)
-            violating = margins < 1.0
+            np.matmul(X, w, out=margins)
+            margins += b
+            margins *= y
+            np.less(margins, 1.0, out=violating)
             grad_w = self.l2 * w
             grad_b = 0.0
             violations = np.count_nonzero(violating)
             if violations:
-                grad_w = grad_w - np.compress(violating, yX, axis=0).sum(axis=0) / n
+                picked = np.compress(violating, yX, axis=0)
+                # one column is a contiguous reduction, which .sum(axis=0)
+                # adds pairwise and einsum would not: keep the sum there
+                total = picked.sum(axis=0) if d == 1 else np.einsum("ij->j", picked)
+                grad_w = grad_w - total / n
                 positives = np.count_nonzero(violating & positive)
                 grad_b = -(2 * positives - violations) / n
             w = w - self.learning_rate * grad_w

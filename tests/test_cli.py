@@ -538,6 +538,28 @@ class TestPredict:
         assert f"test row 2: point prediction {center} is not finite" in result.stderr
         assert "Warning" not in result.stderr
 
+    def test_nan_score_is_usage_error(self, runner, tmp_path):
+        # CLS_TRAIN with its features divided by ten fits weights above 2,
+        # so the score of (1e308, -1e308) is inf - inf
+        lines = CLS_TRAIN.splitlines()
+        scaled = [
+            ",".join([str(float(x) / 10) for x in line.split(",")[:2]] + [line.split(",")[2]])
+            for line in lines[1:]
+        ]
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text("\n".join([lines[0], *scaled]) + "\n")
+        test.write_text("x1,x2,y\n0.2,0.2,1\n1e308,-1e308,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a numpy warning would print, not raise
+            result = runner.invoke(
+                main,
+                ["predict", "--train", str(train), "--split-at", "8", "--test", str(test),
+                 "--task", "classification", "--json"],
+            )
+        assert result.exit_code == 2
+        assert "invalid label set: test row 2: score nan is not a number" in result.stderr
+        assert "Warning" not in result.stderr
+
     def test_overflowing_calibration_row_scores_silently(self, runner, tmp_path, reg_files):
         # a calibration row whose prediction overflows scores as a miss,
         # with no numpy warning on stderr

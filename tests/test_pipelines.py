@@ -410,12 +410,37 @@ class TestBatchSetsMatchScalar:
             pipeline.predict(X[1])
 
     def test_label_sets_match_per_row_on_overflow(self):
-        # scores that overflow to +-inf, or to inf - inf, warn nowhere
+        # scores that overflow to +-inf, or to inf - inf, warn nowhere; a
+        # score of +-inf is signed, one of inf - inf = nan is rejected
         pipeline = fit_classification_pipeline(cls_split())
         X = np.array([[1e308, 1e308], [-1e308, -1e308], [1e308, -1e308], [1.7e308, -1.7e308]])
-        sets = pipeline.label_sets(X)
-        assert sets == [pipeline.predict(x).prediction_set for x in X]
-        assert sets[:2] == [frozenset({1}), frozenset({-1})]
+        sets = pipeline.label_sets(X[:2])
+        assert sets == [pipeline.predict(x).prediction_set for x in X[:2]]
+        assert sets == [frozenset({1}), frozenset({-1})]
+        with pytest.raises(ValueError, match="test row 3: score nan is not a number"):
+            pipeline.label_sets(X)
+        for x in X[2:]:
+            with pytest.raises(ValueError, match="test row 1: score nan"):
+                pipeline.predict(x)
+
+    def test_label_sets_reject_nan(self):
+        split = DataSplit(np.array([[-1.0], [1.0], [-1.0], [1.0]]), np.array([-1.0, 1.0] * 2), 2)
+        pipeline = fit_classification_pipeline(split)
+        assert pipeline.fallback_reason is None
+        with pytest.raises(ValueError, match="invalid label set: test row 1: score nan"):
+            pipeline.label_sets(np.array([[np.nan], [3.0]]))
+        with pytest.raises(ValueError, match="invalid label set: test row 1: score nan"):
+            pipeline.predict([np.nan])
+        assert pipeline.label_sets(np.array([[3.0], [-3.0]])) == [frozenset({1}), frozenset({-1})]
+
+    def test_single_class_fallback_scores_stay_valid(self):
+        # the constant classifier scores every row +-inf, a NaN row too
+        split = DataSplit(np.zeros((4, 1)), np.array([1.0, 1.0, -1.0, 1.0]), 2)
+        pipeline = fit_classification_pipeline(split)
+        assert pipeline.fallback_reason is not None
+        X = np.array([[np.nan], [1e308], [0.0]])
+        assert pipeline.label_sets(X) == [frozenset({1})] * 3
+        assert pipeline.predict([5.0]).prediction_set == frozenset({1})
 
     def test_overflowing_bound_matches_per_row(self):
         # a finite center whose upper bound overflows is a valid interval

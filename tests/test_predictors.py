@@ -99,6 +99,16 @@ class TestLeastSquaresRegressor:
     def test_satisfies_protocol(self):
         assert isinstance(LeastSquaresRegressor(), PointPredictor)
 
+    def test_refit_starts_afresh(self):
+        # a fit after a rank-deficient one drops its mean-label fallback
+        X, y = linear_data([1.5, -2.0], 0.3)
+        model = LeastSquaresRegressor()
+        for A, b in ((X, y), (X[:1], y[:1]), (X, y)):
+            assert fitted_state(model.fit(A, b), X) == fitted_state(
+                LeastSquaresRegressor().fit(A, b), X
+            )
+        assert model.fallback_reason is None
+
 
 class TestConstantClassifier:
     def test_infinite_scores(self):
@@ -211,6 +221,12 @@ class TestHingeLossLinearClassifier:
             pytest.param(4, None, "flipped", 12_500, 5, (0.25, 0.35), id="benchmark-sized"),
             pytest.param(5, 3, "scaled", 300, 1, None, id="one-feature"),
             pytest.param(6, None, "wide-margin", 400, 3, (0.0, 0.0), id="wide-margin"),
+            # one column, whose violating rows numpy sums pairwise, with
+            # more of them than its 8192-element reduction block early on
+            pytest.param(7, None, "flipped", 12_500, 1, None, id="one-feature-large"),
+            pytest.param(
+                8, None, "flipped", 12_500, 2, (0.25, 0.35), id="benchmark-sized-two-features"
+            ),
         ],
     )
     def test_weights_match_per_epoch_products(self, seed, init, case, n, d, last_share):
@@ -242,6 +258,30 @@ class TestHingeLossLinearClassifier:
             shares = np.array(violations[model.epochs // 2 :]) / n
             assert low <= shares.min() and shares.max() <= high
 
+    @pytest.mark.parametrize("init", [None, 5])
+    def test_fit_buffers_leave_inputs_and_refits_alone(self, init):
+        # the fit keeps its epoch buffers to itself: a read-only strided
+        # view, as read_csv_dataset returns its features and labels, fits
+        # as its contiguous copy does, and a refit starts afresh
+        X, y = self.hinge_data("flipped", 9, 3000, 3)
+        rows = np.column_stack([X, y])
+        rows.setflags(write=False)
+        before = rows.copy()
+        view, labels = rows[:, :-1], rows[:, -1]
+        assert not view.flags.c_contiguous and not view.flags.writeable
+        copy = np.ascontiguousarray(view)
+        fitted = [HingeLossLinearClassifier(seed=init).fit(A, labels) for A in (view, copy)]
+        assert np.array_equal(rows, before) and np.array_equal(copy, before[:, :-1])
+        assert fitted_state(fitted[0], X) == fitted_state(fitted[1], X)
+
+        # refits on other data, on one class (the fallback) and back
+        model = fitted[0]
+        other, other_labels = self.hinge_data("scaled", 10, 500, 3)
+        for A, b in ((other, other_labels), (other, np.ones(500)), (view, labels)):
+            fresh = HingeLossLinearClassifier(seed=init).fit(A, b)
+            assert fitted_state(model.fit(A, b), X) == fitted_state(fresh, X)
+        assert fitted_state(model, X) == fitted_state(fitted[1], X)
+
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
             HingeLossLinearClassifier(learning_rate=0.0)
@@ -249,6 +289,16 @@ class TestHingeLossLinearClassifier:
             HingeLossLinearClassifier(epochs=0)
         with pytest.raises(ValueError):
             HingeLossLinearClassifier(l2=-0.1)
+
+
+def fitted_state(model, X):
+    """What a fitted linear predictor holds, and its predictions for X."""
+    return (
+        getattr(model, "_weights", getattr(model, "_coef", None)),
+        getattr(model, "_bias", getattr(model, "_intercept", None)),
+        model.fallback_reason,
+        model.predict_batch(X).tolist(),
+    )
 
 
 def _fitted_predictors(X, y, signs):
