@@ -8,9 +8,10 @@ IID probability over Bernoulli rates, the rank-based conformal p-value it
 improves on, a construction that strictly dominates the rank-based
 p-value, and exact plus Monte Carlo validity oracles.
 
-The p-value engine (the pvalues module) needs only the standard library
-and is imported with the package.  Every other public name loads numpy,
-so it is imported from its module on first access.
+The p-value engine (the pvalues module) is imported with the package and
+loads only the standard library's math, sys, functools and typing.  Every
+other public name loads numpy, so it is imported from its module on first
+access.
 """
 
 from importlib import import_module

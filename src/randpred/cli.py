@@ -477,7 +477,7 @@ def pvalue(m: int, k: int, finite: bool, as_json: bool) -> None:
     if finite:
         mode, engine, extra = "finite", binary_irp_pvalue(m, k), {}
     else:
-        extra = asdict(asymptotic_constant(k))
+        extra = asymptotic_constant(k)._asdict()
         mode, engine = "asymptotic", extra["a_k"] / m
     icp = Fraction(k + 1, m + 1)
     exact = f"{icp.numerator}/{icp.denominator}"

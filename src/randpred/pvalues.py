@@ -52,19 +52,22 @@ The module also provides the closed forms available at k=0 and k=1,
 the asymptotic constants a_k with m * pvalue(m, k) -> a_k, and the
 rank-based conformal p-value together with a construction that strictly
 dominates it.
-"""
 
-from __future__ import annotations
+Importing the module loads only math, sys, functools and typing, so
+`import randpred` stays cheap.  The rank-based functions return exact
+Fractions and import fractions, which loads decimal, when called.
+"""
 
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
 
 if TYPE_CHECKING:
-    # Annotations only: importing .core at run time would load numpy.
+    # Annotations only: importing .core at run time would load numpy, and
+    # fractions (with decimal) is imported by the functions that need it.
+    from fractions import Fraction
+
     from .core import SummarySequence
 
 __all__ = [
@@ -119,13 +122,13 @@ _STEP_TOL = 1e-12
 _MAX_NEWTON = 100
 
 
-@dataclass(frozen=True)
-class AsymptoticConstant:
+class AsymptoticConstant(NamedTuple):
     """Limit constant a_k with m * pvalue(m, k) -> a_k as m grows.
 
     c_star is the optimal Bernoulli rate scaled by m (p ~ c_star/m),
     the unique positive root of  sum_{i=0}^k c^i/i! = c^(k+1)/k!,
-    and a_k = sum_{i=0}^k c_star^(i+1) exp(-c_star)/i!.
+    and a_k = sum_{i=0}^k c_star^(i+1) exp(-c_star)/i!.  An immutable
+    tuple (k, c_star, a_k): it unpacks, and _asdict() gives its fields.
     """
 
     k: int
@@ -467,24 +470,40 @@ def _numerator_at(k: int, c: float) -> float:
     return c * math.exp(log_poisson) * math.fsum(ratios)
 
 
-def icp_pvalue(calibration_alphas: Sequence[float], test_alpha: float) -> Fraction:
+def _checked_alphas(calibration_alphas: Sequence[float], test_alpha: float) -> list:
+    """The calibration alphas as a list: nonempty, and neither they nor
+    test_alpha NaN.  A NaN compares false with everything, so it would
+    drop out of the rank count and shrink the p-value."""
+    alphas = list(calibration_alphas)
+    if not alphas:
+        raise ValueError("calibration_alphas must be nonempty")
+    if test_alpha != test_alpha:
+        raise ValueError(f"test_alpha must not be NaN, got {test_alpha!r}")
+    for i, a in enumerate(alphas):
+        if a != a:
+            raise ValueError(f"calibration_alphas[{i}] must not be NaN, got {a!r}")
+    return alphas
+
+
+def icp_pvalue(calibration_alphas: Sequence[float], test_alpha: float) -> "Fraction":
     """Rank-based conformal p-value (1 + #{alpha_j >= test}) / (m + 1).
 
     The test summary always counts itself.  Returned as an exact rational:
     the value is a multiple of 1/(m+1) by construction, and exact
     arithmetic makes downstream dominance comparisons bit-reliable.
-    float() renders it when a real is needed.
+    float() renders it when a real is needed.  A NaN alpha raises
+    ValueError, naming the test alpha or the calibration alpha's index.
     """
-    alphas = list(calibration_alphas)
-    if not alphas:
-        raise ValueError("calibration_alphas must be nonempty")
+    from fractions import Fraction
+
+    alphas = _checked_alphas(calibration_alphas, test_alpha)
     count = sum(1 for a in alphas if a >= test_alpha)
     return Fraction(1 + count, len(alphas) + 1)
 
 
 def dominating_pvalue(
     calibration_alphas: Sequence[float], test_alpha: float, threshold_a: float
-) -> Fraction:
+) -> "Fraction":
     """A p-variable that strictly dominates the rank-based conformal one.
 
     Returns m^m/(m+1)^(m+1) when the test summary strictly exceeds
@@ -492,18 +511,21 @@ def dominating_pvalue(
     and the rank-based value otherwise.  In the first case the rank-based
     value is 1/(m+1), which is strictly larger, so the construction is
     never worse and sometimes better.  Exact rationals throughout, so
-    equality on the fall-through branch is exact.
+    equality on the fall-through branch is exact.  A NaN alpha or
+    threshold_a raises ValueError, as in icp_pvalue.
     """
-    alphas = list(calibration_alphas)
-    if not alphas:
-        raise ValueError("calibration_alphas must be nonempty")
+    from fractions import Fraction
+
+    alphas = _checked_alphas(calibration_alphas, test_alpha)
+    if threshold_a != threshold_a:
+        raise ValueError(f"threshold_a must not be NaN, got {threshold_a!r}")
     m = len(alphas)
     if test_alpha > threshold_a and all(a < threshold_a for a in alphas):
         return Fraction(m**m, (m + 1) ** (m + 1))
     return icp_pvalue(alphas, test_alpha)
 
 
-def binary_irp_pvariable(seq: SummarySequence) -> float:
+def binary_irp_pvariable(seq: "SummarySequence") -> float:
     """Engine p-variable on a binary summary sequence.
 
     A conforming test summary yields p-value 1 (the aggregating statistic
@@ -524,12 +546,12 @@ def binary_irp_pvariable(seq: SummarySequence) -> float:
     return binary_irp_pvalue(seq.m, seq.k)
 
 
-def icp_pvariable(seq: SummarySequence) -> Fraction:
+def icp_pvariable(seq: "SummarySequence") -> "Fraction":
     """Rank-based conformal p-variable on a binary summary sequence."""
     return icp_pvalue(seq.calibration_summaries, seq.test_summary)
 
 
-def dominating_pvariable(seq: SummarySequence, threshold_a: float = 0.5) -> Fraction:
+def dominating_pvariable(seq: "SummarySequence", threshold_a: float = 0.5) -> "Fraction":
     """Dominating p-variable on a binary summary sequence.
 
     Any threshold_a strictly between 0 and 1 identifies the same event on

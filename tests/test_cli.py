@@ -765,26 +765,33 @@ class TestPredictRenderer:
 
 @pytest.mark.parametrize("module", ["randpred", "randpred.cli"])
 def test_import_does_not_load_scipy(module):
-    # randpred does not depend on scipy, so nothing may load it.
-    # The package and its p-value engine load numpy neither; the CLI does.
-    calls, unloaded = "", ("scipy",)
+    # randpred does not depend on scipy, so nothing may load it.  The
+    # package and its p-value engine load neither numpy nor the standard
+    # library's dataclasses (with inspect) or fractions (with decimal);
+    # the CLI loads all but scipy.  Only the modules the import and the
+    # calls add count, so a site that preloads some cannot fail this.
+    calls, unloaded, after = "", ("scipy",), ""
     if module == "randpred":
         calls = (
             "randpred.binary_irp_pvalue(10**6, 10**3); randpred.asymptotic_constant(5); "
             "randpred.exact_pvalue_k0(7); "
         )
-        unloaded = ("numpy", "scipy")
+        unloaded = ("numpy", "scipy", "dataclasses", "fractions", "decimal", "inspect")
+        # the rank-based p-value loads fractions when called
+        after = "; print(type(randpred.icp_pvalue([0.1, 0.9], 0.5)).__module__)"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     code = (
-        f"import sys, {module}; {calls}"
-        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {unloaded!r}))"
+        f"import sys; before = set(sys.modules); import {module}; {calls}"
+        f"print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in {unloaded!r}))"
+        f"{after}"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    expected = ["[]", "fractions"] if module == "randpred" else ["[]"]
+    assert result.stdout.split() == expected
 
 
 def test_exact_audit_runs_without_scipy():

@@ -601,6 +601,17 @@ class TestAsymptoticConstant:
         with pytest.raises(ValueError):
             asymptotic_constant(-1)
 
+    def test_record_contract(self):
+        # an immutable named tuple: fields in order, the repr the CLI and
+        # demos print, and _asdict() for the `pvalue --asymptotic` payload
+        c = asymptotic_constant(0)
+        assert AsymptoticConstant._fields == ("k", "c_star", "a_k")
+        assert repr(c) == "AsymptoticConstant(k=0, c_star=1.0, a_k=0.36787944117144233)"
+        assert list(c._asdict()) == ["k", "c_star", "a_k"]
+        assert tuple(c) == (c.k, c.c_star, c.a_k)
+        with pytest.raises(AttributeError):
+            c.a_k = 0.0
+
 
 # ---------------------------------------------------------------------------
 # icp_pvalue / dominating_pvalue
@@ -623,6 +634,15 @@ class TestIcpPvalue:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             icp_pvalue([], 0.5)
+
+    def test_rejects_nan_test_alpha(self):
+        # a NaN test alpha counts no calibration alpha: 1/(m+1) at best
+        with pytest.raises(ValueError, match="test_alpha must not be NaN"):
+            icp_pvalue([0.1, 0.2], math.nan)
+
+    def test_rejects_nan_calibration_alpha(self):
+        with pytest.raises(ValueError, match=r"calibration_alphas\[1\] must not be NaN"):
+            icp_pvalue([0.9, math.nan, 0.9], 0.5)
 
 
 class TestDominatingPvalue:
@@ -649,6 +669,19 @@ class TestDominatingPvalue:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             dominating_pvalue([], 0.5, 0.5)
+
+    def test_rejects_nan_test_alpha(self):
+        with pytest.raises(ValueError, match="test_alpha must not be NaN"):
+            dominating_pvalue([0.1, 0.1], math.nan, 0.5)
+
+    def test_rejects_nan_calibration_alpha(self):
+        # the NaN would pass neither threshold test nor the rank count
+        with pytest.raises(ValueError, match=r"calibration_alphas\[0\] must not be NaN"):
+            dominating_pvalue([math.nan, 0.1], 0.9, 0.5)
+
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ValueError, match="threshold_a must not be NaN"):
+            dominating_pvalue([0.1, 0.1], 0.9, math.nan)
 
 
 # ---------------------------------------------------------------------------
