@@ -475,7 +475,12 @@ def pvalue(m: int, k: int, finite: bool, as_json: bool) -> None:
     if m > M_MAX:
         raise click.BadParameter(str(m_error(m)), param_hint="'--m'")
     if finite:
-        mode, engine, extra = "finite", binary_irp_pvalue(m, k), {}
+        try:
+            engine = binary_irp_pvalue(m, k)
+        except RuntimeError as exc:
+            # past the engine's range (the module docstring of pvalues)
+            raise click.ClickException(str(exc)) from None
+        mode, extra = "finite", {}
     else:
         extra = asymptotic_constant(k)._asdict()
         mode, engine = "asymptotic", extra["a_k"] / m

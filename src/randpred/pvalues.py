@@ -19,42 +19,61 @@ where q F = p (m-k) b(k; m, p).  In r = q/p that reads
 R is a polynomial in r with positive coefficients, so the left side
 increases strictly from 0 to infinity: the root is unique and the
 objective is unimodal.  In s = log r the residual
-psi(s) = s + log R - log(m-k) is convex and increasing, with
-psi' = 1 + E[k-i] >= 1 and psi'' = Var[k-i] over the weights b(i), i <= k.
+
+    psi(s) = s + log R - log(m-k) = log F - log((k+1) b(k+1; m, p))
+
+is convex and increasing.  Its derivatives are closed forms of psi
+itself: with E[i | i <= k] = m p - q (k+1) b(k+1)/F = m p - q e^-psi,
+
+    psi'  = 1 + E[k - i | i <= k] = 1 + k - m p + q e^-psi  >= 1,
+    psi'' = Var[k - i | i <= k]   = m p q + p q e^-psi - q e^-psi psi'.
+
 At the rank-based rate p = (k+1)/(m+1) every coefficient of R is below 1,
 so psi < 0 there and the root lies at a smaller p.
 
 maximize_objective starts near the root and takes Halley steps.  At k = 1
 it starts at the closed form optimal_p_k1, and one pass confirms it.  For
 k >= 2 the Normal approximation of the binomial, with F near 1 at the
-root, puts the mean at m p = k + 1/2 - z sd, where sd = sqrt(k(1 - k/m))
+root, puts the mean at m p = k + 1/2 - z sd, where sd = sqrt(k(m-k)/m)
 and the Normal density at z is 1/sd; z is 0 when sd <= sqrt(2 pi), and
-the start is capped at the rank-based rate.  One pass over the terms
-gives psi, psi' and psi''.  With h = psi/psi' the Newton step, the Halley
-step is h / (1 - h psi''/(2 psi')), which converges cubically near the
-root.  Every step has the sign of psi, so it heads for the root.  Where
-psi < 0 the denominator is at least 1 and the step is no longer than
-Newton's; where psi > 0 the step is taken only while the denominator is
-at least 1/2, so it is at most twice Newton's, and the Newton step is
-taken otherwise.  Newton's method alone converges from any start on a
-convex increasing psi; for the corrected steps that is checked, not
-proved: at most 5 passes on every case the tests try.  A search that has
-not converged after _MAX_NEWTON passes raises rather than returns.
+the start is capped at the rank-based rate.  One pass (_pass) evaluates
+F and b(k+1), so psi, and psi' and psi'' follow.  With h = psi/psi' the
+Newton step, the Halley step is h / (1 - h psi''/(2 psi')), which
+converges cubically near the root.  Every step has the sign of psi, so
+it heads for the root.  Where psi < 0 the denominator is at least 1 and
+the step is no longer than Newton's; where psi > 0 the step is taken
+only while the denominator is at least 1/2, so it is at most twice
+Newton's, and the Newton step is taken otherwise.  Newton's method alone
+converges from any start on a convex increasing psi; for the corrected
+steps that is checked, not proved: at most 5 passes on every case the
+tests try.  The steps move p and q themselves, each with its own digits.
+The search ends at a step below _STEP_TOL once the value is within
+_FLAT_TOL of the maximum, and raises after _MAX_NEWTON passes.
+
+Below k = _FRACTION_K (180, where one pass of each kind took the same
+time) a pass sums F outward from min(k, mode), where its largest term
+sits, with binomial terms from Loader's saddle-point form (stirlerr and
+bd0; C. Loader, Fast and Accurate Computation of Binomial Probabilities,
+2000), so no term overflows and the sum stops once terms no longer
+count: O(sqrt(k)) terms.  From it on, F = 1 - U with the upper tail
+U = I_p(k+1, m-k) from its continued fraction (the tails module), at
+most 54 steps at every iterate of the search: O(1) in k.  The fraction
+slows as p nears the rank-based rate, and from k ~ 1e32 the maximizer
+lies within an ulp or so of it: there a fraction that has not converged
+in 2000 steps raises RuntimeError naming (m, k) within milliseconds, and
+so does a search whose psi' has lost its digits to k - m p.  No input
+runs for longer.
 
 With p = c/m and m growing, the equation tends to the Poisson one solved
-by asymptotic_constant (see _stationarity_residual).
-
-Binomial terms come from Loader's saddle-point form (stirlerr and bd0;
-C. Loader, Fast and Accurate Computation of Binomial Probabilities,
-2000), and F is summed outward from min(k, mode), where its largest term
-sits, so no term overflows and the sum stops once terms no longer count.
-The module also provides the closed forms available at k=0 and k=1,
-the asymptotic constants a_k with m * pvalue(m, k) -> a_k, and the
-rank-based conformal p-value together with a construction that strictly
-dominates it.
+by asymptotic_constant (see _stationarity_residual).  The module also
+provides the closed forms available at k=0 and k=1, the asymptotic
+constants a_k with m * pvalue(m, k) -> a_k, and the rank-based
+conformal p-value together with a construction that strictly dominates
+it.
 
 Importing the module loads only math, sys, functools and typing, so
-`import randpred` stays cheap.  The rank-based functions return exact
+`import randpred` stays cheap.  The tails module is loaded by the first
+pass at k >= _FRACTION_K.  The rank-based functions return exact
 Fractions and import fractions, which loads decimal, when called.
 """
 
@@ -66,7 +85,9 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
 if TYPE_CHECKING:
     # Annotations only: importing .core at run time would load numpy, and
     # fractions (with decimal) is imported by the functions that need it.
+    # Optional is quoted, as each new typing subscript costs import time.
     from fractions import Fraction
+    from typing import Optional
 
     from .core import SummarySequence
 
@@ -116,10 +137,19 @@ _STIRLERR = (
 # A term of F below this fraction of the running sum ends the summation
 # in its direction: every later term is smaller still.
 _TAIL = 2.0**-60
-# The root search stops at a step in s below _STEP_TOL.  The objective is
-# flat at its maximum, so the value there is off by the square of that.
+# The root search stops at a step in s below _STEP_TOL, once the value is
+# also within _FLAT_TOL of the maximum.  The log of the objective falls off
+# the maximum at rate q |1 - exp(-psi)| in s, so the value is off by about
+# that times the step, q psi' step^2 near the root: negligible while
+# psi' ~ sqrt(k) is small, below k ~ 1e11.
 _STEP_TOL = 1e-12
+_FLAT_TOL = 2.0**-51
 _MAX_NEWTON = 100
+# From k = _FRACTION_K on, a pass takes F from a continued fraction in
+# place of the sum, which costs O(sqrt(k)); see _pass.  At k = 180 one
+# pass of each took the same time (timeit at the root, k/m from 1e-3 to
+# 0.1).
+_FRACTION_K = 180
 
 
 class AsymptoticConstant(NamedTuple):
@@ -203,64 +233,89 @@ def _log_pmf(i: int, m: int, p: float, q: float) -> float:
     )
 
 
-def _mode_sums(m: int, k: int, p: float, q: float) -> Tuple[int, float, float, float, float]:
-    """F(k; m, p) and its first two moments about k, relative to the top term.
+def _mode_sums(m: int, k: int, p: float, q: float) -> Tuple[int, float, float]:
+    """F(k; m, p) relative to its top term, by summing the terms.
 
-    Returns (i0, total, moment, moment2, top) with i0 = min(k, mode),
-    total = sum_{i<=k} b(i)/b(i0), moment = sum_{i<=k} (k-i) b(i)/b(i0),
-    moment2 = sum_{i<=k} (k-i)^2 b(i)/b(i0), and top = b(k)/b(i0) as the
-    upward sum reached it, or 0.0 where that sum stopped short of k.
-    The terms fall monotonically away from the mode, so each direction
-    stops at the first term too small to count.  Requires 0 < p < 1, k < m.
+    Returns (i0, total, top) with i0 = min(k, mode), total = sum_{i<=k}
+    b(i)/b(i0), and top = b(k)/b(i0) as the upward sum reached it, or 0.0
+    where that sum stopped short of k.  The terms fall monotonically away
+    from the mode, so each direction stops at the first term too small to
+    count.  Requires 0 < p < 1, k < m.
     """
     i0 = min(k, int((m + 1) * p))
     total = 1.0
-    moment = float(k - i0)
-    moment2 = moment * moment
     ratio = q / p
     term = 1.0
-    gap = moment  # k - i of the latest term, a float so products stay float
     for i in range(i0, 0, -1):
         term *= i * ratio / (m - i + 1)
         total += term
-        gap += 1.0
-        weighted = gap * term
-        moment += weighted
-        moment2 += gap * weighted
         if term < _TAIL * total:
             break
     ratio = p / q
     term = 1.0
-    gap = float(k - i0)
     for i in range(i0, k):
         term *= (m - i) * ratio / (i + 1)
         total += term
-        gap -= 1.0
-        weighted = gap * term
-        moment += weighted
-        moment2 += gap * weighted
         if term < _TAIL * total:
-            return i0, total, moment, moment2, 0.0
-    return i0, total, moment, moment2, term
+            return i0, total, 0.0
+    return i0, total, term
 
 
-def _rates(s: float) -> Tuple[float, float]:
-    """(p, q) with q/p = exp(s), each to full relative precision."""
-    e = math.exp(-abs(s))
-    if s >= 0.0:
-        return e / (1.0 + e), 1.0 / (1.0 + e)
-    return 1.0 / (1.0 + e), e / (1.0 + e)
+def _pass(m: int, k: int, p: float, q: float) -> "Tuple[float, Optional[int], float]":
+    """One evaluation of F(k; m, p) for the root search and the objective.
+
+    Returns (log_w, i0, total): log_w = log((k+1) b(k+1; m, p) / F), which
+    is -psi, and F = total b(i0; m, p), or F = total where i0 is None.
+    Below _FRACTION_K, F is summed by _mode_sums.  From it on, it comes
+    from a continued fraction (tails.fraction_pass), a module loaded on
+    the first pass that needs it.  Requires 0 < p < 1, k < m.
+    """
+    if k >= _FRACTION_K:
+        from .tails import fraction_pass
+
+        return fraction_pass(m, k, p, q)
+    i0, total, top = _mode_sums(m, k, p, q)
+    w = (m - k) * p * top / (q * total)
+    if w > 0.0:
+        return math.log(w), i0, total
+    # the upward sum stopped short of k: b(k)/b(i0) from the pmf
+    log_w = math.log((m - k) * p / (q * total))
+    return log_w + _log_pmf(k, m, p, q) - _log_pmf(i0, m, p, q), i0, total
+
+
+def _value(m: int, p: float, q: float, i0: "Optional[int]", total: float) -> float:
+    """p F(k; m, p) from a pass's (i0, total)."""
+    if i0 is None:
+        return p * total
+    return p * math.exp(_log_pmf(i0, m, p, q)) * total
+
+
+def _shifted(p: float, q: float, step: float) -> Tuple[float, float]:
+    """(p', q') with p' + q' = 1 and q'/p' = exp(-step) q/p, each to full
+    relative precision: the move s -> s - step in s = log(q/p), made on
+    p and q themselves, so that it keeps its digits where |s| is large."""
+    e = math.exp(-abs(step))
+    if step >= 0.0:
+        q *= e
+    else:
+        p *= e
+    total = p + q
+    return p / total, q / total
 
 
 def objective(m: int, k: int, p: float) -> float:
     """Evaluate p F(k; m, p) = sum_{i=0}^k C(m,i) p^(i+1) (1-p)^(m-i).
 
-    The terms are summed outward from the largest one, each as a ratio to
-    it, and that one comes from Loader's binomial pmf, so nothing
-    overflows or underflows early at any m.  Near the maximum the value is
-    accurate to a few ulps; the relative error grows like
-    |k - mp|/(1-p) ulps, which is how sensitive the objective itself is to
-    the last bit of p.  The engine evaluates its maximum the same way.
+    F comes from the pass the root search makes (_pass): for k below
+    _FRACTION_K its terms are summed outward from the largest one, each
+    as a ratio to it, and that one comes from Loader's binomial pmf, so
+    nothing overflows or underflows early at any m; from it on, F comes
+    from a continued fraction whose cost hardly grows with k, and which
+    raises RuntimeError where it does not converge (see tails).  Near
+    the maximum the value is accurate to a few ulps; the relative error
+    grows like |k - mp|/(1-p) ulps, which is how sensitive the objective
+    itself is to the last bit of p.  The engine evaluates its maximum the
+    same way.
     """
     _validate_mk(m, k)
     if not 0.0 <= p <= 1.0:
@@ -270,8 +325,8 @@ def objective(m: int, k: int, p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     q = 1.0 - p
-    i0, total = _mode_sums(m, k, p, q)[:2]
-    return p * math.exp(_log_pmf(i0, m, p, q)) * total
+    _, i0, total = _pass(m, k, p, q)
+    return _value(m, p, q, i0, total)
 
 
 def maximize_objective(m: int, k: int) -> Tuple[float, float]:
@@ -279,53 +334,52 @@ def maximize_objective(m: int, k: int) -> Tuple[float, float]:
 
     k = 0 is the closed form m^m/(m+1)^(m+1) at p = 1/(m+1), and k = m
     is p itself, maximal at 1.  Otherwise Halley's method in
-    s = log((1-p)/p) solves s + log R(e^s) = log(m-k), whose root is the
-    unique maximizer, from a start near it; a step that the curvature
-    term would more than double is a Newton step (see the module
-    docstring).  One pass over the terms gives the residual and its first
-    two derivatives, 1 + E[k - i | i <= k] and Var[k - i | i <= k], and
-    b(k)/b(i0) for the residual comes from the same pass unless the sum
-    stopped short of k.  Iteration ends at a step below _STEP_TOL.
+    s = log((1-p)/p) solves psi(s) = 0, whose root is the unique
+    maximizer, from a start near it; a step that the curvature term would
+    more than double is a Newton step (see the module docstring).  Each
+    pass (_pass) gives psi, and psi' and psi'' follow from it in closed
+    form.  Iteration ends at a step below _STEP_TOL once the value is
+    within _FLAT_TOL of the maximum; past the engine's range (the module
+    docstring) it raises RuntimeError.
     """
     _validate_mk(m, k)
     if k == m:
         return 1.0, 1.0
     if k == 0:
         return 1.0 / (m + 1), exact_pvalue_k0(m)
-    log_gap = math.log(m - k)
-    s = _start(m, k)
+    p, q = _start(m, k)
     for _ in range(_MAX_NEWTON):
-        p, q = _rates(s)
-        i0, total, moment, moment2, top = _mode_sums(m, k, p, q)
-        psi = s + math.log(total) - log_gap
-        if top > 0.0:
-            psi -= math.log(top)
-        else:
-            psi += _log_pmf(i0, m, p, q) - _log_pmf(k, m, p, q)
-        mean = moment / total
-        slope = 1.0 + mean
-        newton = psi / slope
-        halley = 1.0 - 0.5 * newton * (moment2 / total - mean * mean) / slope
+        log_w, i0, total = _pass(m, k, p, q)
+        v = q * math.exp(log_w)  # m p - E[i | i <= k]
+        # k - m p, from the smaller rate, which has its digits
+        slope = 1.0 + v + (k - m * p if p <= q else m * q - (m - k))
+        if not slope > 0.0:
+            break  # psi' >= 1 lost its digits to k - m p: k is past ~1e32
+        newton = -log_w / slope
+        halley = 1.0 - 0.5 * newton * (m * p * q + v * (p - slope)) / slope
         step = newton / halley if halley >= 0.5 else newton
-        if abs(step) <= _STEP_TOL:
-            return p, p * math.exp(_log_pmf(i0, m, p, q)) * total
-        s -= step
+        if abs(step) <= _STEP_TOL and abs((q - v) * step) <= _FLAT_TOL:
+            return p, _value(m, p, q, i0, total)
+        p, q = _shifted(p, q, step)
     raise RuntimeError(f"the root search did not converge at m = {m}, k = {k}")
 
 
-def _start(m: int, k: int) -> float:
-    """A starting s = log((1-p)/p) near the stationarity root, 0 < k < m.
+def _start(m: int, k: int) -> Tuple[float, float]:
+    """A starting (p, q) near the stationarity root, 0 < k < m.
 
     The closed form at k = 1; otherwise the Normal approximation of the
-    module docstring, capped at the rank-based rate (k+1)/(m+1).
+    module docstring, capped at the rank-based rate (k+1)/(m+1).  q comes
+    from m - k, which keeps its digits where k is near m.
     """
     if k == 1:
         p = optimal_p_k1(m)
-        return math.log((1.0 - p) / p)
-    sd = math.sqrt(k * (1.0 - k / m))
+        return p, 1.0 - p
+    sd = math.sqrt(k * ((m - k) / m))
     z = math.sqrt(2.0 * math.log(sd / _SQRT_2PI)) if sd > _SQRT_2PI else 0.0
-    mean = k + 0.5 - z * sd
-    return max(math.log((m - mean) / mean), math.log((m - k) / (k + 1)))
+    # (k + 1/2 - z sd)/m < (k+1)/(m+1), with its integer part exact
+    if z * sd > (2 * k + 1 - m) / (2 * (m + 1)):
+        return (k + 0.5 - z * sd) / m, (m - k - 0.5 + z * sd) / m
+    return (k + 1) / (m + 1), (m - k) / (m + 1)
 
 
 @lru_cache(maxsize=65536)

@@ -391,6 +391,20 @@ class TestPvalue:
         assert payload["icp_exact"] == "100001/1000001"
         assert elapsed < 1.0
 
+    def test_past_the_engine_range_is_a_clean_error(self, runner):
+        # at k = 5e39 the maximizer is within an ulp of where the continued
+        # fraction needs ever more steps; its step cap ends the call
+        start = time.perf_counter()
+        result = runner.invoke(main, ["pvalue", "--m", str(10**40), "--k", str(5 * 10**39)])
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: ")
+        assert result.output.count("\n") == 1
+        assert f"m = {10**40}, k = {5 * 10**39}" in result.output
+        assert "Traceback" not in result.output
+        assert elapsed < 1.0
+
     def test_k_above_m_is_usage_error(self, runner):
         result = runner.invoke(main, ["pvalue", "--m", "3", "--k", "4"])
         assert result.exit_code == 2

@@ -1,6 +1,7 @@
 import math
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -228,6 +229,7 @@ class TestBinaryIrpPvalue:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def mpmath_pvalue(m: int, k: int) -> float:
     """max_p p F(k; m, p) from a bisection on the stationarity equation.
 
@@ -269,6 +271,65 @@ def mpmath_pvalue(m: int, k: int) -> float:
                 log_hi = mid
         p = mpmath.exp((log_lo + log_hi) / 2)
         return float(p * cdf_and_pmf(p)[0])
+
+
+def mpmath_tail_value(m: int, k: int, p, stationarity: bool = False):
+    """p (1 - U) at p to 60 digits, U = I_p(k+1, m-k) the upper tail.
+
+    U = C(m, k+1) p^(k+1) (1-p)^(m-k) cf, with the binomial exact and cf
+    the continued fraction of Numerical Recipes, section 6.4, evaluated
+    from the bottom up with 2^j terms until two evaluations agree to 50
+    digits: a different evaluation from the engine's forward one, in
+    ample precision.  Returned as a float, or with stationarity as the
+    mpf (1 - U) - (k+1) b(k+1; m, p), which has the sign of the
+    derivative of the objective.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        x = mpmath.mpf(p)
+        a, b = mpmath.mpf(k + 1), mpmath.mpf(m - k)
+
+        def fraction(terms):
+            t = mpmath.mpf(1)
+            for n in range(terms, 0, -1):
+                j = n // 2
+                if n % 2:
+                    d = -(a + j) * (a + b + j) * x / ((a + 2 * j) * (a + 2 * j + 1))
+                else:
+                    d = j * (b - j) * x / ((a + 2 * j - 1) * (a + 2 * j))
+                t = 1 + d / t
+            return 1 / t
+
+        terms, cf = 64, fraction(64)
+        while True:
+            terms *= 2
+            previous, cf = cf, fraction(terms)
+            if abs(cf - previous) <= abs(cf) * mpmath.mpf(10) ** -50:
+                break
+        pmf = mpmath.binomial(m, k + 1) * x ** (k + 1) * (1 - x) ** (m - k - 1)
+        if stationarity:
+            return 1 - (1 - x) * pmf * cf - (k + 1) * pmf
+        return float(x * (1 - (1 - x) * pmf * cf))
+
+
+def mpmath_max_near(m: int, k: int, p_star: float) -> float:
+    """The maximum of p F(k; m, p) to 60 digits, from a bisection on the
+    sign of mpmath_tail_value's stationarity residual, to a relative
+    width of 1e-40, in a bracket around p_star of half a standard
+    deviation of the binomial each way, below the rank-based rate."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        half_sd = mpmath.mpf(1) / (2 * mpmath.sqrt(k))
+        lo = mpmath.mpf(p_star) * (1 - half_sd)
+        hi = mpmath.mpf(p_star) * (1 + half_sd)
+        assert mpmath_tail_value(m, k, lo, True) > 0 > mpmath_tail_value(m, k, hi, True)
+        while hi - lo > hi * mpmath.mpf(10) ** -40:
+            mid = (lo + hi) / 2
+            if mpmath_tail_value(m, k, mid, True) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return mpmath_tail_value(m, k, lo)
 
 
 ACCURACY_GRID = [
@@ -315,17 +376,18 @@ class TestStationarityRoot:
         assert not bad
 
     def test_passes_over_the_terms(self, monkeypatch):
-        # every step of the root search is one _mode_sums pass; the total
-        # bound is 40% below Newton's method from the rank-based rate, which
-        # takes 7420 passes on these cases, up to 13 on one
-        mode_sums = pvalues_module._mode_sums
+        # every step of the root search is one _pass, a sum below
+        # _FRACTION_K and a continued fraction from it on; the total bound is
+        # 40% below Newton's method from the rank-based rate, which takes
+        # 7420 passes on these cases, up to 13 on one
+        one_pass = pvalues_module._pass
         calls = []
 
         def counted(*args):
             calls.append(None)
-            return mode_sums(*args)
+            return one_pass(*args)
 
-        monkeypatch.setattr(pvalues_module, "_mode_sums", counted)
+        monkeypatch.setattr(pvalues_module, "_pass", counted)
         passes = {}
         for m, k in PASS_CASES:
             calls.clear()
@@ -335,6 +397,87 @@ class TestStationarityRoot:
         assert {n for (m, k), n in passes.items() if k == 1} == {1}
         assert max(passes.values()) <= 5
         assert sum(passes.values()) <= 0.6 * 7420
+
+    def test_both_sides_of_the_crossover_match_50_digits(self):
+        pytest.importorskip("mpmath")
+        k_c = pvalues_module._FRACTION_K
+        for m in (10**3, 10**6):
+            for k in (k_c - 1, k_c):
+                reference = mpmath_pvalue(m, k)
+                assert abs(binary_irp_pvalue(m, k) - reference) <= 4e-15 * reference, (m, k)
+
+    @pytest.mark.parametrize("force_fraction", [False, True], ids=["engine", "fraction"])
+    @pytest.mark.parametrize("m, k", [(100, 70), (1000, 500), (1000, 501), (5000, 4000)])
+    def test_k_at_least_half_of_m(self, monkeypatch, force_fraction, m, k):
+        # k >= m/2 puts the root near or above p = 1/2, where lam comes from
+        # q once p passes it; with force_fraction every k takes the fraction
+        pytest.importorskip("mpmath")
+        if force_fraction:
+            monkeypatch.setattr(pvalues_module, "_FRACTION_K", 1)
+        _, value = maximize_objective(m, k)
+        reference = mpmath_pvalue(m, k)
+        assert abs(value - reference) <= 4e-15 * reference
+
+    @pytest.mark.parametrize(
+        "m, k",
+        [
+            (10**7, 10**5),
+            (10**9, 10**8),
+            (10**11, 10**10),
+            (10**17, 10**16),
+            (10**30, 10**29),
+            (10**20, 10**20 - 10**4),
+        ],
+        ids=["1e7-1e5", "1e9-1e8", "1e11-1e10", "1e17-1e16", "1e30-1e29", "1e20-near-m"],
+    )
+    def test_large_k_matches_60_digits_at_the_argmax(self, m, k):
+        # summing the terms is out of reach here, so the reference is the
+        # 60-digit p (1 - U) at the engine's argmax, with an exact binomial
+        # prefactor; the engine's cost does not grow with k
+        start = time.perf_counter()
+        p_star, value = maximize_objective(m, k)
+        elapsed = time.perf_counter() - start
+        reference = mpmath_tail_value(m, k, p_star)
+        assert abs(value - reference) <= 4e-15 * reference
+        assert value <= p_star
+        assert elapsed < 0.05
+
+    @pytest.mark.parametrize("m, k", [(2 * 10**23, 10**23), (10**30, 10**29)])
+    def test_large_k_reaches_the_maximum(self, m, k):
+        # psi' grows like sqrt(k), so a step of 1e-12 in s can still leave
+        # the value 1e-13 below the maximum at k = 1e23: the search also
+        # waits for the value to be within _FLAT_TOL of it
+        p_star, value = maximize_objective(m, k)
+        reference = mpmath_max_near(m, k, p_star)
+        assert abs(value - reference) <= 4e-15 * reference
+
+    @pytest.mark.parametrize("m, k", [(400, 200), (1000, 500), (5000, 4000), (1000, 999)])
+    def test_objective_above_the_rank_based_rate(self, m, k):
+        # above (k+2)/(m+1) the fraction for U turns slow, and F comes from
+        # the one for F itself
+        mpmath = pytest.importorskip("mpmath")
+        rank = (k + 1) / (m + 1)
+        for p in (rank * 0.98, rank * 1.002, rank * 1.02, rank * 1.2):
+            p = min(p, 0.99999)
+            with mpmath.workdps(50):
+                mp = mpmath.mpf(p)
+                term, total = (1 - mp) ** m, 0
+                for i in range(k + 1):
+                    total += term
+                    term *= (m - i) * mp / ((i + 1) * (1 - mp))
+                reference = mp * total
+            assert objective(m, k, p) == pytest.approx(float(reference), rel=1e-12), p
+
+    @pytest.mark.parametrize(
+        "m, k", [(10**40, 5 * 10**39), (10**60, 10**59), (10**300, 10**299)]
+    )
+    def test_past_the_step_cap_raises_quickly(self, m, k):
+        # the maximizer is within an ulp or so of where the fraction needs
+        # ever more steps; the step cap ends the call instead of a hang
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match=f"m = {m}, k = {k}"):
+            maximize_objective(m, k)
+        assert time.perf_counter() - start < 0.25
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 5000), data=st.data())
