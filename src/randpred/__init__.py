@@ -6,7 +6,8 @@ nonconformity measure, residual or margin, and the one-count k of its m
 calibration bits), an exact p-value engine that maximizes the worst-case
 IID probability over Bernoulli rates, the rank-based conformal p-value it
 improves on, a construction that strictly dominates the rank-based
-p-value, and exact plus Monte Carlo validity oracles.
+p-value, and exact plus Monte Carlo validity oracles (the audits and
+validity modules, which share only the report types of reports).
 
 The p-value engine (the pvalues module) is imported with the package and
 loads only the standard library's math, sys, functools and typing.  Every
@@ -22,9 +23,14 @@ from .pvalues import *  # noqa: F401,F403
 # Public names outside the engine, each with the submodule that defines it.
 _LAZY = {
     **dict.fromkeys(
-        ("ALL_LABELS", "FULL_LINE", "DataSplit", "HedgedPrediction", "Interval",
-         "PredictionSet", "SummarySequence"),
+        ("ALL_LABELS", "EXACT_M_LIMIT", "FULL_LINE", "DataSplit", "HedgedPrediction",
+         "Interval", "PredictionSet"),
         "core",
+    ),
+    **dict.fromkeys(
+        ("DominanceResult", "DominanceWitness", "SummarySequence", "TableRow",
+         "audit_pvariable", "check_dominance", "reproduce_table_k", "urp_binary_event"),
+        "audits",
     ),
     **dict.fromkeys(
         ("ClassifierSpec", "FittedPipeline", "RegressorSpec", "fit_classification_pipeline",
@@ -37,11 +43,10 @@ _LAZY = {
         "predictors",
     ),
     **dict.fromkeys(
-        ("EXACT_M_LIMIT", "BoundedNoiseLinearGenerator", "DominanceResult", "DominanceWitness",
-         "PipelineSpec", "TableRow", "ValidityCell", "ValidityReport", "audit_pvariable",
-         "check_dominance", "monte_carlo_coverage", "reproduce_table_k", "urp_binary_event"),
+        ("BoundedNoiseLinearGenerator", "PipelineSpec", "monte_carlo_coverage"),
         "validity",
     ),
+    **dict.fromkeys(("ValidityCell", "ValidityReport"), "reports"),
 }
 
 __version__ = "0.1.0"

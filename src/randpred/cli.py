@@ -8,6 +8,13 @@ Exit codes: 0 success, 1 audit or dominance failure, 2 usage/parse error.
 Every command takes --json; JSON output is a single object with a
 schema_version field, floats rendered at 12 significant digits, keys
 sorted — identical invocations produce byte-identical output.
+
+Importing the module loads what predict runs: numpy, the pipelines and
+the p-value engine.  The other commands import what they need when they
+run: table, validate --mode exact and dominate the exact audits (the
+audits module), validate --mode mc the Monte Carlo harness (validity),
+and pvalue the standard library's fractions.  Each call reads the
+function from its module then, so a wrapper set on the module applies.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import re
 import sys
 import warnings
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import chain, repeat
 from typing import Iterable, List, Optional, Tuple
@@ -27,7 +33,7 @@ from typing import Iterable, List, Optional, Tuple
 import click
 import numpy as np
 
-from .core import DataSplit, HedgedPrediction, Interval
+from .core import EXACT_M_LIMIT, DataSplit, HedgedPrediction, Interval
 from .pipelines import (
     ClassifierSpec,
     RegressorSpec,
@@ -43,15 +49,6 @@ from .pvalues import (
     dominating_pvariable,
     icp_pvariable,
     m_error,
-)
-from .validity import (
-    EXACT_M_LIMIT,
-    BoundedNoiseLinearGenerator,
-    PipelineSpec,
-    audit_pvariable,
-    check_dominance,
-    monte_carlo_coverage,
-    reproduce_table_k,
 )
 
 SCHEMA_VERSION = "1"
@@ -441,9 +438,11 @@ def main(ctx: click.Context, config: Optional[str]) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def table(k_max: int, as_json: bool) -> None:
     """Print the asymptotic incertitude-numerator table."""
+    from . import audits
+
     rows = [
         {**asdict(row), "a_k_rounded": row.a_k_rounded, "ratio_rounded": row.ratio_rounded}
-        for row in reproduce_table_k(k_max)
+        for row in audits.reproduce_table_k(k_max)
     ]
     # one text line per column of the table: label, format, row key
     lines = [
@@ -474,17 +473,22 @@ def pvalue(m: int, k: int, finite: bool, as_json: bool) -> None:
         raise click.UsageError(f"--k must not exceed --m (got k={k}, m={m})")
     if m > M_MAX:
         raise click.BadParameter(str(m_error(m)), param_hint="'--m'")
-    if finite:
-        try:
+    try:
+        if finite:
             engine = binary_irp_pvalue(m, k)
-        except RuntimeError as exc:
-            # past the engine's range (the module docstring of pvalues)
-            raise click.ClickException(str(exc)) from None
-        mode, extra = "finite", {}
-    else:
-        extra = asymptotic_constant(k)._asdict()
-        mode, engine = "asymptotic", extra["a_k"] / m
-    icp = Fraction(k + 1, m + 1)
+            mode, extra = "finite", {}
+        else:
+            extra = asymptotic_constant(k)._asdict()
+            mode, engine = "asymptotic", extra["a_k"] / m
+    except RuntimeError as exc:
+        # past the engine's range (the module docstring of pvalues)
+        raise click.ClickException(str(exc)) from None
+    except ValueError as exc:
+        # a k too large for the a_k/m approximation (asymptotic_constant)
+        raise click.BadParameter(str(exc), param_hint="'--k'") from None
+    import fractions
+
+    icp = fractions.Fraction(k + 1, m + 1)
     exact = f"{icp.numerator}/{icp.denominator}"
     payload = {
         **extra,
@@ -590,10 +594,12 @@ def validate(
         m = 10 if m is None else m
         if m > EXACT_M_LIMIT:
             raise click.UsageError(f"--m is capped at {EXACT_M_LIMIT} in exact mode, got {m}")
+        from . import audits
+
         reports = {
-            "binary-irp": audit_pvariable(binary_irp_pvariable, m),
-            "icp": audit_pvariable(icp_pvariable, m),
-            "dominating": audit_pvariable(dominating_pvariable, m),
+            "binary-irp": audits.audit_pvariable(binary_irp_pvariable, m),
+            "icp": audits.audit_pvariable(icp_pvariable, m),
+            "dominating": audits.audit_pvariable(dominating_pvariable, m),
         }
         passed = all(report.passed for report in reports.values())
         # exact cells carry neither a name nor a standard error
@@ -625,8 +631,12 @@ def validate(
             raise click.UsageError(
                 f"--epsilon must lie strictly between 0 and 1, got {epsilon}"
             )
-        generator = BoundedNoiseLinearGenerator(calibration_size=30 if m is None else m)
-        report = monte_carlo_coverage(PipelineSpec(), generator, epsilon, trials, seed)
+        from . import validity
+
+        generator = validity.BoundedNoiseLinearGenerator(calibration_size=30 if m is None else m)
+        report = validity.monte_carlo_coverage(
+            validity.PipelineSpec(), generator, epsilon, trials, seed
+        )
         passed = report.passed
         payload = {**asdict(report), "mode": "mc", "epsilon": epsilon, "passed": passed}
         lines = [
@@ -659,7 +669,9 @@ def dominate(m: int, threshold: float, as_json: bool) -> None:
         raise click.UsageError(
             f"--threshold must lie strictly between 0 and 1 (the summary range), got {threshold}"
         )
-    result = check_dominance(
+    from . import audits
+
+    result = audits.check_dominance(
         partial(dominating_pvariable, threshold_a=threshold), icp_pvariable, m
     )
     witness = result.witness

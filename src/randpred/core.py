@@ -1,5 +1,5 @@
-"""Shared domain types: train/calibration splits, binary summary
-sequences, and hedged prediction sets.
+"""Shared domain types: train/calibration splits and hedged prediction
+sets, and the exact oracle's calibration-size cap.
 
 All types are immutable after construction and safe to share across threads.
 """
@@ -7,19 +7,24 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
 
 __all__ = [
+    "EXACT_M_LIMIT",
     "DataSplit",
-    "SummarySequence",
     "Interval",
     "FULL_LINE",
     "ALL_LABELS",
     "HedgedPrediction",
 ]
+
+# The largest m the exact audits enumerate (2^(m+1) outcomes).  Here, not
+# in the audits module, because the CLI bounds `dominate --m` by it when
+# it is imported, before any audit runs.
+EXACT_M_LIMIT = 20
 
 
 def xy_arrays(X, y) -> Tuple[np.ndarray, np.ndarray]:
@@ -87,34 +92,6 @@ class DataSplit:
     @property
     def total_size(self) -> int:
         return len(self.y)
-
-
-@dataclass(frozen=True)
-class SummarySequence:
-    """Binary nonconformity summaries for the calibration examples plus the
-    test example.  ``k`` counts the 1s among the calibration summaries only.
-    """
-
-    calibration_summaries: tuple
-    test_summary: int
-    k: int = field(init=False)
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.calibration_summaries)
-        if not bits:
-            raise ValueError("calibration_summaries must be nonempty")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"summaries must be bits, got {self.calibration_summaries!r}")
-        t = int(self.test_summary)
-        if t not in (0, 1):
-            raise ValueError(f"test_summary must be a bit, got {self.test_summary!r}")
-        object.__setattr__(self, "calibration_summaries", bits)
-        object.__setattr__(self, "test_summary", t)
-        object.__setattr__(self, "k", sum(bits))
-
-    @property
-    def m(self) -> int:
-        return len(self.calibration_summaries)
 
 
 @dataclass(frozen=True)

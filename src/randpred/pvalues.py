@@ -65,7 +65,8 @@ so does a search whose psi' has lost its digits to k - m p.  No input
 runs for longer.
 
 With p = c/m and m growing, the equation tends to the Poisson one solved
-by asymptotic_constant (see _stationarity_residual).  The module also
+by asymptotic_constant (see _stationarity_residual), which above k = 64
+takes the engine's maximum at m = k 2^60 in its place.  The module also
 provides the closed forms available at k=0 and k=1, the asymptotic
 constants a_k with m * pvalue(m, k) -> a_k, and the rank-based
 conformal p-value together with a construction that strictly dominates
@@ -83,13 +84,13 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
 
 if TYPE_CHECKING:
-    # Annotations only: importing .core at run time would load numpy, and
+    # Annotations only: importing .audits at run time would load numpy, and
     # fractions (with decimal) is imported by the functions that need it.
     # Optional is quoted, as each new typing subscript costs import time.
     from fractions import Fraction
     from typing import Optional
 
-    from .core import SummarySequence
+    from .audits import SummarySequence
 
 __all__ = [
     "AsymptoticConstant",
@@ -150,6 +151,10 @@ _MAX_NEWTON = 100
 # pass of each took the same time (timeit at the root, k/m from 1e-3 to
 # 0.1).
 _FRACTION_K = 180
+# asymptotic_constant bisects up to k = _TABLE_K; above it, it takes the
+# engine's maximum at m = k * 2**_POISSON_SHIFT.
+_TABLE_K = 64
+_POISSON_SHIFT = 60
 
 
 class AsymptoticConstant(NamedTuple):
@@ -438,37 +443,54 @@ def _stationarity_residual(k: int, c: float) -> float:
     Strictly decreasing in c > 0 (every summand k!/(i! c^(k+1-i)) is),
     diverging to +inf at 0+ and tending to -1 at infinity, so the sign
     change brackets the unique positive root of
-    sum_{i=0}^k c^i/i! = c^(k+1)/k!.
-
-    The j-th summand is k!/((k-j)! c^(j+1)); it grows while k - j > c and
-    shrinks after.  Past that peak, a summand below total * 2^-54 is under
-    half an ulp of total, as is every later one, so the sum stops there
-    (or once it is inf) with the same bits as the full sum: O(sqrt(k))
-    summands near the root instead of k + 1.
+    sum_{i=0}^k c^i/i! = c^(k+1)/k!.  The j-th summand is
+    k!/((k-j)! c^(j+1)).  asymptotic_constant calls this only for
+    k <= _TABLE_K, so the sum takes all k + 1 summands.
     """
     total = 0.0
     term = 1.0 / c
     for j in range(k + 1):
         total += term
         term *= (k - j) / c
-        if (k - j <= c and term < total * 2.0**-54) or total == math.inf:
-            break
     return total - 1.0
 
 
 def asymptotic_constant(k: int) -> AsymptoticConstant:
     """Solve the stationarity equation for c_star and compute a_k.
 
-    Bisection on [1e-12, k+3]: the normalized residual is +inf near 0 and
-    at c = k+3 the sum is below 1/(c-k) = 1/3, so the bracket always
-    straddles the root.  It halves the bracket until its ends are adjacent
-    floats and the midpoint rounds to one of them: at most 54 steps for
-    k <= 64, and as many at k = 5000.  a_k is finite at every k (see
-    _numerator_at).  Examples: c_star(0) = 1 with a_0 = exp(-1); c_star(1)
-    is the golden ratio.
+    Up to k = _TABLE_K (64, the table's range), bisection on [1e-12, k+3]:
+    the normalized residual is +inf near 0 and at c = k+3 the sum is
+    below 1/(c-k) = 1/3, so the bracket always straddles the root.  It
+    halves the bracket until its ends are adjacent floats and the
+    midpoint rounds to one of them: at most 54 steps.  Examples:
+    c_star(0) = 1 with a_0 = exp(-1); c_star(1) is the golden ratio.
+
+    Above it, c_star = m p* and a_k = m p* F(k; m, p*) come from the
+    engine (maximize_objective) at m = k 2^60.  With p = c/m, the binomial
+    terms near the mode are the Poisson ones times about
+    exp(-(i - c)^2/(2m)), so both are off their limits by O(k/m), about
+    1e-18 relative, below the engine's own few ulps; and the engine's
+    cost does not grow with k, so neither does this.  A k whose m would
+    pass M_MAX raises ValueError naming k; past the engine's range (the
+    module docstring) it raises RuntimeError.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    if k > _TABLE_K:
+        m = k << _POISSON_SHIFT
+        if m > M_MAX:
+            raise ValueError(
+                f"k must be at most the largest float over 2^{_POISSON_SHIFT}, "
+                f"{M_MAX >> _POISSON_SHIFT:.6g}, for a_k; got {k!r}"
+            )
+        try:
+            p, value = maximize_objective(m, k)
+        except RuntimeError as exc:
+            raise RuntimeError(
+                f"a_k at k = {k} is past the engine's range: "
+                f"it did not converge at m = k * 2**{_POISSON_SHIFT}"
+            ) from exc
+        return AsymptoticConstant(k=k, c_star=m * p, a_k=m * value)
     lo, hi = 1e-12, float(k + 3)
     r_lo = _stationarity_residual(k, lo)
     r_hi = _stationarity_residual(k, hi)
@@ -491,37 +513,15 @@ def asymptotic_constant(k: int) -> AsymptoticConstant:
 def _numerator_at(k: int, c: float) -> float:
     """a_k = exp(-c) * sum_{i=0}^k c^(i+1)/i!, for c the stationarity root.
 
-    Below c = 700 the i-th power term is built iteratively and the terms
-    stay in range: the largest is about c e^c / sqrt(2 pi c), under 1e306.
-    The tabulated a_k (k <= 64, c < 67) come from this sum.  Above c = 700
-    that term overflows and exp(-c) underflows, so the terms are summed as
-    ratios to the largest, at i* = min(k, floor(c)), outward until they no
-    longer count, and scaled once by c times the Poisson probability
-    exp(-c) c^i*/i*!, from Loader's form.
+    The i-th power term is built iteratively.  For k <= _TABLE_K, c < 67,
+    so every term stays in range.
     """
-    if c < 700.0:
-        terms = []
-        term = c
-        for i in range(k + 1):
-            terms.append(term)
-            term *= c / (i + 1)
-        return math.exp(-c) * math.fsum(terms)
-    top = min(k, int(c))
-    ratios = [1.0]
-    ratio = 1.0
-    for i in range(top, 0, -1):
-        ratio *= i / c
-        ratios.append(ratio)
-        if ratio < _TAIL:
-            break
-    ratio = 1.0
-    for i in range(top, k):
-        ratio *= c / (i + 1)
-        ratios.append(ratio)
-        if ratio < _TAIL:
-            break
-    log_poisson = -_stirlerr(top) - _bd0(top, c, top - c) - 0.5 * (_LN_2PI + math.log(top))
-    return c * math.exp(log_poisson) * math.fsum(ratios)
+    terms = []
+    term = c
+    for i in range(k + 1):
+        terms.append(term)
+        term *= c / (i + 1)
+    return math.exp(-c) * math.fsum(terms)
 
 
 def _checked_alphas(calibration_alphas: Sequence[float], test_alpha: float) -> list:

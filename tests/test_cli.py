@@ -443,6 +443,40 @@ class TestPvalue:
         assert payload["a_k"] == pytest.approx(math.exp(-1.0), rel=1e-10)
         assert payload["c_star"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_asymptotic_mode_at_large_k_is_fast(self, runner):
+        # a_k above k = 64 comes from the engine, whose cost does not grow with k
+        start = time.perf_counter()
+        result = runner.invoke(
+            main, ["pvalue", "--m", str(10**40), "--k", str(10**16), "--asymptotic", "--json"]
+        )
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["a_k"] == pytest.approx(asymptotic_constant(10**16).a_k, rel=1e-11)
+        assert payload["engine_pvalue"] == pytest.approx(
+            binary_irp_pvalue(10**40, 10**16), rel=1e-11
+        )
+        assert elapsed < 1.0
+
+    def test_asymptotic_past_the_engine_range_is_a_clean_error(self, runner):
+        result = runner.invoke(
+            main, ["pvalue", "--m", str(10**40), "--k", str(10**35), "--asymptotic"]
+        )
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: ")
+        assert result.output.count("\n") == 1
+        assert f"a_k at k = {10**35}" in result.output
+
+    def test_asymptotic_k_past_the_float_range_is_usage_error(self, runner):
+        # a_k is taken at m = k * 2**60, which must be a float
+        result = runner.invoke(
+            main, ["pvalue", "--m", str(10**300), "--k", str(10**295), "--asymptotic"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "'--k'" in result.output
+        assert "2^60" in result.output
+
     @pytest.mark.parametrize("k", [800, 1200])
     def test_asymptotic_mode_past_the_float_range(self, runner, k):
         # the sum of the terms of a_k overflows a double from k = 762
@@ -806,6 +840,71 @@ def test_import_does_not_load_scipy(module):
     assert result.returncode == 0, result.stderr
     expected = ["[]", "fractions"] if module == "randpred" else ["[]"]
     assert result.stdout.split() == expected
+
+
+# Modules the CLI loads only for the commands that use them.
+ON_DEMAND = ("randpred.audits", "randpred.reports", "randpred.validity", "fractions", "decimal")
+
+
+def cli_loads(tmp_path, argv):
+    """The ON_DEMAND modules that import randpred.cli, and then the CLI
+    call argv, add to sys.modules in a fresh interpreter: two sorted
+    lists.  Modules loaded before the import do not count."""
+    for name, text in (("train", REG_TRAIN), ("test", REG_TEST)):
+        (tmp_path / f"{name}.csv").write_text(text)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "def loaded():\n"
+        f"    return sorted(m for m in {ON_DEMAND!r} if m in sys.modules and m not in before)\n"
+        "import randpred.cli\n"
+        "stages = [loaded()]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    randpred.cli.main({argv!r}, standalone_mode=False)\n"
+        "print(json.dumps(stages + [loaded()]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (
+            ["predict", "--train", "{tmp}/train.csv", "--split-at", "8",
+             "--test", "{tmp}/test.csv", "--json"],
+            [],
+        ),
+        (["pvalue", "--m", "10", "--k", "2"], ["decimal", "fractions"]),
+        (["pvalue", "--m", "1000", "--k", "3", "--asymptotic"], ["decimal", "fractions"]),
+        (["table"], ["randpred.audits", "randpred.reports"]),
+        (
+            ["validate", "--mode", "exact", "--m", "4"],
+            ["decimal", "fractions", "randpred.audits", "randpred.reports"],
+        ),
+        (
+            ["validate", "--mode", "mc", "--m", "20", "--trials", "200", "--seed", "3"],
+            ["randpred.reports", "randpred.validity"],
+        ),
+        (
+            ["dominate", "--m", "3"],
+            ["decimal", "fractions", "randpred.audits", "randpred.reports"],
+        ),
+    ],
+    ids=["predict", "pvalue", "pvalue-asymptotic", "table", "validate-exact", "validate-mc",
+         "dominate"],
+)
+def test_commands_load_only_what_they_use(tmp_path, argv, loaded):
+    # import randpred.cli loads predict's path only: neither audit harness,
+    # nor fractions with decimal; every other command loads its part when
+    # it runs, and the Monte Carlo harness never loads the exact audits
+    assert cli_loads(tmp_path, argv) == [[], loaded]
 
 
 def test_exact_audit_runs_without_scipy():

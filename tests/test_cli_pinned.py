@@ -14,6 +14,11 @@ below the incertitude (full level sets).
 The other four commands are pinned the same way, stdout and exit code,
 in text and --json: table, pvalue (finite, degenerate k = m, asymptotic),
 validate (exact, Monte Carlo passing and failing) and dominate.
+
+The --help of the group and of each command is pinned too, at 80
+columns, so that moving code between modules cannot change the CLI
+surface.  Those digests were recorded under click 8.4.0; click lays help
+out itself, so another click release may move a byte of it.
 """
 
 import hashlib
@@ -292,3 +297,34 @@ def test_command_output_is_pinned(case, as_json):
     assert (result.exit_code, digest) == COMMAND_PINNED[case, "json" if as_json else "text"], (
         result.output
     )
+
+
+# name: argv before --help
+HELP_CASES = {
+    "randpred": [],
+    "table": ["table"],
+    "pvalue": ["pvalue"],
+    "predict": ["predict"],
+    "validate": ["validate"],
+    "dominate": ["dominate"],
+}
+
+# name: sha256 of the help text
+HELP_PINNED = {
+    "randpred": "cc04a3c61944ec0ffe68bbf922debc6173a9af35ddcc3846a7cb11490f499895",
+    "table": "45d5276c9166da96bf049db22607ac4e30f8e41fec0aae0c1efad6ac958981f9",
+    "pvalue": "f91c973e344b36721905af811ae8db7b778bee7b969f9e72d336400590c5a535",
+    "predict": "ee73a7b8e0b381cbd992a49dc829fe6c960e149c392d682fbf133c536a2dd5be",
+    "validate": "3f6d1e329d3c552e52abcd1e7030d140ce8ac9e2b0c7b06bb4d641341cecf9d5",
+    "dominate": "aa40107d4470e1290e9da9e8159c5335a078d2d77dfd41d86e1fd7968c1d542c",
+}
+
+
+@pytest.mark.parametrize("case", sorted(HELP_CASES))
+def test_help_is_pinned(case):
+    # a fixed width and program name, so neither the terminal nor the
+    # runner's default name moves a byte
+    argv = HELP_CASES[case] + ["--help"]
+    result = CliRunner().invoke(main, argv, prog_name="randpred", terminal_width=80)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == HELP_PINNED[case], result.output

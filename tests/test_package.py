@@ -14,9 +14,13 @@ import randpred
 
 # Every public name, by the submodule that defines it.
 PUBLIC = {
+    "audits": [
+        "DominanceResult", "DominanceWitness", "SummarySequence", "TableRow",
+        "audit_pvariable", "check_dominance", "reproduce_table_k", "urp_binary_event",
+    ],
     "core": [
-        "ALL_LABELS", "FULL_LINE", "DataSplit", "HedgedPrediction", "Interval",
-        "PredictionSet", "SummarySequence",
+        "ALL_LABELS", "EXACT_M_LIMIT", "FULL_LINE", "DataSplit", "HedgedPrediction",
+        "Interval", "PredictionSet",
     ],
     "pipelines": [
         "ClassifierSpec", "FittedPipeline", "RegressorSpec", "fit_classification_pipeline",
@@ -32,11 +36,8 @@ PUBLIC = {
         "exact_pvalue_k0", "icp_pvalue", "icp_pvariable", "maximize_objective", "objective",
         "optimal_p_k1",
     ],
-    "validity": [
-        "EXACT_M_LIMIT", "BoundedNoiseLinearGenerator", "DominanceResult", "DominanceWitness",
-        "PipelineSpec", "TableRow", "ValidityCell", "ValidityReport", "audit_pvariable",
-        "check_dominance", "monte_carlo_coverage", "reproduce_table_k", "urp_binary_event",
-    ],
+    "reports": ["ValidityCell", "ValidityReport"],
+    "validity": ["BoundedNoiseLinearGenerator", "PipelineSpec", "monte_carlo_coverage"],
 }
 SRC = Path(__file__).resolve().parent.parent / "src"
 NAMES = {name: module for module, names in PUBLIC.items() for name in names}

@@ -740,6 +740,43 @@ class TestAsymptoticConstant:
                 )
             assert constant.a_k == pytest.approx(float(exact), rel=4e-15), k
 
+    def test_a_k_above_the_table_matches_mpmath(self):
+        # above k = 64 both come from the engine at m = k * 2**60; the
+        # reference solves Q(k+1, c) = exp(-c) c^(k+1)/k!, with Q the
+        # regularized upper incomplete gamma function, and a_k = c Q(k+1, c)
+        mpmath = pytest.importorskip("mpmath")
+        for k in (65, 200, 1000):
+            constant = asymptotic_constant(k)
+            with mpmath.workdps(50):
+                def residual(c):
+                    q = mpmath.gammainc(k + 1, c, regularized=True)
+                    return q - mpmath.exp(-c) * c ** (k + 1) / mpmath.factorial(k)
+
+                # the bracket of the bisection below the table
+                root = mpmath.findroot(residual, (1, k + 3), solver="illinois")
+                a_k = root * mpmath.gammainc(k + 1, root, regularized=True)
+            assert constant.c_star == pytest.approx(float(root), rel=2e-15), k
+            assert constant.a_k == pytest.approx(float(a_k), rel=2e-15), k
+
+    def test_a_k_at_k_1e16_is_fast(self):
+        start = time.perf_counter()
+        constant = asymptotic_constant(10**16)
+        assert time.perf_counter() - start < 1.0
+        # the finite engine at a larger m has the same Poisson limit
+        limit = 10**40 * binary_irp_pvalue(10**40, 10**16)
+        assert constant.a_k == pytest.approx(limit, rel=1e-11)
+        assert 0.0 < constant.a_k < constant.c_star < 10**16
+
+    def test_k_past_the_float_range_names_k(self):
+        k = (M_MAX >> 60) + 1
+        with pytest.raises(ValueError, match=f"got {k}"):
+            asymptotic_constant(k)
+        asymptotic_constant(10**32)  # within the engine's range
+
+    def test_past_the_engine_range_raises_runtime_error(self):
+        with pytest.raises(RuntimeError, match=f"a_k at k = {10**35} is past the engine's range"):
+            asymptotic_constant(10**35)
+
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
             asymptotic_constant(-1)

@@ -28,7 +28,7 @@ from randpred import (
     reproduce_table_k,
     urp_binary_event,
 )
-from randpred.validity import _sup_coverage_polynomial
+from randpred.audits import _sup_coverage_polynomial
 
 # 3-decimal reference rows for the asymptotic-numerator table.
 IRP_ROW = (0.368, 0.840, 1.371, 1.942, 2.544, 3.168, 3.812, 4.472)
