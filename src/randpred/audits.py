@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 
+# A threshold passes the audit while its exceedance probability is at most
+# its level plus _SLACK: _sup_coverage_polynomial's maximum is a float, good
+# only to rounding.  An exact maximum (ROADMAP item 2) takes this to 0.
+_SLACK = 1e-9
+
+
 @dataclass(frozen=True)
 class SummarySequence:
     """Binary nonconformity summaries for the calibration examples plus the
@@ -148,9 +154,7 @@ def _class_value_table(pvariable, m: int) -> dict:
     return table
 
 
-def audit_pvariable(
-    pvariable: Callable[[SummarySequence], float], m: int, slack: float = 1e-9
-) -> ValidityReport:
+def audit_pvariable(pvariable: Callable[[SummarySequence], float], m: int) -> ValidityReport:
     """Exact audit of the defining contract: P(p-variable <= v) <= v.
 
     The p-variable's realized values over all (one-count, test bit)
@@ -177,7 +181,7 @@ def audit_pvariable(
                 name="exceedance",
                 epsilon=level,
                 probability=probability,
-                passed=probability <= level + slack,
+                passed=probability <= level + _SLACK,
                 detail=f"{members}/{2 * (m + 1)} summary classes at or below threshold",
             )
         )

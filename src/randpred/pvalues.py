@@ -64,13 +64,12 @@ in 2000 steps raises RuntimeError naming (m, k) within milliseconds, and
 so does a search whose psi' has lost its digits to k - m p.  No input
 runs for longer.
 
-With p = c/m and m growing, the equation tends to the Poisson one solved
-by asymptotic_constant (see _stationarity_residual), which above k = 64
-takes the engine's maximum at m = k 2^60 in its place.  The module also
-provides the closed forms available at k=0 and k=1, the asymptotic
-constants a_k with m * pvalue(m, k) -> a_k, and the rank-based
-conformal p-value together with a construction that strictly dominates
-it.
+With p = c/m and m growing, the equation tends to a Poisson one.
+asymptotic_constant reads its root c_star and the limit a_k of
+m * pvalue(m, k) off the engine's maximum at m = max(k, 1) 2^60, by one
+route at every k.  The module also provides the closed forms available
+at k=0 and k=1, and the rank-based conformal p-value together with a
+construction that strictly dominates it.
 
 Importing the module loads only math, sys, functools and typing, so
 `import randpred` stays cheap.  The tails module is loaded by the first
@@ -151,9 +150,8 @@ _MAX_NEWTON = 100
 # pass of each took the same time (timeit at the root, k/m from 1e-3 to
 # 0.1).
 _FRACTION_K = 180
-# asymptotic_constant bisects up to k = _TABLE_K; above it, it takes the
-# engine's maximum at m = k * 2**_POISSON_SHIFT.
-_TABLE_K = 64
+# asymptotic_constant takes the engine's maximum at
+# m = max(k, 1) * 2**_POISSON_SHIFT.
 _POISSON_SHIFT = 60
 
 
@@ -344,8 +342,9 @@ def maximize_objective(m: int, k: int) -> Tuple[float, float]:
     more than double is a Newton step (see the module docstring).  Each
     pass (_pass) gives psi, and psi' and psi'' follow from it in closed
     form.  Iteration ends at a step below _STEP_TOL once the value is
-    within _FLAT_TOL of the maximum; past the engine's range (the module
-    docstring) it raises RuntimeError.
+    within _FLAT_TOL of the maximum: the argmax returned takes that last
+    step, and the value is the last pass's.  Past the engine's range (the
+    module docstring) it raises RuntimeError.
     """
     _validate_mk(m, k)
     if k == m:
@@ -364,7 +363,7 @@ def maximize_objective(m: int, k: int) -> Tuple[float, float]:
         halley = 1.0 - 0.5 * newton * (m * p * q + v * (p - slope)) / slope
         step = newton / halley if halley >= 0.5 else newton
         if abs(step) <= _STEP_TOL and abs((q - v) * step) <= _FLAT_TOL:
-            return p, _value(m, p, q, i0, total)
+            return _shifted(p, q, step)[0], _value(m, p, q, i0, total)
         p, q = _shifted(p, q, step)
     raise RuntimeError(f"the root search did not converge at m = {m}, k = {k}")
 
@@ -437,91 +436,38 @@ def optimal_p_k1(m: int) -> float:
     return (m - 2 + math.sqrt(square - 4.0 * m)) / (2.0 * (m * m - 1.0))
 
 
-def _stationarity_residual(k: int, c: float) -> float:
-    """Normalized stationarity residual  k! * sum_{i=0}^k c^i/i! / c^(k+1) - 1.
-
-    Strictly decreasing in c > 0 (every summand k!/(i! c^(k+1-i)) is),
-    diverging to +inf at 0+ and tending to -1 at infinity, so the sign
-    change brackets the unique positive root of
-    sum_{i=0}^k c^i/i! = c^(k+1)/k!.  The j-th summand is
-    k!/((k-j)! c^(j+1)).  asymptotic_constant calls this only for
-    k <= _TABLE_K, so the sum takes all k + 1 summands.
-    """
-    total = 0.0
-    term = 1.0 / c
-    for j in range(k + 1):
-        total += term
-        term *= (k - j) / c
-    return total - 1.0
-
-
 def asymptotic_constant(k: int) -> AsymptoticConstant:
-    """Solve the stationarity equation for c_star and compute a_k.
+    """The limit constants c_star and a_k, with m * pvalue(m, k) -> a_k.
 
-    Up to k = _TABLE_K (64, the table's range), bisection on [1e-12, k+3]:
-    the normalized residual is +inf near 0 and at c = k+3 the sum is
-    below 1/(c-k) = 1/3, so the bracket always straddles the root.  It
-    halves the bracket until its ends are adjacent floats and the
-    midpoint rounds to one of them: at most 54 steps.  Examples:
-    c_star(0) = 1 with a_0 = exp(-1); c_star(1) is the golden ratio.
-
-    Above it, c_star = m p* and a_k = m p* F(k; m, p*) come from the
-    engine (maximize_objective) at m = k 2^60.  With p = c/m, the binomial
-    terms near the mode are the Poisson ones times about
-    exp(-(i - c)^2/(2m)), so both are off their limits by O(k/m), about
-    1e-18 relative, below the engine's own few ulps; and the engine's
-    cost does not grow with k, so neither does this.  A k whose m would
-    pass M_MAX raises ValueError naming k; past the engine's range (the
-    module docstring) it raises RuntimeError.
+    With p = c/m and m growing, the objective tends to its Poisson limit
+    c P(N <= k) for N ~ Poisson(c), maximal at c_star, and
+    m pvalue(m, k) tends to that maximum, a_k.  Both come from the engine
+    (maximize_objective) at m = max(k, 1) 2^60: c_star = m p* and
+    a_k = m p* F(k; m, p*).  The binomial terms near the mode are the
+    Poisson ones times about exp(-(i - c)^2/(2m)), so both are off their
+    limits by O(k/m), at most about 1e-18 relative, below the engine's
+    own few ulps; and the engine's cost does not grow with k, so neither
+    does this.  At k = 0, m = 2^60 gives c_star = 1.0 and a_0 = exp(-1)
+    exactly; c_star(1) is the golden ratio.  A k whose m would pass M_MAX
+    raises ValueError naming k; past the engine's range (the module
+    docstring) it raises RuntimeError.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    if k > _TABLE_K:
-        m = k << _POISSON_SHIFT
-        if m > M_MAX:
-            raise ValueError(
-                f"k must be at most the largest float over 2^{_POISSON_SHIFT}, "
-                f"{M_MAX >> _POISSON_SHIFT:.6g}, for a_k; got {k!r}"
-            )
-        try:
-            p, value = maximize_objective(m, k)
-        except RuntimeError as exc:
-            raise RuntimeError(
-                f"a_k at k = {k} is past the engine's range: "
-                f"it did not converge at m = k * 2**{_POISSON_SHIFT}"
-            ) from exc
-        return AsymptoticConstant(k=k, c_star=m * p, a_k=m * value)
-    lo, hi = 1e-12, float(k + 3)
-    r_lo = _stationarity_residual(k, lo)
-    r_hi = _stationarity_residual(k, hi)
-    if not (r_lo > 0 > r_hi):
-        raise RuntimeError(
-            "stationarity-root bracket failed: "
-            f"residual({lo}) = {r_lo}, residual({hi}) = {r_hi} for k = {k}"
+    m = max(k, 1) << _POISSON_SHIFT
+    if m > M_MAX:
+        raise ValueError(
+            f"k must be at most the largest float over 2^{_POISSON_SHIFT}, "
+            f"{M_MAX >> _POISSON_SHIFT:.6g}, for a_k; got {k!r}"
         )
-    c = 0.5 * (lo + hi)
-    while lo < c < hi:
-        if _stationarity_residual(k, c) > 0:
-            lo = c
-        else:
-            hi = c
-        c = 0.5 * (lo + hi)
-
-    return AsymptoticConstant(k=k, c_star=c, a_k=_numerator_at(k, c))
-
-
-def _numerator_at(k: int, c: float) -> float:
-    """a_k = exp(-c) * sum_{i=0}^k c^(i+1)/i!, for c the stationarity root.
-
-    The i-th power term is built iteratively.  For k <= _TABLE_K, c < 67,
-    so every term stays in range.
-    """
-    terms = []
-    term = c
-    for i in range(k + 1):
-        terms.append(term)
-        term *= c / (i + 1)
-    return math.exp(-c) * math.fsum(terms)
+    try:
+        p, value = maximize_objective(m, k)
+    except RuntimeError as exc:
+        raise RuntimeError(
+            f"a_k at k = {k} is past the engine's range: "
+            f"it did not converge at m = k * 2**{_POISSON_SHIFT}"
+        ) from exc
+    return AsymptoticConstant(k=k, c_star=m * p, a_k=m * value)
 
 
 def _checked_alphas(calibration_alphas: Sequence[float], test_alpha: float) -> list:

@@ -12,8 +12,12 @@ rounding and the points where its layout and repr's part, and an epsilon
 below the incertitude (full level sets).
 
 The other four commands are pinned the same way, stdout and exit code,
-in text and --json: table, pvalue (finite, degenerate k = m, asymptotic),
-validate (exact, Monte Carlo passing and failing) and dominate.
+in text and --json: table (k up to 7 and up to 64), pvalue (finite,
+degenerate k = m, asymptotic at k = 3, 64 and 65), validate (exact,
+Monte Carlo passing and failing) and dominate.  The table to k = 64 and
+the asymptotic pvalue at k = 64 and 65 were recorded while a_k up to
+k = 64 still came from a bisection on the Poisson stationarity equation,
+and above it from the engine.
 
 The --help of the group and of each command is pinned too, at 80
 columns, so that moving code between modules cannot change the CLI
@@ -254,9 +258,12 @@ def test_predict_output_is_pinned(tmp_path, case, as_json):
 # name: argv, each run as text and with --json appended
 COMMAND_CASES = {
     "table": ["table"],
+    "table-k64": ["table", "--k-max", "64"],
     "pvalue-finite": ["pvalue", "--m", "10", "--k", "2"],
     "pvalue-degenerate": ["pvalue", "--m", "5", "--k", "5"],
     "pvalue-asymptotic": ["pvalue", "--m", "1000", "--k", "3", "--asymptotic"],
+    "pvalue-asymptotic-k64": ["pvalue", "--m", "100000", "--k", "64", "--asymptotic"],
+    "pvalue-asymptotic-k65": ["pvalue", "--m", "100000", "--k", "65", "--asymptotic"],
     "validate-exact": ["validate", "--mode", "exact", "--m", "6"],
     "validate-mc": ["validate", "--mode", "mc", "--m", "20", "--trials", "200", "--seed", "3"],
     # one trial whose test label falls outside both sets: exit 1
@@ -273,12 +280,18 @@ COMMAND_PINNED = {
     ("dominate", "text"): (0, "f3b584d0d885eda8e6398dc1d0e83832d1bbe242def40ae41581f8b71f2a336a"),
     ("pvalue-asymptotic", "json"): (0, "11b8f84d0980cc00fc93660624c3219acc47519a7a39dd95b11d76e2ebe0f217"),
     ("pvalue-asymptotic", "text"): (0, "6fbd38be25a3d0b60448dad83a161f319438097020a9819b5631b4df13159d59"),
+    ("pvalue-asymptotic-k64", "json"): (0, "667e900cc2e1959b6fc16ed2dba14af54811e1737459dea17bcc9a472b8cc4f7"),
+    ("pvalue-asymptotic-k64", "text"): (0, "d7c0c5178e0d399c8881fe57e5e06e8b588a275fb99e1fad26e0c27d6050f8fe"),
+    ("pvalue-asymptotic-k65", "json"): (0, "28db07226a61be51025fc4f603080da626fbceaa70d55cd8391b260bb82dfdc2"),
+    ("pvalue-asymptotic-k65", "text"): (0, "e8098a107473dcc6594b4ccbce75bf982077f2f6ecd65942aed716f5f4a6ceb7"),
     ("pvalue-degenerate", "json"): (0, "98af271fc3972941034abaa08f4d8fb46444cc92b685da82a29a49745f628e8a"),
     ("pvalue-degenerate", "text"): (0, "f638bac0ad0456f93b05a9e94e59a1c4e72dfcfa2e8a3ac847d9ea4b115f752d"),
     ("pvalue-finite", "json"): (0, "15b3a5943493468ff8ce36704e3bebdbf713219546d9d230b9063433f2b0520c"),
     ("pvalue-finite", "text"): (0, "872a3a71f33ab98756c1db9591f643e5affea5bda07df8f332c5f3b9861fffba"),
     ("table", "json"): (0, "ee0c78a55948f9524c136192276b8e52ba27a4f2f1b204f2f61ecab224239114"),
     ("table", "text"): (0, "b0b4214df3bf4e9b8ccbd2490d89db5cfd0bda20c52e6ae9a75a0bc01cb81026"),
+    ("table-k64", "json"): (0, "a6645965c558b518b8e03771186ad17c2b015af6c9ceb9618bd778f7585f687f"),
+    ("table-k64", "text"): (0, "6c5f5d6226e23c5ae01365bb49829cff2acdd2a75d7bc1f3727fa94ab51a4692"),
     ("validate-exact", "json"): (0, "86234b7d8fc481b11ff02b02a83e07dd5d71949d7f5540bb146710658f2cc500"),
     ("validate-exact", "text"): (0, "bb84f2264d804798d540383f96ba360b323daa5b352be10c01abe0f2dc8ce505"),
     ("validate-mc", "json"): (0, "0dca361e664c7090379eb6aec4b3c31b065a5384f7267182dbec480197bcf2bd"),
