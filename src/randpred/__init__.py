@@ -11,8 +11,9 @@ validity modules, which share only the report types of reports).
 
 The p-value engine (the pvalues module) is imported with the package and
 loads only the standard library's math, sys, functools and typing.  Every
-other public name loads numpy, so it is imported from its module on first
-access.
+other public name is imported from its module on first access: most load
+numpy, and the rank-based p-values and the p-variables (the ranks module)
+are left out of the engine, which is compiled on import.
 """
 
 from importlib import import_module
@@ -47,6 +48,11 @@ _LAZY = {
         "validity",
     ),
     **dict.fromkeys(("ValidityCell", "ValidityReport"), "reports"),
+    **dict.fromkeys(
+        ("binary_irp_pvariable", "dominating_pvalue", "dominating_pvariable", "icp_pvalue",
+         "icp_pvariable"),
+        "ranks",
+    ),
 }
 
 __version__ = "0.1.0"

@@ -12,8 +12,9 @@ sorted — identical invocations produce byte-identical output.
 Importing the module loads what predict runs: numpy, the pipelines and
 the p-value engine.  The other commands import what they need when they
 run: table, validate --mode exact and dominate the exact audits (the
-audits module), validate --mode mc the Monte Carlo harness (validity),
-and pvalue the standard library's fractions.  Each call reads the
+audits module), validate --mode exact and dominate also the p-variables
+(ranks), validate --mode mc the Monte Carlo harness (validity), and
+pvalue the standard library's fractions.  Each call reads the
 function from its module then, so a wrapper set on the module applies.
 """
 
@@ -41,15 +42,7 @@ from .pipelines import (
     fit_regression_pipeline,
     prediction_set,
 )
-from .pvalues import (
-    M_MAX,
-    asymptotic_constant,
-    binary_irp_pvalue,
-    binary_irp_pvariable,
-    dominating_pvariable,
-    icp_pvariable,
-    m_error,
-)
+from .pvalues import M_MAX, asymptotic_constant, binary_irp_pvalue, m_error
 
 SCHEMA_VERSION = "1"
 
@@ -594,12 +587,12 @@ def validate(
         m = 10 if m is None else m
         if m > EXACT_M_LIMIT:
             raise click.UsageError(f"--m is capped at {EXACT_M_LIMIT} in exact mode, got {m}")
-        from . import audits
+        from . import audits, ranks
 
         reports = {
-            "binary-irp": audits.audit_pvariable(binary_irp_pvariable, m),
-            "icp": audits.audit_pvariable(icp_pvariable, m),
-            "dominating": audits.audit_pvariable(dominating_pvariable, m),
+            "binary-irp": audits.audit_pvariable(ranks.binary_irp_pvariable, m),
+            "icp": audits.audit_pvariable(ranks.icp_pvariable, m),
+            "dominating": audits.audit_pvariable(ranks.dominating_pvariable, m),
         }
         passed = all(report.passed for report in reports.values())
         # exact cells carry neither a name nor a standard error
@@ -669,10 +662,10 @@ def dominate(m: int, threshold: float, as_json: bool) -> None:
         raise click.UsageError(
             f"--threshold must lie strictly between 0 and 1 (the summary range), got {threshold}"
         )
-    from . import audits
+    from . import audits, ranks
 
     result = audits.check_dominance(
-        partial(dominating_pvariable, threshold_a=threshold), icp_pvariable, m
+        partial(ranks.dominating_pvariable, threshold_a=threshold), ranks.icp_pvariable, m
     )
     witness = result.witness
     payload = {"m": m, "threshold": threshold, "verdict": result.verdict, "witness": None}

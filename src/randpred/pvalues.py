@@ -28,6 +28,12 @@ itself: with E[i | i <= k] = m p - q (k+1) b(k+1)/F = m p - q e^-psi,
     psi'  = 1 + E[k - i | i <= k] = 1 + k - m p + q e^-psi  >= 1,
     psi'' = Var[k - i | i <= k]   = m p q + p q e^-psi - q e^-psi psi'.
 
+So are those of the log objective: with v = q e^-psi, u = p - psi' and
+D = p q (p - q), its slope in s is g = v - q, zero at the root, and
+
+    g'' = v (u^2 - p q - psi'') - D,      psi''' = g'' + (m + 1) D,
+    g''' = v (u^3 - 3 u (p q + psi'') - D - psi''') - p q (1 - 6 p q).
+
 At the rank-based rate p = (k+1)/(m+1) every coefficient of R is below 1,
 so psi < 0 there and the root lies at a smaller p.
 
@@ -45,10 +51,15 @@ the step is no longer than Newton's; where psi > 0 the step is taken
 only while the denominator is at least 1/2, so it is at most twice
 Newton's, and the Newton step is taken otherwise.  Newton's method alone
 converges from any start on a convex increasing psi; for the corrected
-steps that is checked, not proved: at most 5 passes on every case the
+steps that is checked, not proved: at most 4 passes on every case the
 tests try.  The steps move p and q themselves, each with its own digits.
-The search ends at a step below _STEP_TOL once the value is within
-_FLAT_TOL of the maximum, and raises after _MAX_NEWTON passes.
+The search does not confirm its last step with one more pass: once a
+step is small enough for the Taylor model of the pass to reach the
+maximum within 2^-54 (maximize_objective), it takes the argmax and the
+maximum from that model.  So most calls at k >= 2 end on their second
+pass, and k = 1 ends on its first, where the model's corrections round
+away.  From k ~ 1e24, where no model passes, a pass flat to first order
+ends the search.  It raises after _MAX_NEWTON passes.
 
 Below k = _FRACTION_K (180, where one pass of each kind took the same
 time) a pass sums F outward from min(k, mode), where its largest term
@@ -68,28 +79,23 @@ With p = c/m and m growing, the equation tends to a Poisson one.
 asymptotic_constant reads its root c_star and the limit a_k of
 m * pvalue(m, k) off the engine's maximum at m = max(k, 1) 2^60, by one
 route at every k.  The module also provides the closed forms available
-at k=0 and k=1, and the rank-based conformal p-value together with a
-construction that strictly dominates it.
+at k=0 and k=1.  The rank-based conformal p-value, the construction that
+strictly dominates it and the p-variables are in the ranks module.
 
 Importing the module loads only math, sys, functools and typing, so
-`import randpred` stays cheap.  The tails module is loaded by the first
-pass at k >= _FRACTION_K.  The rank-based functions return exact
-Fractions and import fractions, which loads decimal, when called.
+`import randpred` stays cheap: it compiles this module from source where
+no bytecode is kept.  The tails module is loaded by the first pass at
+k >= _FRACTION_K.
 """
 
 import math
 import sys
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 if TYPE_CHECKING:
-    # Annotations only: importing .audits at run time would load numpy, and
-    # fractions (with decimal) is imported by the functions that need it.
     # Optional is quoted, as each new typing subscript costs import time.
-    from fractions import Fraction
     from typing import Optional
-
-    from .audits import SummarySequence
 
 __all__ = [
     "AsymptoticConstant",
@@ -99,11 +105,6 @@ __all__ = [
     "exact_pvalue_k0",
     "optimal_p_k1",
     "asymptotic_constant",
-    "icp_pvalue",
-    "dominating_pvalue",
-    "binary_irp_pvariable",
-    "icp_pvariable",
-    "dominating_pvariable",
 ]
 
 _LN_2PI = math.log(2.0 * math.pi)
@@ -137,14 +138,21 @@ _STIRLERR = (
 # A term of F below this fraction of the running sum ends the summation
 # in its direction: every later term is smaller still.
 _TAIL = 2.0**-60
-# The root search stops at a step in s below _STEP_TOL, once the value is
-# also within _FLAT_TOL of the maximum.  The log of the objective falls off
-# the maximum at rate q |1 - exp(-psi)| in s, so the value is off by about
-# that times the step, q psi' step^2 near the root: negligible while
-# psi' ~ sqrt(k) is small, below k ~ 1e11.
+# The root search ends on a pass whose step in s is at most _MODEL_STEP,
+# with |psi| at most _MODEL_PSI, once its Taylor model of the maximum drops
+# at most _MODEL_TOL of it (see maximize_objective).  psi ~ psi' d is the
+# step in units of the peak's width: further out the model does not see
+# the fall of F at the root.  Where no model holds, a step below _STEP_TOL
+# that moves the log of the value by at most _FLAT_TOL ends the search.
+_MODEL_STEP = 1e-4
+_MODEL_TOL = 2.0**-54
+_MODEL_PSI = 8.0
 _STEP_TOL = 1e-12
 _FLAT_TOL = 2.0**-51
 _MAX_NEWTON = 100
+# Where the fraction raises, objective sums the terms up to k = _SUM_K,
+# where the sum takes about 0.15 s, and lets the RuntimeError stand above.
+_SUM_K = 10**10
 # From k = _FRACTION_K on, a pass takes F from a continued fraction in
 # place of the sum, which costs O(sqrt(k)); see _pass.  At k = 180 one
 # pass of each took the same time (timeit at the root, k/m from 1e-3 to
@@ -313,12 +321,15 @@ def objective(m: int, k: int, p: float) -> float:
     _FRACTION_K its terms are summed outward from the largest one, each
     as a ratio to it, and that one comes from Loader's binomial pmf, so
     nothing overflows or underflows early at any m; from it on, F comes
-    from a continued fraction whose cost hardly grows with k, and which
-    raises RuntimeError where it does not converge (see tails).  Near
-    the maximum the value is accurate to a few ulps; the relative error
-    grows like |k - mp|/(1-p) ulps, which is how sensitive the objective
-    itself is to the last bit of p.  The engine evaluates its maximum the
-    same way.
+    from a continued fraction whose cost hardly grows with k.  From
+    k ~ 3e7 the fraction runs past its step cap within about half a
+    binomial sd of the rank-based rate; there the terms are summed, up
+    to k = _SUM_K, where the sum takes about 0.15 s, and above it the
+    RuntimeError stands (see tails).  Near the maximum the value is
+    accurate to a few ulps; the relative error grows like |k - mp|/(1-p)
+    ulps, which is how sensitive the objective itself is to the last bit
+    of p, and in the sum the rounding of q/p compounds over the terms
+    that count: 8e-13 near the rate at k = 1e8.
     """
     _validate_mk(m, k)
     if not 0.0 <= p <= 1.0:
@@ -328,7 +339,12 @@ def objective(m: int, k: int, p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     q = 1.0 - p
-    _, i0, total = _pass(m, k, p, q)
+    try:
+        _, i0, total = _pass(m, k, p, q)
+    except RuntimeError:
+        if k > _SUM_K:
+            raise
+        i0, total, _ = _mode_sums(m, k, p, q)
     return _value(m, p, q, i0, total)
 
 
@@ -340,13 +356,35 @@ def maximize_objective(m: int, k: int) -> Tuple[float, float]:
     s = log((1-p)/p) solves psi(s) = 0, whose root is the unique
     maximizer, from a start near it; a step that the curvature term would
     more than double is a Newton step (see the module docstring).  Each
-    pass (_pass) gives psi, and psi' and psi'' follow from it in closed
-    form.  Iteration ends at a step below _STEP_TOL once the value is
-    within _FLAT_TOL of the maximum: the argmax returned takes that last
-    step, and the value is the last pass's.  Past the engine's range (the
-    module docstring) it raises RuntimeError.
+    pass (_pass) gives psi, and its derivatives follow from it in closed
+    form.  The search ends on the pass whose step d is at most
+    _MODEL_STEP and whose model of the maximum drops at most _MODEL_TOL
+    of it, and both results come from that pass's Taylor model: the
+    argmax from the cubic model of psi, the maximum from
+    log(p F)(s - d) = log(p F)(s) + (q - v) d/2 + g'' d^3/12, with the
+    notation of the module docstring.  That drops -g''' d^4/24 + O(d^5),
+    and the rest is smaller by a factor of about psi' |d|, so the exit
+    bounds it by twice the first term: |g'''| d^4/12 <= _MODEL_TOL.  The
+    model is taken only where |psi| <= _MODEL_PSI, as psi ~ psi' d is d
+    in units of the peak's width, and psi' is above the rounding of
+    k - m p.  Where |psi| <= 2^-28 the model's corrections round away:
+    |d| <= 2 |psi|, as psi' >= 1, so they are at most about
+    q psi d/2 <= psi^2 in the log of the value and psi^2 |d| in the
+    argmax's s, below 2^-55.  There the pass's value and its Halley step
+    are returned as they are; so is every k = 1 call, whose start is the
+    root to within 3.2e-16 in s.  Where no model passes, a pass whose
+    step is below _STEP_TOL and moves the log of the value by at most
+    _FLAT_TOL to first order ends the search as it is: from k ~ 1e24,
+    where psi' passes 1e12 and the bound asks for steps below 1e-12, and
+    where the floats near the root leave psi units from 0.  Past the
+    engine's range (the module docstring) it raises RuntimeError.
     """
     _validate_mk(m, k)
+    return _maximize(m, k)
+
+
+def _maximize(m: int, k: int) -> Tuple[float, float]:
+    """maximize_objective for an (m, k) already checked."""
     if k == m:
         return 1.0, 1.0
     if k == 0:
@@ -360,8 +398,32 @@ def maximize_objective(m: int, k: int) -> Tuple[float, float]:
         if not slope > 0.0:
             break  # psi' >= 1 lost its digits to k - m p: k is past ~1e32
         newton = -log_w / slope
-        halley = 1.0 - 0.5 * newton * (m * p * q + v * (p - slope)) / slope
+        u, pq = p - slope, p * q
+        curve = m * pq + v * u  # psi''
+        halley = 1.0 - 0.5 * newton * curve / slope
         step = newton / halley if halley >= 0.5 else newton
+        if abs(log_w) <= 2.0**-28:  # the model's corrections round away
+            return _shifted(p, q, step)[0], _value(m, p, q, i0, total)
+        # the model needs a small step, within a few widths of the peak
+        # (psi ~ psi' d), and a psi' above the rounding of k - m p
+        if (
+            abs(step) <= _MODEL_STEP
+            and abs(log_w) <= _MODEL_PSI
+            and slope > 2.0**-52 * m * min(p, q)
+        ):
+            big_d = pq * (p - q)
+            w = u * u - pq - curve
+            g2 = v * w - big_d
+            third = g2 + (m + 1) * big_d  # psi'''
+            g3 = v * (u * (w - 2 * (pq + curve)) - big_d - third) - pq * (1 - 6 * pq)
+            if abs(g3) * (step * step) ** 2 <= 12 * _MODEL_TOL:
+                t = step  # the root of the cubic model of psi(s - t)
+                for _ in range(2):
+                    t += (t * (slope - t * (curve / 2 - t * third / 6)) + log_w) / (
+                        curve * t - slope - third * t * t / 2
+                    )
+                gain = math.exp(t * ((q - v) / 2 + g2 * t * t / 12))
+                return _shifted(p, q, t)[0], _value(m, p, q, i0, total) * gain
         if abs(step) <= _STEP_TOL and abs((q - v) * step) <= _FLAT_TOL:
             return _shifted(p, q, step)[0], _value(m, p, q, i0, total)
         p, q = _shifted(p, q, step)
@@ -388,7 +450,7 @@ def _start(m: int, k: int) -> Tuple[float, float]:
 
 @lru_cache(maxsize=65536)
 def _pvalue_cached(m: int, k: int) -> float:
-    return maximize_objective(m, k)[1]
+    return _maximize(m, k)[1]
 
 
 def binary_irp_pvalue(m: int, k: int) -> float:
@@ -461,100 +523,10 @@ def asymptotic_constant(k: int) -> AsymptoticConstant:
             f"{M_MAX >> _POISSON_SHIFT:.6g}, for a_k; got {k!r}"
         )
     try:
-        p, value = maximize_objective(m, k)
+        p, value = _maximize(m, k)
     except RuntimeError as exc:
         raise RuntimeError(
             f"a_k at k = {k} is past the engine's range: "
             f"it did not converge at m = k * 2**{_POISSON_SHIFT}"
         ) from exc
     return AsymptoticConstant(k=k, c_star=m * p, a_k=m * value)
-
-
-def _checked_alphas(calibration_alphas: Sequence[float], test_alpha: float) -> list:
-    """The calibration alphas as a list: nonempty, and neither they nor
-    test_alpha NaN.  A NaN compares false with everything, so it would
-    drop out of the rank count and shrink the p-value."""
-    alphas = list(calibration_alphas)
-    if not alphas:
-        raise ValueError("calibration_alphas must be nonempty")
-    if test_alpha != test_alpha:
-        raise ValueError(f"test_alpha must not be NaN, got {test_alpha!r}")
-    for i, a in enumerate(alphas):
-        if a != a:
-            raise ValueError(f"calibration_alphas[{i}] must not be NaN, got {a!r}")
-    return alphas
-
-
-def icp_pvalue(calibration_alphas: Sequence[float], test_alpha: float) -> "Fraction":
-    """Rank-based conformal p-value (1 + #{alpha_j >= test}) / (m + 1).
-
-    The test summary always counts itself.  Returned as an exact rational:
-    the value is a multiple of 1/(m+1) by construction, and exact
-    arithmetic makes downstream dominance comparisons bit-reliable.
-    float() renders it when a real is needed.  A NaN alpha raises
-    ValueError, naming the test alpha or the calibration alpha's index.
-    """
-    from fractions import Fraction
-
-    alphas = _checked_alphas(calibration_alphas, test_alpha)
-    count = sum(1 for a in alphas if a >= test_alpha)
-    return Fraction(1 + count, len(alphas) + 1)
-
-
-def dominating_pvalue(
-    calibration_alphas: Sequence[float], test_alpha: float, threshold_a: float
-) -> "Fraction":
-    """A p-variable that strictly dominates the rank-based conformal one.
-
-    Returns m^m/(m+1)^(m+1) when the test summary strictly exceeds
-    threshold_a while every calibration summary lies strictly below it,
-    and the rank-based value otherwise.  In the first case the rank-based
-    value is 1/(m+1), which is strictly larger, so the construction is
-    never worse and sometimes better.  Exact rationals throughout, so
-    equality on the fall-through branch is exact.  A NaN alpha or
-    threshold_a raises ValueError, as in icp_pvalue.
-    """
-    from fractions import Fraction
-
-    alphas = _checked_alphas(calibration_alphas, test_alpha)
-    if threshold_a != threshold_a:
-        raise ValueError(f"threshold_a must not be NaN, got {threshold_a!r}")
-    m = len(alphas)
-    if test_alpha > threshold_a and all(a < threshold_a for a in alphas):
-        return Fraction(m**m, (m + 1) ** (m + 1))
-    return icp_pvalue(alphas, test_alpha)
-
-
-def binary_irp_pvariable(seq: "SummarySequence") -> float:
-    """Engine p-variable on a binary summary sequence.
-
-    A conforming test summary yields p-value 1 (the aggregating statistic
-    max(test - mean, 0) is at its minimum, so the exceedance event is
-    sure); a nonconforming one yields binary_irp_pvalue(m, k).
-
-    It dominates icp_pvariable at every m, strictly wherever the test
-    summary is nonconforming and k < m.  With N ~ Bin(m+1, p) and
-    C(m, i) = C(m+1, i+1) (i+1)/(m+1),
-    p F(k; m, p) = E[N 1{N <= k+1}]/(m+1) <= (k+1)/(m+1) P(1 <= N <= k+1),
-    and P(1 <= N <= k+1) < 1 at every p, since P(N = 0) = 1 at p = 0 and
-    P(N = m+1) > 0 elsewhere.  The maximum over p is attained, so
-    binary_irp_pvalue(m, k) < (k+1)/(m+1), the rank-based p-value; both
-    are 1 for a conforming test summary and at k = m.
-    """
-    if seq.test_summary == 0:
-        return 1.0
-    return binary_irp_pvalue(seq.m, seq.k)
-
-
-def icp_pvariable(seq: "SummarySequence") -> "Fraction":
-    """Rank-based conformal p-variable on a binary summary sequence."""
-    return icp_pvalue(seq.calibration_summaries, seq.test_summary)
-
-
-def dominating_pvariable(seq: "SummarySequence", threshold_a: float = 0.5) -> "Fraction":
-    """Dominating p-variable on a binary summary sequence.
-
-    Any threshold_a strictly between 0 and 1 identifies the same event on
-    bits: test summary 1 with zero calibration ones.
-    """
-    return dominating_pvalue(seq.calibration_summaries, seq.test_summary, threshold_a)

@@ -31,10 +31,12 @@ PUBLIC = {
         "MeanRegressor", "PointPredictor",
     ],
     "pvalues": [
-        "AsymptoticConstant", "asymptotic_constant", "binary_irp_pvalue",
-        "binary_irp_pvariable", "dominating_pvalue", "dominating_pvariable",
-        "exact_pvalue_k0", "icp_pvalue", "icp_pvariable", "maximize_objective", "objective",
-        "optimal_p_k1",
+        "AsymptoticConstant", "asymptotic_constant", "binary_irp_pvalue", "exact_pvalue_k0",
+        "maximize_objective", "objective", "optimal_p_k1",
+    ],
+    "ranks": [
+        "binary_irp_pvariable", "dominating_pvalue", "dominating_pvariable", "icp_pvalue",
+        "icp_pvariable",
     ],
     "reports": ["ValidityCell", "ValidityReport"],
     "validity": ["BoundedNoiseLinearGenerator", "PipelineSpec", "monte_carlo_coverage"],

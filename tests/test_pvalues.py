@@ -152,6 +152,25 @@ class TestObjective:
         direct = objective_direct(m, k, p)
         assert log_space == pytest.approx(direct, rel=1e-11, abs=1e-300)
 
+    @pytest.mark.parametrize("m, k", [(2 * 10**8, 10**8), (10**9, 10**8)])
+    def test_at_the_rank_based_rate_past_the_fraction(self, m, k):
+        # the continued fraction runs past its step cap here, and the terms
+        # are summed; the rounding of q/p compounds over the ~1e4 terms that
+        # count, to 3.4e-13 at (2e8, 1e8)
+        p = (k + 1) / (m + 1)
+        start = time.perf_counter()
+        value = objective(m, k, p)
+        assert time.perf_counter() - start < 1.0
+        reference = mpmath_tail_value(m, k, p)
+        assert value == pytest.approx(reference, rel=2e-12)
+
+    def test_past_the_sum_cap_the_fraction_error_stands(self):
+        m, k = 10**12, 10**11
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match=f"m = {m}, k = {k}"):
+            objective(m, k, (k + 1) / (m + 1))
+        assert time.perf_counter() - start < 0.25
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             objective(0, 0, 0.5)
@@ -344,7 +363,9 @@ ACCURACY_GRID = [
     for m in (10, 10**2, 10**3, 10**4, 10**5, 10**6, 10**7)
     for k in (1, 2, 3, 5, 30, 300, 1000)
     if k < m
-]
+] + [(1000, 341), (1000, 558), (1000, 571)]
+# without the d^4 bound in the search's exit, the value at (1000, 558) is
+# 3.8e-14 off
 
 NEIGHBOUR_CASES = [
     (1, 0), (2, 1), (9, 2), (10, 0), (100, 1), (1000, 30),
@@ -384,9 +405,11 @@ class TestStationarityRoot:
 
     def test_passes_over_the_terms(self, monkeypatch):
         # every step of the root search is one _pass, a sum below
-        # _FRACTION_K and a continued fraction from it on; the total bound is
-        # 40% below Newton's method from the rank-based rate, which takes
-        # 7420 passes on these cases, up to 13 on one
+        # _FRACTION_K and a continued fraction from it on.  Newton's method
+        # from the rank-based rate takes 7420 passes on these cases, up to
+        # 13 on one; Halley steps that confirm their last step with one
+        # more pass take 3843, up to 5; ending on the last pass's Taylor
+        # model takes 2874, up to 4
         one_pass = pvalues_module._pass
         calls = []
 
@@ -402,8 +425,8 @@ class TestStationarityRoot:
             passes[m, k] = len(calls)
         assert len(passes) == 1102
         assert {n for (m, k), n in passes.items() if k == 1} == {1}
-        assert max(passes.values()) <= 5
-        assert sum(passes.values()) <= 0.6 * 7420
+        assert max(passes.values()) <= 4
+        assert sum(passes.values()) <= 2874
 
     def test_both_sides_of_the_crossover_match_50_digits(self):
         pytest.importorskip("mpmath")
@@ -452,18 +475,21 @@ class TestStationarityRoot:
     @pytest.mark.parametrize("m, k", [(2 * 10**23, 10**23), (10**30, 10**29)])
     def test_large_k_reaches_the_maximum(self, m, k):
         # psi' grows like sqrt(k), so a step of 1e-12 in s can still leave
-        # the value 1e-13 below the maximum at k = 1e23: the search also
-        # waits for the value to be within _FLAT_TOL of it
+        # the value 1e-13 below the maximum at k = 1e23: the search ends only
+        # where its Taylor model drops at most _MODEL_TOL of the maximum, a
+        # bound that grows with the derivatives of psi
         p_star, value = maximize_objective(m, k)
         reference = mpmath_max_near(m, k, p_star)
         assert abs(value - reference) <= 4e-15 * reference
 
     @pytest.mark.parametrize(
-        "m, k", [(30, 6), (100, 3), (100, 29), (1000, 5), (1000, 150), (10**4, 29)]
+        "m, k",
+        [(30, 6), (100, 3), (100, 29), (1000, 5), (1000, 150), (10**4, 29),
+         (1000, 341), (1000, 558), (1000, 571)],
     )
     def test_argmax_matches_the_60_digit_root(self, m, k):
-        # the argmax takes the search's last step, which the value, flat at
-        # the maximum, does without; the step is up to 5.6e-13 of p here
+        # the argmax solves the last pass's cubic model of psi; its Halley
+        # step alone is 2.7e-15 off the root at (1000, 341)
         p_star, _ = maximize_objective(m, k)
         root = mpmath_root_near(m, k, p_star)
         assert abs(p_star - root) <= 1e-15 * root
@@ -580,6 +606,70 @@ def test_m_past_the_float_range_is_rejected(call):
     # m is converted to a float, whose largest value M_MAX is about 1.8e308
     with pytest.raises(ValueError, match="largest float"):
         call(M_MAX + 1)
+
+
+M_MESSAGE = "m must be an integer from 1 to the largest float, 1.79769e+308; got "
+
+
+@pytest.mark.parametrize("call", [binary_irp_pvalue, maximize_objective])
+@pytest.mark.parametrize(
+    "m, k, message",
+    [
+        (0, 0, M_MESSAGE + "0"),
+        (True, 0, M_MESSAGE + "True"),
+        (2.0, 1, M_MESSAGE + "2.0"),
+        (M_MAX + 1, 1, M_MESSAGE + str(M_MAX + 1)),
+        (5, -1, "k must be an integer in [0, m=5], got -1"),
+        (5, 6, "k must be an integer in [0, m=5], got 6"),
+        (5, 1.0, "k must be an integer in [0, m=5], got 1.0"),
+        (5, False, "k must be an integer in [0, m=5], got False"),
+    ],
+    ids=["m0", "m-bool", "m-float", "m-past-float", "k-negative", "k-above-m",
+         "k-float", "k-bool"],
+)
+def test_invalid_m_and_k_messages(call, m, k, message):
+    with pytest.raises(ValueError) as info:
+        call(m, k)
+    assert str(info.value) == message
+
+
+def test_a_cold_call_checks_m_and_k_once(monkeypatch):
+    # binary_irp_pvalue checks (m, k) before its cache; the engine behind
+    # the cache does not check them again
+    checks = []
+    check = pvalues_module._validate_mk
+
+    def counted(m, k):
+        checks.append((m, k))
+        check(m, k)
+
+    monkeypatch.setattr(pvalues_module, "_validate_mk", counted)
+    pvalues_module._pvalue_cached.cache_clear()
+    for m, k in [(1000, 0), (1000, 1), (1000, 7), (10**6, 500)]:
+        binary_irp_pvalue(m, k)
+    assert len(checks) == 4
+
+
+@pytest.mark.parametrize(
+    "m, k, bits",
+    [
+        (1, 0, "0x1.0000000000000p-2"),
+        (2, 1, "0x1.8a2345cc04427p-2"),
+        (7, 0, "0x1.921ee00000000p-5"),
+        (7, 1, "0x1.d8bde031fc581p-4"),
+        (100, 1, "0x1.12658aef1617cp-7"),
+        (12345, 0, "0x1.f3f04caa35cc1p-16"),
+        (10**6, 1, "0x1.c2f379bf13d04p-21"),
+        (10**20, 1, "0x1.3d54262b4e3ebp-67"),
+        (10**300, 0, "0x1.f88edd4ae42fdp-999"),
+        (10**300, 1, "0x1.20022e238d208p-997"),
+    ],
+    ids=["1-0", "2-1", "7-0", "7-1", "100-1", "12345-0", "1e6-1", "1e20-1", "1e300-0", "1e300-1"],
+)
+def test_k0_and_k1_bits_are_pinned(m, k, bits):
+    # k = 0 is a closed form, and at k = 1 the search ends on its first pass,
+    # where the step is below 1e-15 and the model's correction rounds away
+    assert binary_irp_pvalue(m, k).hex() == bits
 
 
 class TestExactK0:
