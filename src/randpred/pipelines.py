@@ -16,8 +16,12 @@ and the kind of set:
 The regression pipeline takes its half-width and its calibration bits
 from one prediction pass over all of the split's rows; the
 classification pipeline predicts its calibration rows only.  The Monte
-Carlo harness adds its test row to that pass, and forms the test row's
-interval by the one rule that interval_bounds also follows.
+Carlo harness makes that pass per trial, with the trial's test row
+added, and applies the rules below to a block of trials at once: the
+bit rule (_regression_bits), the bounds rule (_interval_bounds), the
+incertitude rule (_incertitudes) and the level-set rule
+(_level_set_bounds) are written over a leading axis, and the pipeline's
+own methods follow the same rules.
 """
 
 from __future__ import annotations
@@ -123,8 +127,7 @@ class FittedPipeline:
     def __post_init__(self):
         if self.task not in ("regression", "classification"):
             raise ValueError(f"task must be 'regression' or 'classification', got {self.task!r}")
-        if not self.width >= 0:
-            raise ValueError(f"width must be nonnegative, got {self.width!r}")
+        _check_width(self.width)
 
     @property
     def fallback_reason(self) -> Optional[str]:
@@ -136,12 +139,7 @@ class FittedPipeline:
         (m, k) for irp, the rank-based (k+1)/(m+1) for icp.  With k = 0
         (the typical regime under bounded noise) the irp incertitude is
         m^m/(m+1)^(m+1), roughly 0.37/m."""
-        if method == "irp":
-            return binary_irp_pvalue(self.m, self.k)
-        if method == "icp":
-            # int true division is correctly rounded: the float nearest the ratio
-            return (self.k + 1) / (self.m + 1)
-        raise ValueError(f"method must be 'irp' or 'icp', got {method!r}")
+        return _incertitude(method, self.m, self.k)
 
     def _check_task(self, task: str, method: str) -> None:
         if self.task != task:
@@ -202,45 +200,62 @@ class FittedPipeline:
         return self.hedge(Interval(lower, upper), method)
 
 
-def _interval_bounds(center: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
+def _check_width(width: float) -> None:
+    """ValueError unless the half-width is nonnegative (NaN is not)."""
+    if not width >= 0:
+        raise ValueError(f"width must be nonnegative, got {width!r}")
+
+
+def _incertitude(method: str, m: int, k: int) -> float:
+    """The incertitude at (m, k): the engine p-value for irp, the
+    rank-based (k+1)/(m+1) for icp."""
+    if method == "irp":
+        return binary_irp_pvalue(m, k)
+    if method == "icp":
+        # int true division is correctly rounded: the float nearest the ratio
+        return (k + 1) / (m + 1)
+    raise ValueError(f"method must be 'irp' or 'icp', got {method!r}")
+
+
+def _incertitudes(method: str, m: int, k: np.ndarray) -> np.ndarray:
+    """_incertitude(method, m, k) at every entry of the 1-D int array k,
+    from one call per distinct value."""
+    distinct, inverse = np.unique(k, return_inverse=True)
+    return np.array([_incertitude(method, m, j) for j in distinct.tolist()])[inverse]
+
+
+def _regression_bits(y: np.ndarray, predictions: np.ndarray, proper_size: int):
+    """The half-width h and the one-count k of the regression measure, over
+    a leading axis: y and predictions are the labels and point
+    predictions of the rows of one split, shape (n,), or of several,
+    shape (splits, n).
+
+    h is the largest of the first proper_size residuals |y - g(x)|, so
+    every proper row conforms; a calibration bit is 1 iff its residual
+    strictly exceeds h (a residual equal to h conforms).
+    """
+    residuals = np.abs(y - predictions)
+    width = residuals[..., :proper_size].max(axis=-1)
+    k = np.count_nonzero(residuals[..., proper_size:] > width[..., np.newaxis], axis=-1)
+    return width, k
+
+
+def _interval_bounds(center: np.ndarray, h) -> Tuple[np.ndarray, np.ndarray]:
     """The bounds center - h and center + h of the point predictions
-    center, or ValueError naming the first row (counted from 1) whose
+    center, over a leading axis: center is (rows,) with a float h, or
+    (splits, rows) with h of shape (splits, 1).  ValueError naming the
+    first row (counted from 1, in the first split that has one) whose
     prediction is not finite."""
     finite = np.isfinite(center)
     if not finite.all():
-        i = int(np.argmin(finite))
+        at = np.unravel_index(np.argmin(finite), finite.shape)
         raise ValueError(
-            f"invalid interval: test row {i + 1}: "
-            f"point prediction {float(center[i])!r} is not finite"
+            f"invalid interval: test row {at[-1] + 1}: "
+            f"point prediction {float(center[at])!r} is not finite"
         )
     # a finite center can still have a bound that overflows to +-inf
     with np.errstate(over="ignore"):
         return center - h, center + h
-
-
-def _fit_regression(
-    X: np.ndarray, y: np.ndarray, proper_size: int, predictor_spec: Optional[RegressorSpec]
-) -> Tuple[FittedPipeline, np.ndarray]:
-    """The regression pipeline fitted on the first proper_size rows of the
-    checked arrays X and y and calibrated on the rows of y after them, and
-    the point predictions of the rows of X past the end of y (unlabelled
-    test rows), from one predict_batch pass over all rows of X.  A
-    prediction does not depend on the other rows of its batch, so the
-    values are those of separate passes.
-
-    The half-width h is the largest proper residual, so every proper row
-    conforms; a calibration bit is 1 iff its residual strictly exceeds h
-    (a residual equal to h conforms).  A degenerate design falls back to
-    the mean-label predictor, recorded in its fallback_reason.
-    """
-    spec = predictor_spec or RegressorSpec()
-    predictor = spec.build().fit(X[:proper_size], y[:proper_size])
-    predictions = predictor.predict_batch(X)
-    residuals = np.abs(y - predictions[: len(y)])
-    width = float(residuals[:proper_size].max())
-    k = int(np.count_nonzero(residuals[proper_size:] > width))
-    pipeline = FittedPipeline("regression", predictor, width, k, len(y) - proper_size)
-    return pipeline, predictions[len(y) :]
 
 
 def _margin_bits(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -261,8 +276,15 @@ def fit_regression_pipeline(
     split: DataSplit, predictor_spec: Optional[RegressorSpec] = None
 ) -> FittedPipeline:
     """Fit the regression measure on the split and score its calibration,
-    in one prediction pass over all of its rows."""
-    return _fit_regression(split.X, split.y, split.proper_size, predictor_spec)[0]
+    in one prediction pass over all of its rows.
+
+    The half-width and the calibration bits follow _regression_bits.  A
+    degenerate design falls back to the mean-label predictor, recorded in
+    its fallback_reason.
+    """
+    predictor = (predictor_spec or RegressorSpec()).build().fit(*split.proper)
+    width, k = _regression_bits(split.y, predictor.predict_batch(split.X), split.proper_size)
+    return FittedPipeline("regression", predictor, float(width), int(k), split.calibration_size)
 
 
 def fit_classification_pipeline(
@@ -290,6 +312,21 @@ def prediction_set(prediction: HedgedPrediction, epsilon: float) -> PredictionSe
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     conforming = prediction.prediction_set
-    if prediction.incertitude <= epsilon:
+    if _keeps_conforming_set(prediction.incertitude, epsilon):
         return conforming
     return FULL_LINE if isinstance(conforming, Interval) else ALL_LABELS
+
+
+def _keeps_conforming_set(incertitude, epsilon: float):
+    """Whether the level-epsilon set is the conforming set, elementwise
+    over an array of incertitudes: iff the incertitude is at most
+    epsilon.  Elsewhere it is the whole label space."""
+    return incertitude <= epsilon
+
+
+def _level_set_bounds(lower, upper, incertitude, epsilon: float):
+    """The bounds of the level-epsilon sets of intervals [lower, upper]
+    with their incertitudes, all arrays of one shape: prediction_set's
+    rule, with FULL_LINE's bounds where the set is the whole line."""
+    keep = _keeps_conforming_set(incertitude, epsilon)
+    return np.where(keep, lower, FULL_LINE.lower), np.where(keep, upper, FULL_LINE.upper)

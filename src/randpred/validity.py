@@ -1,8 +1,11 @@
 """Monte Carlo validity harness.
 
 Measures coverage frequencies of the regression pipelines on seeded
-synthetic data.  A trial fits its regression pipeline by the one-pass
-fit of fit_regression_pipeline, with its test row in the pass.  The
+synthetic data.  A trial fits its point predictor as
+fit_regression_pipeline does and predicts all of its rows, its test row
+included, in one pass.  The harness keeps the predictions and labels of
+a block of trials in two arrays and applies the pipelines module's bit,
+bounds, incertitude and level-set rules to the whole block at once.  The
 exact audits, which need no sampling, are in the audits module.
 """
 
@@ -15,8 +18,15 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import DataSplit, Interval
-from .pipelines import RegressorSpec, _fit_regression, _interval_bounds, prediction_set
+from .core import DataSplit
+from .pipelines import (
+    RegressorSpec,
+    _check_width,
+    _incertitudes,
+    _interval_bounds,
+    _level_set_bounds,
+    _regression_bits,
+)
 from .reports import ValidityCell, ValidityReport
 
 __all__ = [
@@ -24,6 +34,12 @@ __all__ = [
     "PipelineSpec",
     "monte_carlo_coverage",
 ]
+
+
+# A block of trials holds at most this many data rows (each trial's
+# training rows and its test row) and at least one trial, so the
+# harness's arrays stay bounded at any calibration size and trial count.
+_BLOCK_ROWS = 1 << 14
 
 
 def _finite_float(name: str, value) -> float:
@@ -34,10 +50,15 @@ def _finite_float(name: str, value) -> float:
     raise ValueError(f"{name} must be a finite float, got {value!r}")
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int or a numpy integer (bools excluded)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _positive_size(name: str, value) -> int:
     """value as an int, or ValueError naming the field unless it is a
     positive int (bools excluded)."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1:
+    if _is_int(value) and value >= 1:
         return int(value)
     raise ValueError(f"{name} must be a positive int, got {value!r}")
 
@@ -123,52 +144,64 @@ def monte_carlo_coverage(
     coverage cell passes when the empirical miscoverage rate is at most
     epsilon + 3 standard errors.  A trial checks that its training labels
     are finite (ValueError otherwise, as DataSplit raises), fits the
-    regression pipeline with one prediction pass over its training rows
-    and its test row, so that pass gives the half-width, the m
-    calibration bits and the test row's point prediction, and forms the
-    test row's interval by the rule of FittedPipeline.interval_bounds.
-    That is the pipeline and the interval that fit_regression_pipeline
-    and interval_bounds give for generator.sample's split and test row,
-    value for value.  The interval is paired with every method's
-    incertitude.  A level set is the interval or the whole line, so it
-    can only exclude the label where the interval does; the level sets
-    are formed on those trials only.  When both methods run, an
-    interval-identity cell compares the two hedged predictions of every
-    trial: it checks that the method changes only the incertitude, never
-    the interval.  It does not compare independently fitted pipelines.
+    point predictor on its proper rows and predicts all of its rows, its
+    test row included, in one pass.  The harness keeps the predictions
+    and labels of up to _BLOCK_ROWS data rows of trials, then takes the
+    half-widths and calibration bits, the test rows' intervals, every
+    method's incertitude and level sets, and the miss counts of the
+    whole block, each by one array rule of the pipelines module.  Those
+    are, value for value, the pipeline of fit_regression_pipeline and the
+    sets of interval_bounds, hedge and prediction_set for
+    generator.sample's split and test row.  A block raises the error the
+    first failing trial raises in that trial-by-trial path, with its
+    message: a label, fit or prediction error of a trial is raised after
+    the trials before it are checked.  When both methods run, the
+    interval-identity cell counts the trials whose methods hedge the same
+    interval; every method hedges the one interval of its trial, so the
+    method changes only the incertitude, never the interval.  It does not
+    compare independently fitted pipelines.
 
     Each trial derives its random stream from (seed, trial index), so the
     report is identical under any execution order.  seed must be a
-    nonnegative int, as trials must be a positive one.
+    nonnegative int, as trials must be a positive one; numpy integers
+    count, bools do not.
     """
     spec = pipeline_spec or PipelineSpec()
     generator = data_generator_spec or BoundedNoiseLinearGenerator()
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+    if not (_is_int(trials) and trials >= 1):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not (_is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    trials, seed = int(trials), int(seed)
 
     methods = ("irp", "icp") if spec.method == "both" else (spec.method,)
+    proper, m = generator.proper_size, generator.calibration_size
+    size = min(trials, max(1, _BLOCK_ROWS // (proper + m + 1)))
+    predictions = np.empty((size, proper + m + 1))
+    labels = np.empty_like(predictions)
     misses = dict.fromkeys(methods, 0)
     identical_intervals = 0
-    for trial in range(trials):
-        X, labels = generator._draw(np.random.default_rng([seed, trial]))
-        y = labels[:-1]  # the training labels; X's last row is the test row
-        if not np.isfinite(y).all():  # the features are finite by the generator's checks
-            raise ValueError("features and labels must be finite")
-        pipeline, center = _fit_regression(X, y, generator.proper_size, spec.predictor)
-        lower, upper = _interval_bounds(center, pipeline.width)
-        interval = Interval(lower.item(), upper.item())
-        predictions = [pipeline.hedge(interval, method) for method in methods]
-        test_label = labels[-1].item()
-        if not interval.contains(test_label):  # else every level set holds it
-            for method, prediction in zip(methods, predictions):
-                if not prediction_set(prediction, epsilon).contains(test_label):
-                    misses[method] += 1
-        if len(predictions) == 2:
-            identical_intervals += predictions[0].prediction_set == predictions[1].prediction_set
+    for start in range(0, trials, size):
+        filled = min(size, trials - start)
+        for row in range(filled):
+            try:
+                X, y = generator._draw(np.random.default_rng([seed, start + row]))
+                # the features are finite by the generator's checks
+                if not np.isfinite(y[:-1]).all():
+                    raise ValueError("features and labels must be finite")
+                predictor = spec.predictor.build().fit(X[:proper], y[:proper])
+                predictions[row] = predictor.predict_batch(X)
+            except Exception:
+                _block_misses(predictions[:row], labels[:row], proper, methods, epsilon)
+                raise  # the trials before this one raised nothing
+            labels[row] = y
+        block = _block_misses(predictions[:filled], labels[:filled], proper, methods, epsilon)
+        for method, count in zip(methods, block):
+            misses[method] += count
+        if len(methods) == 2:
+            identical_intervals += filled
 
     cells = []
     for method in methods:
@@ -204,3 +237,29 @@ def monte_carlo_coverage(
         trials=trials,
         seed=seed,
     )
+
+
+def _block_misses(predictions, labels, proper_size, methods, epsilon) -> list:
+    """How many test labels each method's level sets exclude over a block
+    of trials: predictions and labels are (trials, n + 1) arrays, a
+    trial's test row last.  Raises the error of the first trial whose
+    half-width is NaN (as FittedPipeline does) or whose test row's point
+    prediction is not finite (as interval_bounds does)."""
+    n = labels.shape[1] - 1
+    m = n - proper_size
+    width, k = _regression_bits(labels[:, :n], predictions[:, :n], proper_size)
+    center, test_label = predictions[:, n:], labels[:, n:]
+    invalid = ~(width >= 0)
+    if invalid.any():
+        first = int(np.argmax(invalid))
+        _interval_bounds(center[:first], width[:first, np.newaxis])  # an earlier error first
+        _check_width(float(width[first]))
+    lower, upper = _interval_bounds(center, width[:, np.newaxis])
+    counts = []
+    for method in methods:
+        level_lower, level_upper = _level_set_bounds(
+            lower, upper, _incertitudes(method, m, k)[:, np.newaxis], epsilon
+        )
+        covered = (level_lower <= test_label) & (test_label <= level_upper)
+        counts.append(len(covered) - int(np.count_nonzero(covered)))
+    return counts

@@ -29,6 +29,9 @@ from randpred import (
     urp_binary_event,
 )
 from randpred.audits import _sup_coverage_polynomial
+from randpred.pipelines import FittedPipeline
+from randpred.predictors import MeanRegressor
+from randpred.validity import _BLOCK_ROWS, _block_misses
 
 # 3-decimal reference rows for the asymptotic-numerator table.
 IRP_ROW = (0.368, 0.840, 1.371, 1.942, 2.544, 3.168, 3.812, 4.472)
@@ -236,10 +239,21 @@ class TestMonteCarloCoverage:
         with pytest.raises(ValueError):
             PipelineSpec(method="oracle")
 
-    @pytest.mark.parametrize("seed", [-1, True, False, 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, True, False, np.bool_(False), np.int64(-1), 1.5, "3", None])
     def test_seed_must_be_a_nonnegative_int(self, seed):
         with pytest.raises(ValueError, match="seed"):
             monte_carlo_coverage(None, None, 0.05, 5, seed)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+    def test_numpy_integers_accepted(self, kind):
+        report = monte_carlo_coverage(None, None, 0.05, kind(40), kind(7))
+        assert report == monte_carlo_coverage(None, None, 0.05, 40, 7)
+        assert type(report.trials) is int and type(report.seed) is int
+
+    @pytest.mark.parametrize("trials", [True, np.bool_(True), np.int64(0), 10.0, "10"])
+    def test_trials_must_be_a_positive_int(self, trials):
+        with pytest.raises(ValueError, match="^trials must be a positive integer"):
+            monte_carlo_coverage(None, None, 0.05, trials, 1)
 
     def test_overflowing_label_raises_the_split_error(self):
         # finite coefficients whose labels overflow: the harness raises the
@@ -349,6 +363,77 @@ class TestMonteCarloRecount:
         report = _recount(spec, generator, 0.2, 300, 4)
         assert all(cell.probability > 0 for cell in report.cells[:2])
         assert report == monte_carlo_coverage(spec, generator, 0.2, 300, 4)
+
+
+def _block_trials(generator):
+    """How many trials the harness counts in one block."""
+    rows = generator.proper_size + generator.calibration_size + 1
+    return max(1, _BLOCK_ROWS // rows)
+
+
+class TestMonteCarloBlocks:
+    """The harness counts its trials in blocks of at most _BLOCK_ROWS data
+    rows; the report and the error raised are those of the trial-by-trial
+    path at every block boundary."""
+
+    @pytest.mark.parametrize(
+        "m, trials",
+        # a block holds 202 trials at m = 30 and one trial at the large m,
+        # which has no trial count below its block
+        [(30, t) for t in (201, 202, 203, 405)] + [(_BLOCK_ROWS, t) for t in (1, 2, 3)],
+    )
+    def test_report_equals_recount_at_block_seams(self, m, trials):
+        spec, generator = PipelineSpec(), BoundedNoiseLinearGenerator(calibration_size=m)
+        assert _block_trials(generator) == (202 if m == 30 else 1)
+        report = monte_carlo_coverage(spec, generator, 0.2, trials, 3)
+        assert report == _recount(spec, generator, 0.2, trials, 3)
+
+    def test_first_failure_in_a_later_block(self):
+        # the labels overflow where the feature is within about 5e-5 of 1:
+        # at seed 2 trial 446, in the third block, is the first to fail
+        spec = PipelineSpec()
+        generator = BoundedNoiseLinearGenerator(coefficients=(1e307,), intercept=1.6977e308)
+        assert 446 > 2 * _block_trials(generator)
+        with np.errstate(over="ignore"):
+            report = monte_carlo_coverage(spec, generator, 0.05, 446, 2)
+            assert report == _recount(spec, generator, 0.05, 446, 2)
+            for count in (monte_carlo_coverage, _recount):
+                with pytest.raises(ValueError, match="^features and labels must be finite$"):
+                    count(spec, generator, 0.05, 447, 2)
+
+    def test_center_error_before_label_error_in_one_block(self):
+        # at seed 1 trial 0 passes, trial 1's test centre overflows to inf
+        # and trial 3's training labels overflow: trial 1's error is raised
+        spec = PipelineSpec()
+        generator = BoundedNoiseLinearGenerator(
+            coefficients=(1.7e308, 1.7e308), intercept=0.0, proper_size=3, calibration_size=1
+        )
+        assert _block_trials(generator) > 4
+        message = "^invalid interval: test row 1: point prediction inf is not finite$"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert monte_carlo_coverage(spec, generator, 0.05, 1, 1) == _recount(
+                spec, generator, 0.05, 1, 1
+            )
+            for count in (monte_carlo_coverage, _recount):
+                with pytest.raises(ValueError, match=message):
+                    count(spec, generator, 0.05, 4, 1)
+            with pytest.raises(ValueError, match="^features and labels must be finite$"):
+                generator.sample(np.random.default_rng([1, 3]))
+
+    def test_nan_width_is_raised_in_trial_order(self):
+        # a NaN proper prediction makes a NaN half-width, which the pipeline
+        # rejects; a block raises it, or an earlier trial's centre error
+        width_message = "^width must be nonnegative, got nan$"
+        with pytest.raises(ValueError, match=width_message):
+            FittedPipeline("regression", MeanRegressor(), math.nan, 0, 1)
+        predictions, labels = np.zeros((3, 4)), np.zeros((3, 4))
+        predictions[2, 3] = math.inf  # trial 2: the test row's centre
+        predictions[1, 0] = math.nan  # trial 1: a proper row
+        with pytest.raises(ValueError, match=width_message):
+            _block_misses(predictions, labels, 2, ("irp", "icp"), 0.05)
+        predictions[0, 3] = -math.inf  # trial 0: the test row's centre
+        with pytest.raises(ValueError, match="^invalid interval: test row 1: point prediction -inf"):
+            _block_misses(predictions, labels, 2, ("irp", "icp"), 0.05)
 
 
 def _miss_counts(report):
