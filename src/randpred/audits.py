@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import EXACT_M_LIMIT
 from .pvalues import asymptotic_constant
+from .records import Record
 from .reports import ValidityCell, ValidityReport
 
 __all__ = [
@@ -41,28 +41,23 @@ __all__ = [
 _SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class SummarySequence:
+class SummarySequence(Record):
     """Binary nonconformity summaries for the calibration examples plus the
     test example.  ``k`` counts the 1s among the calibration summaries only.
     """
 
-    calibration_summaries: tuple
-    test_summary: int
-    k: int = field(init=False)
+    __slots__ = ("calibration_summaries", "test_summary", "k")
 
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.calibration_summaries)
+    def __init__(self, calibration_summaries: tuple, test_summary: int):
+        bits = tuple(int(b) for b in calibration_summaries)
         if not bits:
             raise ValueError("calibration_summaries must be nonempty")
         if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"summaries must be bits, got {self.calibration_summaries!r}")
-        t = int(self.test_summary)
+            raise ValueError(f"summaries must be bits, got {calibration_summaries!r}")
+        t = int(test_summary)
         if t not in (0, 1):
-            raise ValueError(f"test_summary must be a bit, got {self.test_summary!r}")
-        object.__setattr__(self, "calibration_summaries", bits)
-        object.__setattr__(self, "test_summary", t)
-        object.__setattr__(self, "k", sum(bits))
+            raise ValueError(f"test_summary must be a bit, got {test_summary!r}")
+        super().__init__(bits, t, sum(bits))
 
     @property
     def m(self) -> int:
@@ -188,18 +183,16 @@ def audit_pvariable(pvariable: Callable[[SummarySequence], float], m: int) -> Va
     return ValidityReport(mode="exact", cells=tuple(cells), m=m)
 
 
-@dataclass(frozen=True)
-class DominanceWitness:
+class DominanceWitness(Record):
     """Configuration where the two p-variables differ (or tie illegally)."""
 
-    calibration_ones: int
-    test_summary: int
-    p1_value: float
-    p2_value: float
+    __slots__ = ("calibration_ones", "test_summary", "p1_value", "p2_value")
+
+    def __init__(self, calibration_ones: int, test_summary: int, p1_value: float, p2_value: float):
+        super().__init__(calibration_ones, test_summary, p1_value, p2_value)
 
 
-@dataclass(frozen=True)
-class DominanceResult:
+class DominanceResult(Record):
     """Verdict of an exhaustive dominance comparison.
 
     verdict is "strict" (p1 <= p2 everywhere, strictly somewhere — the
@@ -207,8 +200,10 @@ class DominanceResult:
     witness is a counterexample with p1 > p2).
     """
 
-    verdict: str
-    witness: Optional[DominanceWitness] = None
+    __slots__ = ("verdict", "witness")
+
+    def __init__(self, verdict: str, witness: Optional[DominanceWitness] = None):
+        super().__init__(verdict, witness)
 
 
 def check_dominance(
@@ -244,14 +239,13 @@ def check_dominance(
     return DominanceResult(verdict="weak")
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Record):
     """One column of the asymptotic-numerator table."""
 
-    k: int
-    a_k: float
-    icp_numerator: int
-    ratio: float
+    __slots__ = ("k", "a_k", "icp_numerator", "ratio")
+
+    def __init__(self, k: int, a_k: float, icp_numerator: int, ratio: float):
+        super().__init__(k, a_k, icp_numerator, ratio)
 
     @property
     def a_k_rounded(self) -> float:

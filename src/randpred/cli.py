@@ -26,7 +26,6 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, repeat
 from typing import Iterable, List, Optional, Tuple
@@ -43,6 +42,7 @@ from .pipelines import (
     prediction_set,
 )
 from .pvalues import M_MAX, asymptotic_constant, binary_irp_pvalue, m_error
+from .records import Record
 
 SCHEMA_VERSION = "1"
 
@@ -59,11 +59,14 @@ def _round12(x: float) -> float:
 
 
 def _jsonify(value):
-    """Shape a payload for json.dumps: rounded floats, no non-finite values."""
+    """Shape a payload for json.dumps: rounded floats, no non-finite
+    values, and a record as the dict of its fields."""
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
         return None if not math.isfinite(value) else _round12(value)
+    if isinstance(value, Record):
+        value = value._asdict()
     if isinstance(value, dict):
         return {key: _jsonify(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -98,7 +101,7 @@ def _verdict(passed: bool) -> str:
 
 def _set_payload(s) -> dict:
     if isinstance(s, Interval):
-        return {"type": "interval", **asdict(s)}
+        return {"type": "interval", **s._asdict()}
     return {"type": "labels", "members": sorted(int(v) for v in s)}
 
 
@@ -249,15 +252,16 @@ def _predict_text(method: str, epsilon: float, pipeline, X) -> str:
     return "".join(chain([head], _prediction_rows(pipeline, X, method, epsilon, "\n")))
 
 
-@dataclass(frozen=True)
-class CsvDataset:
+class CsvDataset(Record):
     """Parsed CSV: named feature columns, one label column, and the data
     rows as float64 arrays, X of shape (n, d) and y of shape (n,)."""
 
-    feature_names: Tuple[str, ...]
-    label_name: str
-    X: np.ndarray
-    y: np.ndarray
+    __slots__ = ("feature_names", "label_name", "X", "y")
+
+    def __init__(
+        self, feature_names: Tuple[str, ...], label_name: str, X: np.ndarray, y: np.ndarray
+    ):
+        super().__init__(feature_names, label_name, X, y)
 
 
 def _read_header(path: str, reader) -> list:
@@ -434,7 +438,7 @@ def table(k_max: int, as_json: bool) -> None:
     from . import audits
 
     rows = [
-        {**asdict(row), "a_k_rounded": row.a_k_rounded, "ratio_rounded": row.ratio_rounded}
+        {**row._asdict(), "a_k_rounded": row.a_k_rounded, "ratio_rounded": row.ratio_rounded}
         for row in audits.reproduce_table_k(k_max)
     ]
     # one text line per column of the table: label, format, row key
@@ -631,7 +635,7 @@ def validate(
             validity.PipelineSpec(), generator, epsilon, trials, seed
         )
         passed = report.passed
-        payload = {**asdict(report), "mode": "mc", "epsilon": epsilon, "passed": passed}
+        payload = {**report._asdict(), "mode": "mc", "epsilon": epsilon, "passed": passed}
         lines = [
             f"mode=mc m={report.m} trials={report.trials} seed={report.seed} epsilon={epsilon}"
         ] + [

@@ -1,16 +1,18 @@
 """Shared domain types: train/calibration splits and hedged prediction
 sets, and the exact oracle's calibration-size cap.
 
-All types are immutable after construction and safe to share across threads.
+All types are records (the records module): immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
+
+from .records import Record
 
 __all__ = [
     "EXACT_M_LIMIT",
@@ -38,42 +40,38 @@ def xy_arrays(X, y) -> Tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-@dataclass(frozen=True, eq=False)
-class DataSplit:
+class DataSplit(Record):
     """A training sequence split into a proper part (fits the point
     predictor) and a calibration part (drives the p-value).
 
     The sequence is held as arrays: ``X`` is the (n, d) feature matrix and
     ``y`` the n labels, in order; the first ``proper_size`` rows are the
     proper part.  Both are float64 copies, checked once here (finite, and
-    both parts nonempty) and read-only afterwards.
+    both parts nonempty) and read-only afterwards.  Two splits are equal
+    only if they are the same object.
     """
 
-    X: np.ndarray
-    y: np.ndarray
-    proper_size: int
+    __slots__ = ("X", "y", "proper_size")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if not isinstance(self.proper_size, (int, np.integer)):
-            raise TypeError(
-                f"proper_size must be an int, got {type(self.proper_size).__name__}"
-            )
+    def __init__(self, X: np.ndarray, y: np.ndarray, proper_size: int):
+        if not isinstance(proper_size, (int, np.integer)):
+            raise TypeError(f"proper_size must be an int, got {type(proper_size).__name__}")
         # np.array copies, so freezing X and y below leaves the caller's arrays writable.
-        X = np.array(self.X, dtype=np.float64)
-        y = np.array(self.y, dtype=np.float64)
+        X = np.array(X, dtype=np.float64)
+        y = np.array(y, dtype=np.float64)
         X, y = xy_arrays(X, y)
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ValueError("features and labels must be finite")
-        if not 1 <= self.proper_size <= len(X) - 1:
+        if not 1 <= proper_size <= len(X) - 1:
             raise ValueError(
                 "both proper and calibration parts need at least one example "
-                f"(got {self.proper_size} and {len(X) - self.proper_size})"
+                f"(got {proper_size} and {len(X) - proper_size})"
             )
         X.setflags(write=False)
         y.setflags(write=False)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "proper_size", int(self.proper_size))
+        super().__init__(X, y, int(proper_size))
 
     @property
     def proper(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -94,19 +92,16 @@ class DataSplit:
         return len(self.y)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A closed real interval; endpoints may be infinite."""
 
-    lower: float
-    upper: float
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self):
-        lo, hi = float(self.lower), float(self.upper)
+    def __init__(self, lower: float, upper: float):
+        lo, hi = float(lower), float(upper)
         if math.isnan(lo) or math.isnan(hi) or lo > hi:
-            raise ValueError(f"invalid interval [{self.lower!r}, {self.upper!r}]")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+            raise ValueError(f"invalid interval [{lower!r}, {upper!r}]")
+        super().__init__(lo, hi)
 
     def contains(self, y: float) -> bool:
         return self.lower <= y <= self.upper
@@ -123,8 +118,7 @@ ALL_LABELS = frozenset({-1, 1})
 PredictionSet = Union[Interval, frozenset]
 
 
-@dataclass(frozen=True)
-class HedgedPrediction:
+class HedgedPrediction(Record):
     """A prediction set together with its incertitude.
 
     The induced prediction p-function takes the value 1 on the set and the
@@ -134,20 +128,21 @@ class HedgedPrediction:
     incertitude but excludes no label.
     """
 
-    prediction_set: PredictionSet
-    incertitude: float
-    degenerate: bool = False
-    vacuous: bool = False
-    k: int = None
-    m: int = None
+    __slots__ = ("prediction_set", "incertitude", "degenerate", "vacuous", "k", "m")
 
-    def __post_init__(self):
-        c = float(self.incertitude)
+    def __init__(
+        self,
+        prediction_set: PredictionSet,
+        incertitude: float,
+        degenerate: bool = False,
+        vacuous: bool = False,
+        k: int = None,
+        m: int = None,
+    ):
+        c = float(incertitude)
         if not 0.0 <= c <= 1.0:
-            raise ValueError(f"incertitude must lie in [0, 1], got {self.incertitude!r}")
-        object.__setattr__(self, "incertitude", c)
-        if c == 1.0:
-            object.__setattr__(self, "degenerate", True)
+            raise ValueError(f"incertitude must lie in [0, 1], got {incertitude!r}")
+        super().__init__(prediction_set, c, c == 1.0 or degenerate, vacuous, k, m)
 
     def contains(self, y: float) -> bool:
         s = self.prediction_set

@@ -26,7 +26,6 @@ own methods follow the same rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -46,6 +45,7 @@ from .predictors import (
     PointPredictor,
 )
 from .pvalues import binary_irp_pvalue
+from .records import Record
 
 __all__ = [
     "RegressorSpec",
@@ -65,15 +65,15 @@ _MARGIN = 1.0
 _LABEL_SETS = {1: frozenset({1}), -1: frozenset({-1}), 0: ALL_LABELS}
 
 
-@dataclass(frozen=True)
-class RegressorSpec:
+class RegressorSpec(Record):
     """Configuration for the regression point predictor."""
 
-    kind: str = "least_squares"
+    __slots__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in ("least_squares", "mean"):
-            raise ValueError(f"unknown regressor kind {self.kind!r}")
+    def __init__(self, kind: str = "least_squares"):
+        if kind not in ("least_squares", "mean"):
+            raise ValueError(f"unknown regressor kind {kind!r}")
+        super().__init__(kind)
 
     def build(self) -> PointPredictor:
         if self.kind == "mean":
@@ -81,17 +81,20 @@ class RegressorSpec:
         return LeastSquaresRegressor()
 
 
-@dataclass(frozen=True)
-class ClassifierSpec:
+class ClassifierSpec(Record):
     """Configuration for the margin classifier, checked when it is made:
     a setting HingeLossLinearClassifier rejects raises ValueError here."""
 
-    learning_rate: float = 0.5
-    epochs: int = 200
-    l2: float = 1e-3
-    seed: Optional[int] = None
+    __slots__ = ("learning_rate", "epochs", "l2", "seed")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        learning_rate: float = 0.5,
+        epochs: int = 200,
+        l2: float = 1e-3,
+        seed: Optional[int] = None,
+    ):
+        super().__init__(learning_rate, epochs, l2, seed)
         self.build()  # the classifier checks its own settings
 
     def build(self) -> PointPredictor:
@@ -103,8 +106,7 @@ class ClassifierSpec:
         )
 
 
-@dataclass(frozen=True)
-class FittedPipeline:
+class FittedPipeline(Record):
     """A point predictor fitted once on the proper training part, and the
     one-count k of the m calibration bits of its task's measure.
 
@@ -118,16 +120,13 @@ class FittedPipeline:
     concurrently.
     """
 
-    task: str
-    predictor: PointPredictor
-    width: float
-    k: int
-    m: int
+    __slots__ = ("task", "predictor", "width", "k", "m")
 
-    def __post_init__(self):
-        if self.task not in ("regression", "classification"):
-            raise ValueError(f"task must be 'regression' or 'classification', got {self.task!r}")
-        _check_width(self.width)
+    def __init__(self, task: str, predictor: PointPredictor, width: float, k: int, m: int):
+        if task not in ("regression", "classification"):
+            raise ValueError(f"task must be 'regression' or 'classification', got {task!r}")
+        _check_width(width)
+        super().__init__(task, predictor, width, k, m)
 
     @property
     def fallback_reason(self) -> Optional[str]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -27,6 +26,7 @@ from .pipelines import (
     _level_set_bounds,
     _regression_bits,
 )
+from .records import Record
 from .reports import ValidityCell, ValidityReport
 
 __all__ = [
@@ -63,8 +63,7 @@ def _positive_size(name: str, value) -> int:
     raise ValueError(f"{name} must be a positive int, got {value!r}")
 
 
-@dataclass(frozen=True)
-class BoundedNoiseLinearGenerator:
+class BoundedNoiseLinearGenerator(Record):
     """IID sampler: uniform features, linear signal, uniform bounded noise.
 
     Bounded noise makes a zero calibration one-count the typical regime
@@ -74,32 +73,53 @@ class BoundedNoiseLinearGenerator:
     a label can still overflow, so labels are checked per draw.
     """
 
-    coefficients: Tuple[float, ...] = (1.5, -2.0)
-    intercept: float = 0.3
-    noise_half_width: float = 0.25
-    proper_size: int = 50
-    calibration_size: int = 30
-    feature_low: float = -1.0
-    feature_high: float = 1.0
+    __slots__ = (
+        "coefficients",
+        "intercept",
+        "noise_half_width",
+        "proper_size",
+        "calibration_size",
+        "feature_low",
+        "feature_high",
+    )
 
-    def __post_init__(self):
-        coefficients = tuple(_finite_float("coefficients", c) for c in self.coefficients)
+    def __init__(
+        self,
+        coefficients: Tuple[float, ...] = (1.5, -2.0),
+        intercept: float = 0.3,
+        noise_half_width: float = 0.25,
+        proper_size: int = 50,
+        calibration_size: int = 30,
+        feature_low: float = -1.0,
+        feature_high: float = 1.0,
+    ):
+        coefficients = tuple(_finite_float("coefficients", c) for c in coefficients)
         if not coefficients:
             raise ValueError("coefficients must be nonempty")
-        object.__setattr__(self, "coefficients", coefficients)
-        for name in ("intercept", "noise_half_width", "feature_low", "feature_high"):
-            object.__setattr__(self, name, _finite_float(name, getattr(self, name)))
-        for name in ("proper_size", "calibration_size"):
-            object.__setattr__(self, name, _positive_size(name, getattr(self, name)))
-        if self.noise_half_width < 0:
+        intercept = _finite_float("intercept", intercept)
+        noise_half_width = _finite_float("noise_half_width", noise_half_width)
+        feature_low = _finite_float("feature_low", feature_low)
+        feature_high = _finite_float("feature_high", feature_high)
+        proper_size = _positive_size("proper_size", proper_size)
+        calibration_size = _positive_size("calibration_size", calibration_size)
+        if noise_half_width < 0:
             raise ValueError("noise_half_width must be nonnegative")
-        if not self.feature_low < self.feature_high:
+        if not feature_low < feature_high:
             raise ValueError("feature_low must be below feature_high")
         # numpy's uniform draws need a finite width high - low
-        if not math.isfinite(2.0 * self.noise_half_width):
+        if not math.isfinite(2.0 * noise_half_width):
             raise ValueError("2 * noise_half_width must be finite")
-        if not math.isfinite(self.feature_high - self.feature_low):
+        if not math.isfinite(feature_high - feature_low):
             raise ValueError("feature_high - feature_low must be finite")
+        super().__init__(
+            coefficients,
+            intercept,
+            noise_half_width,
+            proper_size,
+            calibration_size,
+            feature_low,
+            feature_high,
+        )
 
     def _draw(self, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
         """The features (n + 1, d) and labels (n + 1,) of one training
@@ -118,16 +138,16 @@ class BoundedNoiseLinearGenerator:
         return split, features[-1], float(labels[-1])
 
 
-@dataclass(frozen=True)
-class PipelineSpec:
-    """Which regression pipeline the Monte Carlo harness should exercise."""
+class PipelineSpec(Record):
+    """Which regression pipeline the Monte Carlo harness should exercise;
+    predictor None is the default RegressorSpec()."""
 
-    method: str = "both"
-    predictor: RegressorSpec = field(default_factory=RegressorSpec)
+    __slots__ = ("method", "predictor")
 
-    def __post_init__(self):
-        if self.method not in ("irp", "icp", "both"):
-            raise ValueError(f"method must be 'irp', 'icp', or 'both', got {self.method!r}")
+    def __init__(self, method: str = "both", predictor: Optional[RegressorSpec] = None):
+        if method not in ("irp", "icp", "both"):
+            raise ValueError(f"method must be 'irp', 'icp', or 'both', got {method!r}")
+        super().__init__(method, RegressorSpec() if predictor is None else predictor)
 
 
 def monte_carlo_coverage(

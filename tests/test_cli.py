@@ -9,7 +9,6 @@ import sys
 import time
 import warnings
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -22,6 +21,7 @@ from hypothesis import strategies as st
 from randpred import (
     ClassifierSpec,
     DataSplit,
+    FittedPipeline,
     Interval,
     asymptotic_constant,
     binary_irp_pvalue,
@@ -798,7 +798,9 @@ class TestPredictRenderer:
             if interval is not None:
                 # every test row gets the interval [center - h, center + h]
                 center, h = interval
-                pipeline = replace(pipeline, predictor=FixedCenter(center), width=h)
+                pipeline = FittedPipeline(
+                    pipeline.task, FixedCenter(center), h, pipeline.k, pipeline.m
+                )
         else:
             y = np.where(scores > 0, 1.0, -1.0)
             if fallback:
@@ -816,9 +818,11 @@ def test_import_does_not_load_scipy(module):
     # randpred does not depend on scipy, so nothing may load it.  The
     # package and its p-value engine load neither numpy nor the standard
     # library's dataclasses (with inspect) or fractions (with decimal);
-    # the CLI loads all but scipy.  Only the modules the import and the
-    # calls add count, so a site that preloads some cannot fail this.
-    calls, unloaded, after = "", ("scipy",), ""
+    # the CLI loads numpy (with inspect) but not dataclasses, whose
+    # classes build their methods through exec.  Only the modules the
+    # import and the calls add count, so a site that preloads some cannot
+    # fail this.
+    calls, unloaded, after = "", ("scipy", "dataclasses"), ""
     if module == "randpred":
         calls = (
             "randpred.binary_irp_pvalue(10**6, 10**3); randpred.asymptotic_constant(5); "
@@ -842,8 +846,16 @@ def test_import_does_not_load_scipy(module):
     assert result.stdout.split() == expected
 
 
-# Modules the CLI loads only for the commands that use them.
-ON_DEMAND = ("randpred.audits", "randpred.reports", "randpred.validity", "fractions", "decimal")
+# Modules the CLI loads only for the commands that use them, and
+# dataclasses, which no command loads.
+ON_DEMAND = (
+    "randpred.audits",
+    "randpred.reports",
+    "randpred.validity",
+    "fractions",
+    "decimal",
+    "dataclasses",
+)
 
 
 def cli_loads(tmp_path, argv):
@@ -903,7 +915,8 @@ def cli_loads(tmp_path, argv):
 def test_commands_load_only_what_they_use(tmp_path, argv, loaded):
     # import randpred.cli loads predict's path only: neither audit harness,
     # nor fractions with decimal; every other command loads its part when
-    # it runs, and the Monte Carlo harness never loads the exact audits
+    # it runs, the Monte Carlo harness never loads the exact audits, and
+    # no command loads dataclasses
     assert cli_loads(tmp_path, argv) == [[], loaded]
 
 

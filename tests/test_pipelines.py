@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -295,14 +294,15 @@ class TestIcpIncertitudeByIntegerDivision:
     def test_large_m(self, m):
         pipeline = fit_regression_pipeline(linear_split())
         for k in (0, 1, 2, 7, 2**52 + 1, m // 3, m // 2, m - 2, m - 1, m):
-            at = replace(pipeline, k=k, m=m)
+            at = FittedPipeline(pipeline.task, pipeline.predictor, pipeline.width, k, m)
             assert at.incertitude("icp") == float(Fraction(k + 1, m + 1))
 
     @settings(max_examples=200)
     @given(m=st.integers(1, 10**40), share=st.fractions(0, 1))
     def test_random_k_and_m(self, m, share):
         k = int(m * share)
-        pipeline = replace(fit_regression_pipeline(linear_split()), k=k, m=m)
+        fitted = fit_regression_pipeline(linear_split())
+        pipeline = FittedPipeline(fitted.task, fitted.predictor, fitted.width, k, m)
         assert pipeline.incertitude("icp") == float(Fraction(k + 1, m + 1))
 
 

@@ -522,6 +522,20 @@ class TestStationarityRoot:
             maximize_objective(m, k)
         assert time.perf_counter() - start < 0.25
 
+    def test_past_1e32_the_rounding_decides_between_return_and_raise(self):
+        # two cases of the form of the module docstring's range grid, at one m: k
+        # and m - k are past 1e36.  k = 1e37 returns k/m, the maximum to double
+        # precision, and k = 1e36 raises, each within milliseconds
+        m = 2511886431509571923140313473280443940864  # int(10.0 ** 39.4)
+        k = 10**37
+        start = time.perf_counter()
+        p_star, value = maximize_objective(m, k)
+        assert abs(value - k / m) <= 7.3e-16 * (k / m)
+        assert value <= p_star
+        with pytest.raises(RuntimeError, match=f"m = {m}, k = {10**36}"):
+            maximize_objective(m, 10**36)
+        assert time.perf_counter() - start < 0.25
+
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 5000), data=st.data())
     def test_log_objective_is_concave(self, m, data):
