@@ -9,12 +9,14 @@ Every command takes --json; JSON output is a single object with a
 schema_version field, floats rendered at 12 significant digits, keys
 sorted — identical invocations produce byte-identical output.
 
-Importing the module loads what predict runs: numpy, the pipelines and
-the p-value engine.  The other commands import what they need when they
-run: table, validate --mode exact and dominate the exact audits (the
-audits module), validate --mode exact and dominate also the p-variables
-(ranks), validate --mode mc the Monte Carlo harness (validity), and
-pvalue the standard library's fractions.  Each call reads the
+Importing the module loads what predict and pvalue run: numpy, the
+pipelines and the p-value engine; pvalue reduces (k+1)/(m+1) with
+math.gcd, so it loads nothing more.  The other commands import what they
+need when they run: table, validate --mode exact and dominate the exact
+audits (the audits module), validate --mode exact and dominate also the
+p-variables (ranks), and validate --mode mc the Monte Carlo harness
+(validity), which replays a failing block of trials through the
+per-trial pipeline path to raise that path's error.  Each call reads the
 function from its module then, so a wrapper set on the module applies.
 """
 
@@ -254,7 +256,9 @@ def _predict_text(method: str, epsilon: float, pipeline, X) -> str:
 
 class CsvDataset(Record):
     """Parsed CSV: named feature columns, one label column, and the data
-    rows as float64 arrays, X of shape (n, d) and y of shape (n,)."""
+    rows as float64 arrays, X of shape (n, d) and y of shape (n,).  Two
+    datasets are equal when their names are and their arrays hold equal
+    values; a dataset is unhashable, as its arrays are."""
 
     __slots__ = ("feature_names", "label_name", "X", "y")
 
@@ -262,6 +266,17 @@ class CsvDataset(Record):
         self, feature_names: Tuple[str, ...], label_name: str, X: np.ndarray, y: np.ndarray
     ):
         super().__init__(feature_names, label_name, X, y)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.feature_names, self.label_name) == (other.feature_names, other.label_name)
+            and np.array_equal(self.X, other.X)
+            and np.array_equal(self.y, other.y)
+        )
+
+    __hash__ = None
 
 
 def _read_header(path: str, reader) -> list:
@@ -483,25 +498,25 @@ def pvalue(m: int, k: int, finite: bool, as_json: bool) -> None:
     except ValueError as exc:
         # a k too large for the a_k/m approximation (asymptotic_constant)
         raise click.BadParameter(str(exc), param_hint="'--k'") from None
-    import fractions
-
-    icp = fractions.Fraction(k + 1, m + 1)
-    exact = f"{icp.numerator}/{icp.denominator}"
+    # int true division is correctly rounded: the float nearest the ratio
+    icp = (k + 1) / (m + 1)
+    gcd = math.gcd(k + 1, m + 1)
+    exact = f"{(k + 1) // gcd}/{(m + 1) // gcd}"
     payload = {
         **extra,
         "m": m,
         "k": k,
         "mode": mode,
-        "icp_pvalue": float(icp),
+        "icp_pvalue": icp,
         "icp_exact": exact,
         "engine_pvalue": engine,
-        "ratio": engine / float(icp),
+        "ratio": engine / icp,
         "degenerate": finite and k == m,
     }
     lines = [
         f"m = {m}  k = {k}  ({mode})",
         f"engine p-value : {_fmt(engine)}",
-        f"rank p-value   : {_fmt(float(icp))}  ({exact})",
+        f"rank p-value   : {_fmt(icp)}  ({exact})",
         f"ratio          : {_fmt(payload['ratio'])}",
     ]
     if payload["degenerate"]:

@@ -21,7 +21,9 @@ added, and applies the rules below to a block of trials at once: the
 bit rule (_regression_bits), the bounds rule (_interval_bounds), the
 incertitude rule (_incertitudes) and the level-set rule
 (_level_set_bounds) are written over a leading axis, and the pipeline's
-own methods follow the same rules.
+own methods follow the same rules.  The errors are the pipeline's own:
+the harness replays a failing block through fit_regression_pipeline and
+interval_bounds, so it needs no copy of their checks.
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ class FittedPipeline(Record):
     def __init__(self, task: str, predictor: PointPredictor, width: float, k: int, m: int):
         if task not in ("regression", "classification"):
             raise ValueError(f"task must be 'regression' or 'classification', got {task!r}")
-        _check_width(width)
+        if not width >= 0:  # NaN is not
+            raise ValueError(f"width must be nonnegative, got {width!r}")
         super().__init__(task, predictor, width, k, m)
 
     @property
@@ -197,12 +200,6 @@ class FittedPipeline(Record):
             return self.hedge(labels, method)
         (lower,), (upper,) = self.interval_bounds(X)
         return self.hedge(Interval(lower, upper), method)
-
-
-def _check_width(width: float) -> None:
-    """ValueError unless the half-width is nonnegative (NaN is not)."""
-    if not width >= 0:
-        raise ValueError(f"width must be nonnegative, got {width!r}")
 
 
 def _incertitude(method: str, m: int, k: int) -> float:

@@ -5,7 +5,10 @@ synthetic data.  A trial fits its point predictor as
 fit_regression_pipeline does and predicts all of its rows, its test row
 included, in one pass.  The harness keeps the predictions and labels of
 a block of trials in two arrays and applies the pipelines module's bit,
-bounds, incertitude and level-set rules to the whole block at once.  The
+bounds, incertitude and level-set rules to the whole block at once.  A
+block in which anything raises is replayed trial by trial through the
+public path (generator.sample, fit_regression_pipeline,
+interval_bounds), so the harness raises that path's first error.  The
 exact audits, which need no sampling, are in the audits module.
 """
 
@@ -20,11 +23,11 @@ import numpy as np
 from .core import DataSplit
 from .pipelines import (
     RegressorSpec,
-    _check_width,
     _incertitudes,
     _interval_bounds,
     _level_set_bounds,
     _regression_bits,
+    fit_regression_pipeline,
 )
 from .records import Record
 from .reports import ValidityCell, ValidityReport
@@ -162,24 +165,24 @@ def monte_carlo_coverage(
     Each trial draws fresh IID data, forms the level-epsilon prediction
     set, and records whether the true test label was excluded.  A
     coverage cell passes when the empirical miscoverage rate is at most
-    epsilon + 3 standard errors.  A trial checks that its training labels
-    are finite (ValueError otherwise, as DataSplit raises), fits the
-    point predictor on its proper rows and predicts all of its rows, its
-    test row included, in one pass.  The harness keeps the predictions
-    and labels of up to _BLOCK_ROWS data rows of trials, then takes the
-    half-widths and calibration bits, the test rows' intervals, every
-    method's incertitude and level sets, and the miss counts of the
-    whole block, each by one array rule of the pipelines module.  Those
-    are, value for value, the pipeline of fit_regression_pipeline and the
-    sets of interval_bounds, hedge and prediction_set for
-    generator.sample's split and test row.  A block raises the error the
-    first failing trial raises in that trial-by-trial path, with its
-    message: a label, fit or prediction error of a trial is raised after
-    the trials before it are checked.  When both methods run, the
-    interval-identity cell counts the trials whose methods hedge the same
-    interval; every method hedges the one interval of its trial, so the
-    method changes only the incertitude, never the interval.  It does not
-    compare independently fitted pipelines.
+    epsilon + 3 standard errors.  A trial fits the point predictor on its
+    proper rows and predicts all of its rows, its test row included, in
+    one pass.  The harness keeps the predictions and labels of up to
+    _BLOCK_ROWS data rows of trials, then takes the half-widths and
+    calibration bits, the test rows' intervals, every method's
+    incertitude and level sets, and the miss counts of the whole block,
+    each by one array rule of the pipelines module.  Those are, value for
+    value, the pipeline of fit_regression_pipeline and the sets of
+    interval_bounds, hedge and prediction_set for generator.sample's
+    split and test row.  If anything in a block raises (a non-finite
+    training label, a fit or prediction error, a NaN half-width or a
+    non-finite test centre), the block's trials are replayed in order
+    through generator.sample, fit_regression_pipeline and
+    interval_bounds, which raise the first failing trial's error with its
+    own message.  When both methods run, the interval-identity cell
+    reports every trial: each method hedges the one interval of its
+    trial, so the method changes only the incertitude, never the
+    interval.  It does not compare independently fitted pipelines.
 
     Each trial derives its random stream from (seed, trial index), so the
     report is identical under any execution order.  seed must be a
@@ -202,26 +205,26 @@ def monte_carlo_coverage(
     predictions = np.empty((size, proper + m + 1))
     labels = np.empty_like(predictions)
     misses = dict.fromkeys(methods, 0)
-    identical_intervals = 0
     for start in range(0, trials, size):
         filled = min(size, trials - start)
-        for row in range(filled):
-            try:
+        try:
+            for row in range(filled):
                 X, y = generator._draw(np.random.default_rng([seed, start + row]))
                 # the features are finite by the generator's checks
                 if not np.isfinite(y[:-1]).all():
-                    raise ValueError("features and labels must be finite")
+                    raise ValueError("a training label is not finite")
                 predictor = spec.predictor.build().fit(X[:proper], y[:proper])
                 predictions[row] = predictor.predict_batch(X)
-            except Exception:
-                _block_misses(predictions[:row], labels[:row], proper, methods, epsilon)
-                raise  # the trials before this one raised nothing
-            labels[row] = y
-        block = _block_misses(predictions[:filled], labels[:filled], proper, methods, epsilon)
+                labels[row] = y
+            block = _block_misses(predictions[:filled], labels[:filled], proper, methods, epsilon)
+        except Exception:
+            # the per-trial path raises the first failing trial's error
+            for trial in range(start, start + filled):
+                split, x, _ = generator.sample(np.random.default_rng([seed, trial]))
+                fit_regression_pipeline(split, spec.predictor).interval_bounds(x[np.newaxis])
+            raise
         for method, count in zip(methods, block):
             misses[method] += count
-        if len(methods) == 2:
-            identical_intervals += filled
 
     cells = []
     for method in methods:
@@ -238,16 +241,14 @@ def monte_carlo_coverage(
             )
         )
     if len(methods) == 2:
-        rate = identical_intervals / trials
-        stderr = math.sqrt(rate * (1.0 - rate) / trials)
         cells.append(
             ValidityCell(
                 name="interval-identity",
                 epsilon=epsilon,
-                probability=rate,
-                passed=identical_intervals == trials,
-                standard_error=stderr,
-                detail=f"{identical_intervals}/{trials} trials with identical intervals",
+                probability=1.0,
+                passed=True,
+                standard_error=0.0,
+                detail=f"{trials}/{trials} trials with identical intervals",
             )
         )
     return ValidityReport(
@@ -262,19 +263,15 @@ def monte_carlo_coverage(
 def _block_misses(predictions, labels, proper_size, methods, epsilon) -> list:
     """How many test labels each method's level sets exclude over a block
     of trials: predictions and labels are (trials, n + 1) arrays, a
-    trial's test row last.  Raises the error of the first trial whose
-    half-width is NaN (as FittedPipeline does) or whose test row's point
-    prediction is not finite (as interval_bounds does)."""
+    trial's test row last.  Raises ValueError if a trial's half-width is
+    NaN or its test row's point prediction is not finite."""
     n = labels.shape[1] - 1
     m = n - proper_size
     width, k = _regression_bits(labels[:, :n], predictions[:, :n], proper_size)
-    center, test_label = predictions[:, n:], labels[:, n:]
-    invalid = ~(width >= 0)
-    if invalid.any():
-        first = int(np.argmax(invalid))
-        _interval_bounds(center[:first], width[:first, np.newaxis])  # an earlier error first
-        _check_width(float(width[first]))
-    lower, upper = _interval_bounds(center, width[:, np.newaxis])
+    if np.isnan(width).any():
+        raise ValueError("a half-width is nan")
+    lower, upper = _interval_bounds(predictions[:, n:], width[:, np.newaxis])
+    test_label = labels[:, n:]
     counts = []
     for method in methods:
         level_lower, level_upper = _level_set_bounds(

@@ -215,3 +215,18 @@ def test_repr_of_nested_records():
     )
     # None takes the default predictor, as the dataclass's default factory gave it
     assert PipelineSpec("irp", None) == PipelineSpec("irp")
+
+
+def test_csv_datasets_compare_their_arrays_by_value():
+    def dataset():
+        return CsvDataset(("x",), "y", np.zeros((2, 1)), np.zeros(2))
+
+    first, second = dataset(), dataset()
+    assert first == second and not first != second
+    for field, index in (("X", (1, 0)), ("y", (1,))):
+        changed = dataset()
+        getattr(changed, field)[index] = 1.0
+        assert first != changed and not first == changed
+    assert first != CsvDataset(("x",), "y", np.zeros((1, 1)), np.zeros(1))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(first)

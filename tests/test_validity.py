@@ -31,7 +31,7 @@ from randpred import (
 from randpred.audits import _sup_coverage_polynomial
 from randpred.pipelines import FittedPipeline
 from randpred.predictors import MeanRegressor
-from randpred.validity import _BLOCK_ROWS, _block_misses
+from randpred.validity import _BLOCK_ROWS
 
 # 3-decimal reference rows for the asymptotic-numerator table.
 IRP_ROW = (0.368, 0.840, 1.371, 1.942, 2.544, 3.168, 3.812, 4.472)
@@ -426,14 +426,39 @@ class TestMonteCarloBlocks:
         width_message = "^width must be nonnegative, got nan$"
         with pytest.raises(ValueError, match=width_message):
             FittedPipeline("regression", MeanRegressor(), math.nan, 0, 1)
-        predictions, labels = np.zeros((3, 4)), np.zeros((3, 4))
-        predictions[2, 3] = math.inf  # trial 2: the test row's centre
-        predictions[1, 0] = math.nan  # trial 1: a proper row
+        generator = BoundedNoiseLinearGenerator(proper_size=2, calibration_size=1)
+        (split_1, _, _), (_, x_0, _), (_, x_2, _) = (
+            generator.sample(np.random.default_rng([0, trial])) for trial in (1, 0, 2)
+        )
+        # trial 2's test centre, then a proper row of trial 1
+        marks = [(x_2, math.inf), (split_1.X[0], math.nan)]
         with pytest.raises(ValueError, match=width_message):
-            _block_misses(predictions, labels, 2, ("irp", "icp"), 0.05)
-        predictions[0, 3] = -math.inf  # trial 0: the test row's centre
+            monte_carlo_coverage(PipelineSpec(predictor=_MarkedRows(marks)), generator, 0.05, 3, 0)
+        marks = [(x_0, -math.inf)] + marks  # and trial 0's test centre
         with pytest.raises(ValueError, match="^invalid interval: test row 1: point prediction -inf"):
-            _block_misses(predictions, labels, 2, ("irp", "icp"), 0.05)
+            monte_carlo_coverage(PipelineSpec(predictor=_MarkedRows(marks)), generator, 0.05, 3, 0)
+
+
+class _MarkedRows:
+    """A predictor spec whose predictor ignores its training data and
+    predicts a marked value at every row equal to a marked feature row, 0
+    elsewhere: a row-wise function of X, as a fitted predictor is."""
+
+    def __init__(self, marks):
+        self.marks = marks
+
+    def build(self):
+        return self
+
+    def fit(self, X, y):
+        return self
+
+    def predict_batch(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        predictions = np.zeros(len(X))
+        for row, value in self.marks:
+            predictions[(X == row).all(axis=1)] = value
+        return predictions
 
 
 def _miss_counts(report):
