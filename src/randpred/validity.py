@@ -5,7 +5,10 @@ synthetic data.  A trial fits its point predictor as
 fit_regression_pipeline does and predicts all of its rows, its test row
 included, in one pass.  The harness keeps the predictions and labels of
 a block of trials in two arrays and applies the pipelines module's bit,
-bounds, incertitude and level-set rules to the whole block at once.  A
+bounds, incertitude and level-set rules to the whole block at once.  It
+hashes the seed words of all of a block's trial streams in one array
+pass of numpy's SeedSequence algorithm, so each trial's generator is
+default_rng([seed, trial]) bit for bit without its per-call cost.  A
 block in which anything raises is replayed trial by trial through the
 public path (generator.sample, fit_regression_pipeline,
 interval_bounds), so the harness raises that path's first error.  The
@@ -19,6 +22,7 @@ import numbers
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import DataSplit
 from .pipelines import (
@@ -44,6 +48,17 @@ __all__ = [
 # harness's arrays stay bounded at any calibration size and trial count.
 _BLOCK_ROWS = 1 << 14
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the
+# running hashes of mix_entropy and generate_state start at _INIT_A and
+# _INIT_B and are multiplied by _MULT_A and _MULT_B at every step; the
+# pool holds 4 words and PCG64 asks for 4 uint64 seed words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_POOL_SIZE = 4
+
 
 def _finite_float(name: str, value) -> float:
     """value as a float, or ValueError naming the field unless it is a
@@ -64,6 +79,94 @@ def _positive_size(name: str, value) -> int:
     if _is_int(value) and value >= 1:
         return int(value)
     raise ValueError(f"{name} must be a positive int, got {value!r}")
+
+
+def _words(value: int) -> list:
+    """The 32-bit words of a nonnegative int, least significant first, as
+    SeedSequence reads an int of its entropy (0 is one word)."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_constants(value: int, multiplier: int):
+    """SeedSequence's running hash constant from value on: each step's
+    (xor, multiplier) pair as uint32 scalars.  The running value is a
+    masked Python int, so no numpy scalar arithmetic can overflow."""
+    while True:
+        xor = value
+        value = value * multiplier & _MASK32
+        yield np.uint32(xor), np.uint32(value)
+
+
+def _hash(words: np.ndarray, constants) -> np.ndarray:
+    """SeedSequence's hashmix of a uint32 array with the next constants."""
+    xor, multiplier = next(constants)
+    words = (words ^ xor) * multiplier
+    return words ^ words >> _SHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays."""
+    result = _MIX_LEFT * x - _MIX_RIGHT * y
+    return result ^ result >> _SHIFT
+
+
+def _seed_words(entropy: list) -> np.ndarray:
+    """The (count, 4) uint64 PCG64 seed words of count SeedSequences whose
+    entropy is given column by column: entropy[i] is a uint32 array of
+    every sequence's word i.  SeedSequence.__init__'s mix_entropy into a
+    pool of 4, then generate_state(4, np.uint64), one array step at a
+    time; every sequence's entropy has the same length, so the hash
+    constants are shared."""
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    zeros = np.zeros_like(entropy[0])
+    pool = [_hash(word, constants) for word in (entropy + [zeros] * _POOL_SIZE)[:_POOL_SIZE]]
+    for source in range(_POOL_SIZE):
+        for target in range(_POOL_SIZE):
+            if source != target:
+                pool[target] = _mix(pool[target], _hash(pool[source], constants))
+    for word in entropy[_POOL_SIZE:]:
+        for target in range(_POOL_SIZE):
+            pool[target] = _mix(pool[target], _hash(word, constants))
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    state = np.stack([_hash(word, constants) for word in pool + pool], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _trial_states(seed: int, first: int, count: int) -> np.ndarray:
+    """The C-contiguous (count, 4) uint64 array whose row t is
+    SeedSequence([seed, first + t]).generate_state(4, np.uint64), the
+    seed words of the PCG64 of default_rng([seed, first + t]).  The
+    entropy is seed's words, then the trial's; the trials are split at
+    multiples of 2**32, so within a part only the trial's low word
+    varies."""
+    parts = []
+    stop = first + count
+    while first < stop:
+        high = first >> 32
+        end = min(stop, (high + 1) << 32)
+        low = np.uint32(first & _MASK32) + np.arange(end - first, dtype=np.uint32)
+        seed_columns = [np.full_like(low, word) for word in _words(seed)]
+        high_columns = [np.full_like(low, word) for word in _words(high)] if high else []
+        parts.append(_seed_words(seed_columns + [low] + high_columns))
+        first = end
+    return np.concatenate(parts)
+
+
+class _TrialState(ISeedSequence):
+    """A seed sequence whose only state is one row of _trial_states: the
+    PCG64 it seeds is that of default_rng([seed, trial])."""
+
+    def __init__(self, row: np.ndarray):
+        self._row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a trial state holds exactly 4 uint64 words")
+        return self._row
 
 
 class BoundedNoiseLinearGenerator(Record):
@@ -185,7 +288,10 @@ def monte_carlo_coverage(
     interval.  It does not compare independently fitted pipelines.
 
     Each trial derives its random stream from (seed, trial index), so the
-    report is identical under any execution order.  seed must be a
+    report is identical under any execution order.  The stream is
+    default_rng([seed, trial]); the harness seeds a block's PCG64
+    generators from _trial_states, one array pass of numpy's
+    SeedSequence hashing over the block's trial indices.  seed must be a
     nonnegative int, as trials must be a positive one; numpy integers
     count, bools do not.
     """
@@ -208,8 +314,10 @@ def monte_carlo_coverage(
     for start in range(0, trials, size):
         filled = min(size, trials - start)
         try:
+            states = _trial_states(seed, start, filled)
             for row in range(filled):
-                X, y = generator._draw(np.random.default_rng([seed, start + row]))
+                rng = np.random.Generator(np.random.PCG64(_TrialState(states[row])))
+                X, y = generator._draw(rng)
                 # the features are finite by the generator's checks
                 if not np.isfinite(y[:-1]).all():
                     raise ValueError("a training label is not finite")

@@ -31,7 +31,7 @@ from randpred import (
 from randpred.audits import _sup_coverage_polynomial
 from randpred.pipelines import FittedPipeline
 from randpred.predictors import MeanRegressor
-from randpred.validity import _BLOCK_ROWS
+from randpred.validity import _BLOCK_ROWS, _TrialState, _trial_states
 
 # 3-decimal reference rows for the asymptotic-numerator table.
 IRP_ROW = (0.368, 0.840, 1.371, 1.942, 2.544, 3.168, 3.812, 4.472)
@@ -437,6 +437,61 @@ class TestMonteCarloBlocks:
         marks = [(x_0, -math.inf)] + marks  # and trial 0's test centre
         with pytest.raises(ValueError, match="^invalid interval: test row 1: point prediction -inf"):
             monte_carlo_coverage(PipelineSpec(predictor=_MarkedRows(marks)), generator, 0.05, 3, 0)
+
+
+class TestTrialStates:
+    """A block's trial streams are seeded from one array pass of numpy's
+    SeedSequence algorithm; every stream is default_rng([seed, trial])."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7])
+    @pytest.mark.parametrize(
+        "first, count",
+        # the trial's entropy grows from one word to two at 2**32
+        [(0, 300), (2**32 - 3, 6)],
+    )
+    def test_rows_seed_the_default_rng_streams(self, seed, first, count):
+        states = _trial_states(seed, first, count)
+        assert states.dtype == np.uint64 and states.shape == (count, 4)
+        assert states.flags.c_contiguous
+        for row, trial in enumerate(range(first, first + count)):
+            expected = np.random.SeedSequence([seed, trial]).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(states[row], expected)
+            rng = np.random.Generator(np.random.PCG64(_TrialState(states[row])))
+            reference = np.random.default_rng([seed, trial])
+            np.testing.assert_array_equal(rng.random(4), reference.random(4))
+            np.testing.assert_array_equal(rng.integers(2**63, size=3), reference.integers(2**63, size=3))
+
+    def test_trial_state_seeds_only_pcg64(self):
+        row = _trial_states(7, 0, 1)[0]
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            np.random.MT19937(_TrialState(row))
+        for n_words, dtype in [(4, np.uint32), (8, np.uint64), (2, np.uint64)]:
+            with pytest.raises(ValueError, match="4 uint64 words"):
+                _TrialState(row).generate_state(n_words, dtype)
+
+    def test_big_seed_over_three_blocks_equals_recount(self):
+        spec, generator = PipelineSpec(), BoundedNoiseLinearGenerator(calibration_size=30)
+        assert 2 * _block_trials(generator) < 450 <= 3 * _block_trials(generator)
+        report = monte_carlo_coverage(spec, generator, 0.05, 450, 2**100 + 7)
+        assert report == _recount(spec, generator, 0.05, 450, 2**100 + 7)
+
+    def test_a_successful_run_calls_no_default_rng(self, monkeypatch):
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        monte_carlo_coverage(None, BoundedNoiseLinearGenerator(calibration_size=30), 0.05, 450, 3)
+        assert calls == []
+        # the replay path of a failing block still seeds by default_rng
+        generator = BoundedNoiseLinearGenerator(coefficients=(1e308, 1e308))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^features and labels must be finite$"):
+                monte_carlo_coverage(None, generator, 0.05, 20, 0)
+        assert calls and calls[0] == ([0, 0],)
 
 
 class _MarkedRows:
