@@ -6,18 +6,23 @@ Carlo coverage), dominate (exhaustive dominance check).
 
 Exit codes: 0 success, 1 audit or dominance failure, 2 usage/parse error.
 Every command takes --json; JSON output is a single object with a
-schema_version field, floats rendered at 12 significant digits, keys
-sorted — identical invocations produce byte-identical output.
+schema_version and a command field, floats rendered at 12 significant
+digits, keys sorted — identical invocations produce byte-identical
+output.
+
+predict reads each CSV with read_csv_dataset, which opens the file once
+and returns the header and the rows as one (n, d + 1) float64 array.
 
 Importing the module loads what predict and pvalue run: numpy, the
-pipelines and the p-value engine; pvalue reduces (k+1)/(m+1) with
-math.gcd, so it loads nothing more.  The other commands import what they
-need when they run: table, validate --mode exact and dominate the exact
-audits (the audits module), validate --mode exact and dominate also the
-p-variables (ranks), and validate --mode mc the Monte Carlo harness
-(validity), which replays a failing block of trials through the
-per-trial pipeline path to raise that path's error.  Each call reads the
-function from its module then, so a wrapper set on the module applies.
+pipelines and the p-value engine; pvalue takes the rank-based
+(k+1)/(m+1) from the pipelines and reduces it with math.gcd, so it loads
+nothing more.  The other commands import what they need when they run:
+table, validate --mode exact and dominate the exact audits (the audits
+module), validate --mode exact and dominate also the p-variables
+(ranks), and validate --mode mc the Monte Carlo harness (validity),
+which replays a failing block of trials through the per-trial pipeline
+path to raise that path's error.  Each call reads the function from its
+module then, so a wrapper set on the module applies.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .core import EXACT_M_LIMIT, DataSplit, HedgedPrediction, Interval
 from .pipelines import (
     ClassifierSpec,
     RegressorSpec,
+    _incertitude,
     fit_classification_pipeline,
     fit_regression_pipeline,
     prediction_set,
@@ -48,7 +54,7 @@ from .records import Record
 
 SCHEMA_VERSION = "1"
 
-__all__ = ["main", "read_csv_dataset", "CsvDataset"]
+__all__ = ["main", "read_csv_dataset"]
 
 
 def _fmt(x: float) -> str:
@@ -87,12 +93,17 @@ def _write(text: str) -> None:
     click.echo(text, color=True)
 
 
+def _envelope(command: str, payload: dict) -> dict:
+    """payload under the schema version and the command's name, as every
+    --json output holds it."""
+    return {"schema_version": SCHEMA_VERSION, "command": command, **payload}
+
+
 def _emit(as_json: bool, payload: dict, lines: Iterable[str]) -> None:
-    """Write the command's output: payload as JSON, under the schema
-    version and the command's name, or else the text lines."""
+    """Write the command's output: payload as JSON, in its envelope, or
+    else the text lines."""
     if as_json:
-        command = click.get_current_context().command.name
-        _write(_json_text({"schema_version": SCHEMA_VERSION, "command": command, **payload}))
+        _write(_json_text(_envelope(click.get_current_context().command.name, payload)))
     else:
         _write("\n".join(lines))
 
@@ -225,8 +236,6 @@ def _prediction_rows(
 def _predict_json(method: str, epsilon: float, pipeline, X) -> str:
     """The `predict --json` output, laid out as _json_text lays it out."""
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "predict",
         "task": pipeline.task,
         "method": method,
         "epsilon": epsilon,
@@ -235,7 +244,7 @@ def _predict_json(method: str, epsilon: float, pipeline, X) -> str:
         "fallback": pipeline.fallback_reason,
         "predictions": [_ROW_STAND_IN],
     }
-    text = _json_text(payload)
+    text = _json_text(_envelope("predict", payload))
     head, tail = text.split(str(_ROW_STAND_IN))
     indent = head[head.rindex("\n") + 1 :]
     rows = _prediction_rows(pipeline, X, method, epsilon, ",\n" + indent, indent)
@@ -252,31 +261,6 @@ def _predict_text(method: str, epsilon: float, pipeline, X) -> str:
         lines.append(f"note: {pipeline.fallback_reason}")
     head = "\n".join(lines) + "\n"
     return "".join(chain([head], _prediction_rows(pipeline, X, method, epsilon, "\n")))
-
-
-class CsvDataset(Record):
-    """Parsed CSV: named feature columns, one label column, and the data
-    rows as float64 arrays, X of shape (n, d) and y of shape (n,).  Two
-    datasets are equal when their names are and their arrays hold equal
-    values; a dataset is unhashable, as its arrays are."""
-
-    __slots__ = ("feature_names", "label_name", "X", "y")
-
-    def __init__(
-        self, feature_names: Tuple[str, ...], label_name: str, X: np.ndarray, y: np.ndarray
-    ):
-        super().__init__(feature_names, label_name, X, y)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            (self.feature_names, self.label_name) == (other.feature_names, other.label_name)
-            and np.array_equal(self.X, other.X)
-            and np.array_equal(self.y, other.y)
-        )
-
-    __hash__ = None
 
 
 def _read_header(path: str, reader) -> list:
@@ -344,84 +328,82 @@ def _numpy_rows(handle, width: int, task: str) -> Optional[np.ndarray]:
     return rows
 
 
-def _reference_rows(path: str, task: str) -> Tuple[list, np.ndarray]:
-    """The header and the data rows as an (n, d + 1) float64 array, read
-    by csv.reader with every cell parsed by float.
+def _reference_rows(path: str, handle, task: str) -> Tuple[list, np.ndarray]:
+    """The header and the data rows of the file open as handle, from its
+    start, as an (n, d + 1) float64 array, read by csv.reader with every
+    cell parsed by float.
 
     Raises ValueError naming the first row, in file order, that
     read_csv_dataset rejects, by the line its record starts on, and the
     column at fault.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = _read_header(path, reader)
+    handle.seek(0)
+    reader = csv.reader(handle)
+    header = _read_header(path, reader)
 
-        def values():
-            while True:
-                row_number = reader.line_num + 1
-                try:
-                    row = next(reader, None)
-                except csv.Error as exc:
-                    raise ValueError(f"{path}: row {row_number}: {exc}") from None
-                if row is None:
-                    return
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"{path}: row {row_number}: expected {len(header)} fields, got {len(row)}"
-                    )
-                try:
-                    parsed = [*map(float, row)]
-                except ValueError:
-                    parsed = None
-                if parsed is None or not all(map(math.isfinite, parsed)):
-                    # name the first faulty cell in column order
-                    for column, cell in zip(header, row):
-                        where = f"{path}: row {row_number}, column {column!r}"
-                        try:
-                            value = float(cell)
-                        except ValueError:
-                            raise ValueError(
-                                f"{where}: could not parse {cell.strip()!r} as a number"
-                            ) from None
-                        if not math.isfinite(value):
-                            raise ValueError(
-                                f"{where}: value must be finite, got {cell.strip()!r}"
-                            )
-                if task == "classification" and parsed[-1] not in (-1.0, 1.0):
-                    raise ValueError(
-                        f"{path}: row {row_number}, column {header[-1]!r}: "
-                        f"classification labels must be -1 or 1, got {row[-1].strip()!r}"
-                    )
-                yield from parsed
+    def values():
+        while True:
+            row_number = reader.line_num + 1
+            try:
+                row = next(reader, None)
+            except csv.Error as exc:
+                raise ValueError(f"{path}: row {row_number}: {exc}") from None
+            if row is None:
+                return
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: row {row_number}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                parsed = [*map(float, row)]
+            except ValueError:
+                parsed = None
+            if parsed is None or not all(map(math.isfinite, parsed)):
+                # name the first faulty cell in column order
+                for column, cell in zip(header, row):
+                    where = f"{path}: row {row_number}, column {column!r}"
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise ValueError(
+                            f"{where}: could not parse {cell.strip()!r} as a number"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise ValueError(f"{where}: value must be finite, got {cell.strip()!r}")
+            if task == "classification" and parsed[-1] not in (-1.0, 1.0):
+                raise ValueError(
+                    f"{path}: row {row_number}, column {header[-1]!r}: "
+                    f"classification labels must be -1 or 1, got {row[-1].strip()!r}"
+                )
+            yield from parsed
 
-        rows = np.fromiter(values(), dtype=np.float64)
+    rows = np.fromiter(values(), dtype=np.float64)
     if not len(rows):
         raise ValueError(f"{path}: no data rows after the header")
     return header, rows.reshape(-1, len(header))
 
 
-def read_csv_dataset(path: str, task: str = "regression") -> CsvDataset:
+def read_csv_dataset(path: str, task: str = "regression") -> Tuple[list, np.ndarray]:
     """Read a rectangular CSV of finite decimals: d features then a label.
 
+    Returns the header, a list of d + 1 column names, and the data rows
+    as an (n, d + 1) float64 array whose last column holds the labels.
     Blank rows are skipped, and every cell takes the value Python's float
-    gives it.  Classification labels must be exactly -1 or 1.  After
-    csv.reader reads the header, numpy's C reader parses the rest in one
-    pass.  A file it rejects or might misread, or whose rows fail a check,
-    is read again by the reference pass, which parses each cell with
-    float and names the first faulty row, by the line its record starts
-    on, and column.
+    gives it.  Classification labels must be exactly -1 or 1.  The file
+    is opened once.  After csv.reader reads the header, numpy's C reader
+    parses the rest in one pass.  A file it rejects or might misread, or
+    whose rows fail a check, is read again from its start by the
+    reference pass, which parses each cell with float and names the first
+    faulty row, by the line its record starts on, and column.
     """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = _read_header(path, reader)
+        header = _read_header(path, csv.reader(handle))
         rows = _numpy_rows(handle, len(header), task)
-    if rows is None:
-        header, rows = _reference_rows(path, task)
-    return CsvDataset(
-        feature_names=tuple(header[:-1]), label_name=header[-1], X=rows[:, :-1], y=rows[:, -1]
-    )
+        if rows is None:
+            header, rows = _reference_rows(path, handle, task)
+    return header, rows
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -498,8 +480,7 @@ def pvalue(m: int, k: int, finite: bool, as_json: bool) -> None:
     except ValueError as exc:
         # a k too large for the a_k/m approximation (asymptotic_constant)
         raise click.BadParameter(str(exc), param_hint="'--k'") from None
-    # int true division is correctly rounded: the float nearest the ratio
-    icp = (k + 1) / (m + 1)
+    icp = _incertitude("icp", m, k)
     gcd = math.gcd(k + 1, m + 1)
     exact = f"{(k + 1) // gcd}/{(m + 1) // gcd}"
     payload = {
@@ -564,17 +545,17 @@ def predict(
     if not 0.0 < epsilon < 1.0:
         raise click.UsageError(f"--epsilon must lie strictly between 0 and 1, got {epsilon}")
     try:
-        train_ds = read_csv_dataset(train, task)
-        test_ds = read_csv_dataset(test, "regression")
+        train_header, train_rows = read_csv_dataset(train, task)
+        test_header, test_rows = read_csv_dataset(test, "regression")
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if test_ds.feature_names != train_ds.feature_names:
+    if test_header[:-1] != train_header[:-1]:
         raise click.UsageError(
-            f"{test}: feature columns {list(test_ds.feature_names)} do not match "
-            f"the training header {list(train_ds.feature_names)}"
+            f"{test}: feature columns {test_header[:-1]} do not match "
+            f"the training header {train_header[:-1]}"
         )
     try:
-        split = DataSplit(train_ds.X, train_ds.y, split_at)
+        split = DataSplit(train_rows[:, :-1], train_rows[:, -1], split_at)
         if task == "regression":
             pipeline = fit_regression_pipeline(split, RegressorSpec())
         else:
@@ -583,7 +564,7 @@ def predict(
         raise click.UsageError(str(exc))
     render = _predict_json if as_json else _predict_text
     try:
-        output = render(method, epsilon, pipeline, test_ds.X)
+        output = render(method, epsilon, pipeline, test_rows[:, :-1])
     except ValueError as exc:
         raise click.UsageError(f"{test}: {exc}")
     _write(output)
@@ -621,10 +602,9 @@ def validate(
                 "passed": report.passed,
                 "cells": [
                     {
-                        "epsilon": cell.epsilon,
-                        "probability": cell.probability,
-                        "passed": cell.passed,
-                        "detail": cell.detail,
+                        key: value
+                        for key, value in cell._asdict().items()
+                        if key not in ("name", "standard_error")
                     }
                     for cell in report.cells
                 ],

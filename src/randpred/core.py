@@ -56,7 +56,7 @@ class DataSplit(Record):
     __hash__ = object.__hash__
 
     def __init__(self, X: np.ndarray, y: np.ndarray, proper_size: int):
-        if not isinstance(proper_size, (int, np.integer)):
+        if not isinstance(proper_size, (int, np.integer)) or isinstance(proper_size, bool):
             raise TypeError(f"proper_size must be an int, got {type(proper_size).__name__}")
         # np.array copies, so freezing X and y below leaves the caller's arrays writable.
         X = np.array(X, dtype=np.float64)
@@ -124,25 +124,28 @@ class HedgedPrediction(Record):
     The induced prediction p-function takes the value 1 on the set and the
     incertitude elsewhere.  Incertitude 1 marks the degenerate case where
     every label conforms; it is allowed but flagged.  A vacuous prediction
-    (classification test object inside the margin) keeps its computed
-    incertitude but excludes no label.
+    (both labels, as for a classification test object inside the margin)
+    keeps its computed incertitude but excludes no label.  Both flags are
+    read from the fields.
     """
 
-    __slots__ = ("prediction_set", "incertitude", "degenerate", "vacuous", "k", "m")
+    __slots__ = ("prediction_set", "incertitude", "k", "m")
 
     def __init__(
-        self,
-        prediction_set: PredictionSet,
-        incertitude: float,
-        degenerate: bool = False,
-        vacuous: bool = False,
-        k: int = None,
-        m: int = None,
+        self, prediction_set: PredictionSet, incertitude: float, k: int = None, m: int = None
     ):
         c = float(incertitude)
         if not 0.0 <= c <= 1.0:
             raise ValueError(f"incertitude must lie in [0, 1], got {incertitude!r}")
-        super().__init__(prediction_set, c, c == 1.0 or degenerate, vacuous, k, m)
+        super().__init__(prediction_set, c, k, m)
+
+    @property
+    def degenerate(self) -> bool:
+        return self.incertitude == 1.0
+
+    @property
+    def vacuous(self) -> bool:
+        return self.prediction_set == ALL_LABELS
 
     def contains(self, y: float) -> bool:
         s = self.prediction_set

@@ -183,13 +183,7 @@ class FittedPipeline(Record):
         """prediction_set with the method's incertitude.  Both labels are
         flagged vacuous: the incertitude is still reported, but the set
         excludes no label."""
-        return HedgedPrediction(
-            prediction_set=prediction_set,
-            incertitude=self.incertitude(method),
-            vacuous=prediction_set == ALL_LABELS,
-            k=self.k,
-            m=self.m,
-        )
+        return HedgedPrediction(prediction_set, self.incertitude(method), self.k, self.m)
 
     def predict(self, x, method: str = "irp") -> HedgedPrediction:
         """The hedged prediction for one test object x, from a one-row

@@ -190,11 +190,13 @@ class HingeLossLinearClassifier:
     """
 
     def __init__(self, learning_rate=0.5, epochs=200, l2=1e-3, seed=None):
-        if not (learning_rate > 0 and math.isfinite(learning_rate)):
+        if isinstance(learning_rate, (bool, np.bool_)) or not (
+            learning_rate > 0 and math.isfinite(learning_rate)
+        ):
             raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
         if not isinstance(epochs, (int, np.integer)) or isinstance(epochs, bool) or epochs < 1:
             raise ValueError(f"epochs must be an int of at least 1, got {epochs!r}")
-        if not (l2 >= 0 and math.isfinite(l2)):
+        if isinstance(l2, (bool, np.bool_)) or not (l2 >= 0 and math.isfinite(l2)):
             raise ValueError(f"l2 must be nonnegative and finite, got {l2!r}")
         if seed is not None and (
             not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0

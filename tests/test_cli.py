@@ -102,14 +102,27 @@ def cls_files(tmp_path):
 class TestReadCsvDataset:
     def test_round_trip(self, reg_files):
         train, _ = reg_files
-        ds = read_csv_dataset(train)
-        assert ds.feature_names == ("x1", "x2")
-        assert ds.label_name == "y"
-        assert ds.X.dtype == ds.y.dtype == np.float64
-        assert ds.X.shape == (12, 2) and ds.y.shape == (12,)
-        assert ds.X[0].tolist() == [0.0, 0.0] and ds.y[0] == 0.30
-        assert ds.X[6].tolist() == [0.5, -1.0] and ds.y[6] == 3.05
-        assert ds.y[-1] == -0.35
+        header, rows = read_csv_dataset(train)
+        assert header == ["x1", "x2", "y"]
+        assert rows.dtype == np.float64 and rows.shape == (12, 3)
+        assert rows[0].tolist() == [0.0, 0.0, 0.30]
+        assert rows[6].tolist() == [0.5, -1.0, 3.05]
+        assert rows[-1, -1] == -0.35
+
+    @pytest.mark.parametrize(
+        "text, reference",
+        [("x,y\n1.0,2.0\n3.0,4.0\n", False), ('x,y\n"1.0",2.0\n3.0,4.0\n', True)],
+        ids=["numpy", "reference"],
+    )
+    def test_opens_its_path_once(self, tmp_path, text, reference):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        reference_rows = mock.patch.object(cli, "_reference_rows", wraps=cli._reference_rows)
+        with reference_rows as spy, mock.patch("builtins.open", wraps=open) as opened:
+            header, rows = read_csv_dataset(str(path))
+        assert spy.called == reference
+        assert opened.call_count == 1
+        assert header == ["x", "y"] and rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_malformed_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -141,16 +154,15 @@ class TestReadCsvDataset:
         with pytest.raises(ValueError, match=r"row 6, column 'y': could not parse 'oops'"):
             read_csv_dataset(str(path))
         path.write_text("x,y\n\n1.0,2.0\n\n3.0,4.0\n")
-        ds = read_csv_dataset(str(path))
-        assert ds.X.tolist() == [[1.0], [3.0]] and ds.y.tolist() == [2.0, 4.0]
+        assert read_csv_dataset(str(path))[1].tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     @pytest.mark.parametrize("cell", [" 1.5 ", "1_0", "-0", "+.5e1", "1e-320", "\t2\n"])
     def test_cells_parse_as_python_float(self, tmp_path, cell):
         path = tmp_path / "cells.csv"
         path.write_text(f'x,y\n"{cell}",1\n')
-        ds = read_csv_dataset(str(path))
-        assert math.copysign(1.0, ds.X[0, 0]) == math.copysign(1.0, float(cell))
-        assert ds.X[0, 0] == float(cell)
+        value = read_csv_dataset(str(path))[1][0, 0]
+        assert math.copysign(1.0, value) == math.copysign(1.0, float(cell))
+        assert value == float(cell)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
     @pytest.mark.parametrize("column", [0, 1])
@@ -173,7 +185,7 @@ class TestReadCsvDataset:
             match=r"row 5, column 'y': classification labels must be -1 or 1, got '0.999'",
         ):
             read_csv_dataset(str(path), task="classification")
-        assert read_csv_dataset(str(path)).y.tolist() == [1.0, -1.0, 0.999]
+        assert read_csv_dataset(str(path))[1][:, -1].tolist() == [1.0, -1.0, 0.999]
 
     def test_ragged_row_after_blank_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -227,16 +239,13 @@ class TestReadCsvDataset:
             expected = reference_read(str(path), task)
             with mock.patch.object(cli, "_reference_rows", wraps=cli._reference_rows) as spy:
                 try:
-                    ds = read_csv_dataset(str(path), task)
+                    header, rows = read_csv_dataset(str(path), task)
                 except ValueError as exc:
                     assert str(exc) == expected
                 else:
-                    header, rows = expected
-                    assert ds.feature_names == tuple(header[:-1])
-                    assert ds.label_name == header[-1]
+                    assert header == expected[0]
                     # bytes, so that -0.0 must be -0.0
-                    assert ds.X.tobytes() == np.array(rows)[:, :-1].tobytes()
-                    assert ds.y.tobytes() == np.array(rows)[:, -1].tobytes()
+                    assert rows.tobytes() == np.array(expected[1], dtype=np.float64).tobytes()
             paths_taken["reference" if spy.called else "numpy"] += 1
 
         check()

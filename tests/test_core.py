@@ -45,8 +45,10 @@ class TestSplitTraining:
             split([1.0, 2.0], 0)
 
     def test_rejects_non_integer_size(self):
-        with pytest.raises(TypeError):
-            split([1.0, 2.0], 1.5)
+        # a bool is an int to isinstance, but not a size
+        for size in (1.5, True, False, np.True_):
+            with pytest.raises(TypeError, match="proper_size must be an int"):
+                split([1.0, 2.0], size)
 
     def test_rejects_ragged_features(self):
         with pytest.raises(ValueError):
@@ -146,6 +148,20 @@ class TestHedgedPrediction:
     def test_incertitude_one_is_degenerate(self):
         pred = HedgedPrediction(prediction_set=FULL_LINE, incertitude=1.0)
         assert pred.degenerate
+
+    def test_flags_are_read_from_the_fields(self):
+        pred = HedgedPrediction(ALL_LABELS, 0.25, k=1, m=10)
+        assert pred.vacuous and not pred.degenerate
+        assert not HedgedPrediction(frozenset({1}), 0.25).vacuous
+        assert not HedgedPrediction(FULL_LINE, 0.25).vacuous
+        # neither flag is a constructor argument or a settable field
+        with pytest.raises(TypeError):
+            HedgedPrediction(frozenset({1}), 0.25, vacuous=True)
+        with pytest.raises(TypeError):
+            HedgedPrediction(FULL_LINE, 0.25, degenerate=True)
+        for flag in ("degenerate", "vacuous"):
+            with pytest.raises(AttributeError):
+                setattr(pred, flag, False)
 
     def test_incertitude_range(self):
         with pytest.raises(ValueError):

@@ -261,8 +261,9 @@ class TestHingeLossLinearClassifier:
     @pytest.mark.parametrize("init", [None, 5])
     def test_fit_buffers_leave_inputs_and_refits_alone(self, init):
         # the fit keeps its epoch buffers to itself: a read-only strided
-        # view, as read_csv_dataset returns its features and labels, fits
-        # as its contiguous copy does, and a refit starts afresh
+        # view, as predict slices features and labels from the rows
+        # read_csv_dataset returns, fits as its contiguous copy does, and a
+        # refit starts afresh
         X, y = self.hinge_data("flipped", 9, 3000, 3)
         rows = np.column_stack([X, y])
         rows.setflags(write=False)

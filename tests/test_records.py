@@ -23,7 +23,6 @@ from randpred import (
     ValidityCell,
     ValidityReport,
 )
-from randpred.cli import CsvDataset
 
 X = np.array([[0.0], [1.0], [2.0]])
 Y = np.array([0.5, 1.5, 2.5])
@@ -40,10 +39,10 @@ CASES = [
     (Interval, ("lower", "upper"), (1.0, 2.0), (1.0, 2.0), {}, ("upper", 3.0)),
     (
         HedgedPrediction,
-        ("prediction_set", "incertitude", "degenerate", "vacuous", "k", "m"),
-        (Interval(0.0, 1.0), 0.25, False, True, 3, 10),
+        ("prediction_set", "incertitude", "k", "m"),
+        (Interval(0.0, 1.0), 0.25, 3, 10),
         (frozenset({1}), 0.25),
-        {"degenerate": False, "vacuous": False, "k": None, "m": None},
+        {"k": None, "m": None},
         ("incertitude", 0.5),
     ),
     (RegressorSpec, ("kind",), ("mean",), (), {"kind": "least_squares"}, ("kind", "least_squares")),
@@ -62,14 +61,6 @@ CASES = [
         ("regression", PREDICTOR, 0.5, 1, 10),
         {},
         ("k", 2),
-    ),
-    (
-        CsvDataset,
-        ("feature_names", "label_name", "X", "y"),
-        (("x",), "y", X, Y),
-        (("x",), "y", X, Y),
-        {},
-        ("label_name", "z"),
     ),
     (
         ValidityCell,
@@ -178,12 +169,8 @@ def test_record_behaves_as_its_frozen_dataclass_did(cls, fields, args, minimal, 
         assert record == by_keyword and not record != by_keyword
         assert record != changed
         assert record != tuple(getattr(record, f) for f in fields)
-        if cls is CsvDataset:
-            with pytest.raises(TypeError, match="unhashable"):
-                hash(record)
-        else:
-            assert hash(record) == hash(by_keyword)
-            assert len({record, by_keyword, changed}) == 2
+        assert hash(record) == hash(by_keyword)
+        assert len({record, by_keyword, changed}) == 2
 
     first = getattr(record, fields[0])
     for target in (fields[0], "unknown"):
@@ -208,7 +195,7 @@ def test_repr_of_nested_records():
     prediction = HedgedPrediction(Interval(-1, 2), 0.25, k=0, m=30)
     assert repr(prediction) == (
         "HedgedPrediction(prediction_set=Interval(lower=-1.0, upper=2.0), incertitude=0.25, "
-        "degenerate=False, vacuous=False, k=0, m=30)"
+        "k=0, m=30)"
     )
     assert repr(PipelineSpec()) == (
         "PipelineSpec(method='both', predictor=RegressorSpec(kind='least_squares'))"
@@ -216,17 +203,3 @@ def test_repr_of_nested_records():
     # None takes the default predictor, as the dataclass's default factory gave it
     assert PipelineSpec("irp", None) == PipelineSpec("irp")
 
-
-def test_csv_datasets_compare_their_arrays_by_value():
-    def dataset():
-        return CsvDataset(("x",), "y", np.zeros((2, 1)), np.zeros(2))
-
-    first, second = dataset(), dataset()
-    assert first == second and not first != second
-    for field, index in (("X", (1, 0)), ("y", (1,))):
-        changed = dataset()
-        getattr(changed, field)[index] = 1.0
-        assert first != changed and not first == changed
-    assert first != CsvDataset(("x",), "y", np.zeros((1, 1)), np.zeros(1))
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(first)

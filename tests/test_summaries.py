@@ -164,6 +164,11 @@ class TestClassifierSpecDomain:
             ("l2", math.inf),
             ("epochs", 2.5),
             ("epochs", True),
+            ("learning_rate", True),
+            ("learning_rate", np.True_),
+            ("l2", True),
+            ("l2", False),
+            ("l2", np.False_),
         ],
     )
     def test_rejected_at_construction(self, field, value):
