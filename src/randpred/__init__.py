@@ -10,10 +10,11 @@ p-value, and exact plus Monte Carlo validity oracles (the audits and
 validity modules, which share only the report types of reports).
 
 The p-value engine (the pvalues module) is imported with the package and
-loads only the standard library's math, sys, functools and typing.  Every
-other public name is imported from its module on first access: most load
-numpy, and the rank-based p-values and the p-variables (the ranks module)
-are left out of the engine, which is compiled on import.
+loads only the standard library's math, operator, sys, functools and
+typing.  Every other public name is imported from its module on first
+access: most load numpy, and the rank-based p-values and the p-variables
+(the ranks module) are left out of the engine, which is compiled on
+import.
 """
 
 from importlib import import_module

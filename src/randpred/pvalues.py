@@ -37,28 +37,32 @@ D = p q (p - q), its slope in s is g = v - q, zero at the root, and
 At the rank-based rate p = (k+1)/(m+1) every coefficient of R is below 1,
 so psi < 0 there and the root lies at a smaller p.
 
-maximize_objective starts near the root and takes Halley steps.  At k = 1
-it starts at the closed form optimal_p_k1, and one pass confirms it.  For
-k >= 2 the Normal approximation of the binomial, with F near 1 at the
-root, puts the mean at m p = k + 1/2 - z sd, where sd = sqrt(k(m-k)/m)
-and the Normal density at z is 1/sd; z is 0 when sd <= sqrt(2 pi), and
-the start is capped at the rank-based rate.  One pass (_pass) evaluates
-F and b(k+1), so psi, and psi' and psi'' follow.  With h = psi/psi' the
-Newton step, the Halley step is h / (1 - h psi''/(2 psi')), which
-converges cubically near the root.  Every step has the sign of psi, so
-it heads for the root.  Where psi < 0 the denominator is at least 1 and
-the step is no longer than Newton's; where psi > 0 the step is taken
-only while the denominator is at least 1/2, so it is at most twice
-Newton's, and the Newton step is taken otherwise.  Newton's method alone
-converges from any start on a convex increasing psi; for the corrected
-steps that is checked, not proved: at most 4 passes on every case the
-tests try.  The steps move p and q themselves, each with its own digits.
+maximize_objective needs no search at k <= 2: the root is the closed
+form optimal_p_k1 at k = 1, and at k = 2 the root of a cubic, by Newton's
+method (_root_k2); one sum of the terms there gives the maximum.  For
+k > 2 it starts near the root and takes Halley steps.  Below _FRACTION_K,
+where m >= 10 k or k <= 7, the start is the Poisson root p = c_star(k)/m
+(asymptotic_constant), from a table.  Elsewhere the Normal approximation
+of the binomial, with F near 1 at the root, puts the mean at
+m p = k + 1/2 - z sd, where sd = sqrt(k(m-k)/m) and the Normal density
+at z is 1/sd; z is 0 when sd <= sqrt(2 pi), which starts k <= 6 at large
+m a pass away.  Each start is capped at the rank-based rate.  One pass
+(_pass) evaluates F and b(k+1), so psi, and psi' and psi'' follow.  With
+h = psi/psi' the Newton step, the Halley step is
+h / (1 - h psi''/(2 psi')), which converges cubically near the root.
+Every step has the sign of psi, so it heads for the root.  Where psi < 0
+the denominator is at least 1 and the step is no longer than Newton's;
+where psi > 0 the step is taken only while the denominator is at least
+1/2, so it is at most twice Newton's, and the Newton step is taken
+otherwise.  Newton's method alone converges from any start on a convex
+increasing psi; for the corrected steps that is checked, not proved: at
+most 4 passes on every case the tests try.  The steps move p and q
+themselves, each with its own digits.
 The search does not confirm its last step with one more pass: once a
 step is small enough for the Taylor model of the pass to reach the
 maximum within 2^-54 (maximize_objective), it takes the argmax and the
-maximum from that model.  So most calls at k >= 2 end on their second
-pass, and k = 1 ends on its first, where the model's corrections round
-away.  From k ~ 1e24, where no model passes, a pass flat to first order
+maximum from that model.  So most calls at k > 2 end on their second
+pass.  From k ~ 1e24, where no model passes, a pass flat to first order
 ends the search.  It raises after _MAX_NEWTON passes.
 
 Below k = _FRACTION_K (180, where one pass of each kind took the same
@@ -89,13 +93,14 @@ route at every k.  The module also provides the closed forms available
 at k=0 and k=1.  The rank-based conformal p-value, the construction that
 strictly dominates it and the p-variables are in the ranks module.
 
-Importing the module loads only math, sys, functools and typing, so
-`import randpred` stays cheap: it compiles this module from source where
-no bytecode is kept.  The tails module is loaded by the first pass at
-k >= _FRACTION_K.
+Importing the module loads only math, operator, sys, functools and
+typing, so `import randpred` stays cheap: it compiles this module from
+source where no bytecode is kept.  The tails module is loaded by the
+first pass at k >= _FRACTION_K.
 """
 
 import math
+import operator
 import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Tuple
@@ -168,6 +173,58 @@ _FRACTION_K = 180
 # asymptotic_constant takes the engine's maximum at
 # m = max(k, 1) * 2**_POISSON_SHIFT.
 _POISSON_SHIFT = 60
+# c_star(k), the root of sum_{i<=k} c^i/i! = c^(k+1)/k!, for
+# k = 2 .. _FRACTION_K - 1, each the float nearest a 40-digit root: the
+# search starts there (_start).  Each entry takes 19 characters, so
+# _c_star parses only the one it needs; a tuple literal would cost import
+# time.
+_C_STARS = """
+2.2695308420811426  2.945186161156526 3.6395471264802954  4.349047605110898
+ 5.071184345957452   5.80411039330799  6.546411427031174 7.2969727221838445
+ 8.054895170257712  8.819439730366772  9.589989266697097 10.366021495216177
+11.147089292444933 11.932806035775988  12.72283447464453  13.51687813689125
+ 14.31467459233471 15.115990101230963 15.920615311855048 16.728361764172337
+17.539059020818843 18.352552291938057   19.1687004529271  19.98737437780373
+20.808455528360014 21.631834752307462 22.457411253469814 23.285091704603193
+ 24.11478947922433 24.946423983342093 25.779920071530334 26.615207534582677
+27.452220648223083  28.29089777413818 29.131181006045004  29.97301585468402
+30.816350966589127 31.661137872276544  32.50733076014765  33.35488627294288
+ 34.20376332403613 35.053922931238105  35.90532806609563  36.75794351694369
+37.611735764195096  38.46667286654715  39.32272435695097 40.179861147331216
+  41.0380554411665 41.897280653146275  42.75751133521135  43.61872310836417
+ 44.48089259970434 45.343997384204364  46.20801593079371  47.07292755236485
+47.938712359355804  48.80535121659896  49.67282570315768  50.54111807489988
+ 51.41021122958232 52.280088674241476  53.15073449470593 54.022133327062974
+ 54.89427033092738  55.76713116437408  56.64070196040913 57.514969304864266
+58.389920215610466  59.26554212299493 60.141822851414005 61.018750601941925
+61.896313935941755 62.774501759591224 63.653303309261204   64.5327081376898
+ 65.41270610089936  66.29328734580797  67.17444229849048  68.05616165304761
+ 68.93843636104512  69.82125762148696  70.70461687129026   71.5885057762309
+ 72.47291622233193  73.35784030766807  74.24327033456208  75.12919880215013
+ 76.01561839929468  76.90252199782562   77.7899026460906  78.67775356279762
+ 79.56606813113376  80.45483989314486  81.34406254436202   82.2337299286619
+ 83.12383603334823  84.01437498444302   84.9053410421766  85.79672859666613
+ 86.68853216377317  87.58074638113114  88.47336600433415   89.3663859032794
+ 90.25980105865523  91.15360655856831  92.04779759530267  92.94236946220465
+ 93.83731755068773  94.73263734735146   95.6283244312095  96.52437447102136
+ 97.42078322272343  98.31754652695454  99.21466030667203 100.11212056485411
+ 101.0099233822848 101.90806491541778 102.80654139431579 103.70534912066223
+ 104.6044844658419 105.50394386908805 106.40372383569269 107.30382093527788
+ 108.2042318001252 109.10495312356093 110.00598165839514  110.9073142154119
+111.80894766190893 112.71087892028476 113.61310496667114 114.51562282960941
+ 115.4184295887687 116.32152237370461 117.22489836265663 118.12855478138303
+119.03248890203156 119.93669804204474 120.84117956309848 121.74593087007277
+ 122.6509494100531 123.55623267136176 124.46177818261769 125.36758351182404
+126.27364626548228 127.17996408773202 128.08653465951556 128.99335569776642
+129.90042495462086  130.8077402166517  131.7152993041235 132.62310007026886
+133.53114040058423 134.43941821214565 135.34793145294273 136.25667810123107
+137.16565616490197  138.0748636808692 138.98429871447206 139.89395935889408
+ 140.8038437345975 141.71394998877216 142.62427629479885 143.53482085172658
+144.44558188376337  145.3565576397799 146.26774639282598 147.17914643965898
+148.09075610028447   149.002573717508  149.9145976564982 150.82682630436068
+151.73925806972238 152.65189138232594  153.5647246926342   154.477756471444
+155.39098520950938  156.3044094171738
+"""
 
 
 class AsymptoticConstant(NamedTuple):
@@ -190,6 +247,18 @@ def m_error(m, least: int = 1) -> ValueError:
     return ValueError(
         f"m must be an integer from {least} to the largest float, {M_MAX:.6g}; got {m!r}"
     )
+
+
+def _integer(x):
+    """x as an int where it is an integer that is not a bool, numpy's
+    included (operator.index, so no numpy is loaded); anything else as it
+    is, for the checks to reject."""
+    if type(x) is int or isinstance(x, bool) or getattr(x, "dtype", None) == bool:
+        return x
+    try:
+        return operator.index(x)
+    except TypeError:
+        return x
 
 
 def _validate_mk(m: int, k: int) -> None:
@@ -338,6 +407,7 @@ def objective(m: int, k: int, p: float) -> float:
     of p, and in the sum the rounding of q/p compounds over the terms
     that count: 8e-13 near the rate at k = 1e8.
     """
+    m, k = _integer(m), _integer(k)
     _validate_mk(m, k)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
@@ -378,14 +448,17 @@ def maximize_objective(m: int, k: int) -> Tuple[float, float]:
     |d| <= 2 |psi|, as psi' >= 1, so they are at most about
     q psi d/2 <= psi^2 in the log of the value and psi^2 |d| in the
     argmax's s, below 2^-55.  There the pass's value and its Halley step
-    are returned as they are; so is every k = 1 call, whose start is the
-    root to within 3.2e-16 in s.  Where no model passes, a pass whose
-    step is below _STEP_TOL and moves the log of the value by at most
-    _FLAT_TOL to first order ends the search as it is: from k ~ 1e24,
-    where psi' passes 1e12 and the bound asks for steps below 1e-12, and
-    where the floats near the root leave psi units from 0.  Past the
-    engine's range (the module docstring) it raises RuntimeError.
+    are returned as they are.  k = 1 and k = 2 take no pass: the argmax is
+    the closed form optimal_p_k1, or the root of a cubic (_root_k2), and
+    the maximum one sum of the terms there.  Where no model passes, a
+    pass whose step is below _STEP_TOL and moves the log of the value by
+    at most _FLAT_TOL to first order ends the search as it is: from
+    k ~ 1e24, where psi' passes 1e12 and the bound asks for steps below
+    1e-12, and where the floats near the root leave psi units from 0.
+    Past the engine's range (the module docstring) it raises
+    RuntimeError.
     """
+    m, k = _integer(m), _integer(k)
     _validate_mk(m, k)
     return _maximize(m, k)
 
@@ -396,6 +469,16 @@ def _maximize(m: int, k: int) -> Tuple[float, float]:
         return 1.0, 1.0
     if k == 0:
         return 1.0 / (m + 1), exact_pvalue_k0(m)
+    if k <= 2:
+        # the root in closed form at k = 1 and by Newton's method on a
+        # cubic at k = 2: one sum of the terms at it, and no pass
+        if k == 1:
+            p = optimal_p_k1(m)
+            q = 1.0 - p
+        else:
+            p, q = _root_k2(m)
+        i0, total, _ = _mode_sums(m, k, p, q)
+        return p, _value(m, p, q, i0, total)
     p, q = _start(m, k)
     for _ in range(_MAX_NEWTON):
         log_w, i0, total = _pass(m, k, p, q)
@@ -437,16 +520,48 @@ def _maximize(m: int, k: int) -> Tuple[float, float]:
     raise RuntimeError(f"the root search did not converge at m = {m}, k = {k}")
 
 
-def _start(m: int, k: int) -> Tuple[float, float]:
-    """A starting (p, q) near the stationarity root, 0 < k < m.
+def _c_star(k: int) -> float:
+    """c_star(k) for 2 <= k < _FRACTION_K, from _C_STARS."""
+    at = 19 * (k - 2) + 1
+    return float(_C_STARS[at : at + 18])
 
-    The closed form at k = 1; otherwise the Normal approximation of the
-    module docstring, capped at the rank-based rate (k+1)/(m+1).  q comes
-    from m - k, which keeps its digits where k is near m.
+
+def _root_k2(m: int) -> Tuple[float, float]:
+    """The stationarity root (p, q) at k = 2, 2 < m.
+
+    In x = r/m, r = q/p, the equation r R(r) = m - 2 is the cubic
+    x + a (x^2 + x^3) = (m - 2)/m with a = 2m/(m - 1).  Its left side is
+    convex and increasing, so Newton's method converges from any start;
+    from x = 1/c_star(2), the root's limit, it stops on a step of at most
+    2^-30 x, after which the error, about the square of that step, is
+    below an ulp of x.  a is 2 (m/(m - 1)), as 2m overflows at M_MAX.
     """
-    if k == 1:
-        p = optimal_p_k1(m)
-        return p, 1.0 - p
+    a = 2 * (m / (m - 1))
+    target = (m - 2) / m
+    x = 1.0 / _c_star(2)
+    for _ in range(_MAX_NEWTON):
+        step = (x + a * (x * x) * (1.0 + x) - target) / (1.0 + a * x * (2.0 + 3.0 * x))
+        x -= step
+        if abs(step) <= 2.0**-30 * x:
+            break
+    r = m * x
+    return 1.0 / (1.0 + r), r / (1.0 + r)
+
+
+def _start(m: int, k: int) -> Tuple[float, float]:
+    """A starting (p, q) near the stationarity root, 2 < k < m.
+
+    Below _FRACTION_K, where m >= 10 k or k <= 7, the Poisson root
+    p = c_star(k)/m; otherwise the Normal approximation of the module
+    docstring.  Each is capped at the rank-based rate (k+1)/(m+1).  q
+    comes from m - c_star or m - k, which keeps its digits where p is
+    near 1.
+    """
+    if k < _FRACTION_K and (k <= 7 or m >= 10 * k):
+        c = _c_star(k)
+        if c / m < (k + 1) / (m + 1):
+            return c / m, (m - c) / m
+        return (k + 1) / (m + 1), (m - k) / (m + 1)
     sd = math.sqrt(k * ((m - k) / m))
     z = math.sqrt(2.0 * math.log(sd / _SQRT_2PI)) if sd > _SQRT_2PI else 0.0
     # (k + 1/2 - z sd)/m < (k+1)/(m+1), with its integer part exact
@@ -467,6 +582,7 @@ def binary_irp_pvalue(m: int, k: int) -> float:
     k = m case returns exactly 1: the objective collapses to p and the
     event becomes sure under p = 1.
     """
+    m, k = _integer(m), _integer(k)
     _validate_mk(m, k)
     if k == m:
         return 1.0
@@ -481,6 +597,7 @@ def exact_pvalue_k0(m: int) -> float:
     of exp(-log1p(m) - m*log1p(1/m)) does.  Satisfies
     exact_pvalue_k0(m) <= exp(-1)/m for every m >= 1.
     """
+    m = _integer(m)
     if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= M_MAX:
         raise m_error(m)
     return math.exp(-m * math.log1p(1.0 / m)) / (m + 1)
@@ -497,6 +614,7 @@ def optimal_p_k1(m: int) -> float:
     From m ~ 6e153, 5m^2 overflows a float.  There the terms in 1/m are
     far below an ulp of the root, which rounds to phi/m.
     """
+    m = _integer(m)
     if not isinstance(m, int) or isinstance(m, bool) or not 2 <= m <= M_MAX:
         raise m_error(m, least=2)
     square = 5.0 * m * m
@@ -521,6 +639,7 @@ def asymptotic_constant(k: int) -> AsymptoticConstant:
     raises ValueError naming k; past the engine's range (the module
     docstring) it raises RuntimeError.
     """
+    k = _integer(k)
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     m = max(k, 1) << _POISSON_SHIFT

@@ -358,6 +358,41 @@ def mpmath_max_near(m: int, k: int, p_star: float) -> float:
     return mpmath_tail_value(m, k, mpmath_root_near(m, k, p_star))
 
 
+def mpmath_polynomial_max(m: int, k: int):
+    """The maximizer of p F(k; m, p) and the maximum, to 60 digits, as
+    mpfs, at any m.
+
+    With r = q/p, q F = p (m-k) b(k) reads
+    r sum_{i<=k} C(m, i) r^(k-i) = (m-k) C(m, k), a polynomial with
+    exact integer coefficients; in x = r/m each is scaled by a power of m
+    to O(1).  Its left side increases from 0, so x = 1, at r = m, lies
+    above the root and Newton's method falls to it.  The maximum is
+    p^(k+1) q^(m-k) sum_{i<=k} C(m, i) r^(k-i), with q^(m-k) from log1p,
+    which keeps its digits at p ~ 1/m for every m.  Meant for small k,
+    where the working precision need not grow with m as mpmath_pvalue's
+    does.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        scale = mpmath.mpf(m)
+        coefficients = [mpmath.mpf(math.comb(m, i)) / scale**i for i in range(k + 1)]
+        target = mpmath.mpf((m - k) * math.comb(m, k)) / scale ** (k + 1)
+
+        def residual(x):
+            return x * mpmath.polyval(coefficients, x) - target
+
+        x = mpmath.findroot(residual, mpmath.mpf(1), solver="newton")
+        assert x > 0
+        r = scale * x
+        p = 1 / (1 + r)
+        value = (
+            p ** (k + 1)
+            * mpmath.exp((m - k) * mpmath.log1p(-p))
+            * mpmath.fsum(mpmath.mpf(math.comb(m, i)) * r ** (k - i) for i in range(k + 1))
+        )
+        return p, value
+
+
 ACCURACY_GRID = [
     (m, k)
     for m in (10, 10**2, 10**3, 10**4, 10**5, 10**6, 10**7)
@@ -399,7 +434,7 @@ class TestStationarityRoot:
         for m, k in ACCURACY_GRID:
             reference = mpmath_pvalue(m, k)
             error = abs(binary_irp_pvalue(m, k) - reference) / reference
-            if error > 4e-15:
+            if not error <= 4e-15:  # a NaN fails too
                 bad.append((m, k, error))
         assert not bad
 
@@ -409,7 +444,8 @@ class TestStationarityRoot:
         # from the rank-based rate takes 7420 passes on these cases, up to
         # 13 on one; Halley steps that confirm their last step with one
         # more pass take 3843, up to 5; ending on the last pass's Taylor
-        # model takes 2874, up to 4
+        # model takes 2874, up to 4; solving k <= 2 without a pass and
+        # starting 2 < k < _FRACTION_K at the Poisson root takes 2806
         one_pass = pvalues_module._pass
         calls = []
 
@@ -424,9 +460,55 @@ class TestStationarityRoot:
             maximize_objective(m, k)
             passes[m, k] = len(calls)
         assert len(passes) == 1102
-        assert {n for (m, k), n in passes.items() if k == 1} == {1}
+        assert {n for (m, k), n in passes.items() if k <= 2} == {0}
         assert max(passes.values()) <= 4
-        assert sum(passes.values()) <= 2874
+        assert sum(passes.values()) <= 2806
+
+    def test_k5_takes_at_most_two_passes(self, monkeypatch):
+        # from the Poisson root c_star(5) = 4.35; the Normal start at
+        # m p = k + 1/2, where z = 0 while the sd is below sqrt(2 pi),
+        # took a third pass on 288 of these 300 calls
+        one_pass = pvalues_module._pass
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return one_pass(*args)
+
+        monkeypatch.setattr(pvalues_module, "_pass", counted)
+        rng = np.random.default_rng(26)
+        most = 0
+        for m in np.rint(10.0 ** rng.uniform(1.0, 6.0, 300)).astype(int):
+            calls.clear()
+            maximize_objective(int(m), 5)
+            most = max(most, len(calls))
+        assert most <= 2
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_k_up_to_2_matches_references_at_the_extremes(self, k):
+        # the k <= 2 roots without a search, on a log grid of m up to the
+        # largest float, where p is subnormal and 2 m overflows a float.
+        # mpmath_pvalue, whose precision grows with the digits of m, checks
+        # the value up to 1e60 and at the largest float
+        pytest.importorskip("mpmath")
+        ms = sorted(
+            {k + 1, k + 2, M_MAX}
+            | {int(10.0 ** (j / 8)) for j in range(8, 2401, 23)}
+        )
+        bad = []
+        for m in ms:
+            p_star, value = maximize_objective(m, k)
+            root, maximum = mpmath_polynomial_max(m, k)
+            references = [maximum]
+            if m <= 10**60 or m == M_MAX:
+                references.append(mpmath_pvalue(m, k))
+            # written to fail on a NaN
+            if not (
+                abs(p_star - root) <= 4e-15 * root
+                and all(abs(value - ref) <= 4e-15 * ref for ref in references)
+            ):
+                bad.append((m, p_star, value))
+        assert not bad
 
     def test_both_sides_of_the_crossover_match_50_digits(self):
         pytest.importorskip("mpmath")
@@ -637,14 +719,47 @@ M_MESSAGE = "m must be an integer from 1 to the largest float, 1.79769e+308; got
         (5, 6, "k must be an integer in [0, m=5], got 6"),
         (5, 1.0, "k must be an integer in [0, m=5], got 1.0"),
         (5, False, "k must be an integer in [0, m=5], got False"),
+        # numpy integers are converted first, numpy bools and floats are not
+        (np.int64(0), 0, M_MESSAGE + "0"),
+        (np.True_, 0, M_MESSAGE + repr(np.True_)),
+        (np.float64(2.0), 1, M_MESSAGE + repr(np.float64(2.0))),
+        (np.int32(5), np.int64(6), "k must be an integer in [0, m=5], got 6"),
+        (5, np.False_, "k must be an integer in [0, m=5], got " + repr(np.False_)),
     ],
     ids=["m0", "m-bool", "m-float", "m-past-float", "k-negative", "k-above-m",
-         "k-float", "k-bool"],
+         "k-float", "k-bool", "m0-numpy", "m-numpy-bool", "m-numpy-float",
+         "k-above-m-numpy", "k-numpy-bool"],
 )
 def test_invalid_m_and_k_messages(call, m, k, message):
     with pytest.raises(ValueError) as info:
         call(m, k)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16], ids=lambda t: t.__name__)
+def test_numpy_integers_are_accepted(monkeypatch, integer):
+    # the engine converts them with operator.index, so it runs, and its
+    # cache is keyed, on Python ints
+    m, k = integer(30), integer(2)
+    assert binary_irp_pvalue(m, k) == binary_irp_pvalue(30, 2)
+    assert binary_irp_pvalue(m, m) == 1.0
+    assert maximize_objective(m, k) == maximize_objective(30, 2)
+    assert objective(m, k, 0.1) == objective(30, 2, 0.1)
+    assert exact_pvalue_k0(m) == exact_pvalue_k0(30)
+    assert optimal_p_k1(m) == optimal_p_k1(30)
+    assert asymptotic_constant(k) == asymptotic_constant(2)
+    engine = pvalues_module._maximize
+    types = []
+
+    def recorded(m, k):
+        types.append((type(m), type(k)))
+        return engine(m, k)
+
+    monkeypatch.setattr(pvalues_module, "_maximize", recorded)
+    pvalues_module._pvalue_cached.cache_clear()
+    binary_irp_pvalue(m, k)
+    maximize_objective(m, k)
+    assert types == [(int, int)] * 2
 
 
 def test_a_cold_call_checks_m_and_k_once(monkeypatch):
@@ -860,6 +975,30 @@ class TestAsymptoticConstant:
                 a_k = root * mpmath.gammainc(k + 1, root, regularized=True)
             assert constant.c_star == pytest.approx(float(root), rel=2e-15), k
             assert constant.a_k == pytest.approx(float(a_k), rel=2e-15), k
+
+    def test_c_star_table_matches_40_digits(self):
+        # the search's starts (pvalues._start): each entry is the float
+        # nearest the root of sum_{i<=k} c^i/i! = c^(k+1)/k!, here the zero
+        # of log sum_{i<=k} k!/(i! c^(k+1-i)), which falls through it, in a
+        # bracket of two sds of Poisson(k + 1) below k + 1
+        mpmath = pytest.importorskip("mpmath")
+        k_c = pvalues_module._FRACTION_K
+        assert len(pvalues_module._C_STARS.split()) == k_c - 2
+        table = [pvalues_module._c_star(k) for k in range(2, k_c)]
+        assert table[0] == pytest.approx(radical_c2(), abs=1e-8)
+        assert table[1] == pytest.approx(radical_c3(), abs=1e-8)
+        for k, entry in enumerate(table, start=2):
+            with mpmath.workdps(40):
+                weights = [mpmath.factorial(k) / mpmath.factorial(i) for i in range(k + 1)]
+
+                def residual(c):
+                    return mpmath.log(
+                        mpmath.fsum(w / c ** (k + 1 - i) for i, w in enumerate(weights))
+                    )
+
+                bracket = (max(1, k + 1 - 2 * math.sqrt(k + 1)), k + 1)
+                root = mpmath.findroot(residual, bracket, solver="anderson")
+            assert entry == float(root), k
 
     def test_a_k_at_k_1e16_is_fast(self):
         start = time.perf_counter()
