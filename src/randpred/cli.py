@@ -396,8 +396,11 @@ def read_csv_dataset(path: str, task: str = "regression") -> Tuple[list, np.ndar
     parses the rest in one pass.  A file it rejects or might misread, or
     whose rows fail a check, is read again from its start by the
     reference pass, which parses each cell with float and names the first
-    faulty row, by the line its record starts on, and column.
+    faulty row, by the line its record starts on, and column.  task must
+    be "regression" or "classification".
     """
+    if task not in ("regression", "classification"):
+        raise ValueError(f"task must be 'regression' or 'classification', got {task!r}")
     with open(path, newline="") as handle:
         header = _read_header(path, csv.reader(handle))
         rows = _numpy_rows(handle, len(header), task)

@@ -134,10 +134,10 @@ class HedgedPrediction(Record):
     def __init__(
         self, prediction_set: PredictionSet, incertitude: float, k: int = None, m: int = None
     ):
-        c = float(incertitude)
-        if not 0.0 <= c <= 1.0:
+        # a bool is no incertitude: True would read as the degenerate 1.0
+        if isinstance(incertitude, (bool, np.bool_)) or not 0.0 <= float(incertitude) <= 1.0:
             raise ValueError(f"incertitude must lie in [0, 1], got {incertitude!r}")
-        super().__init__(prediction_set, c, k, m)
+        super().__init__(prediction_set, float(incertitude), k, m)
 
     @property
     def degenerate(self) -> bool:

@@ -16,8 +16,10 @@ and the kind of set:
 The regression pipeline takes its half-width and its calibration bits
 from one prediction pass over all of the split's rows; the
 classification pipeline predicts its calibration rows only.  The Monte
-Carlo harness makes that pass per trial, with the trial's test row
-added, and applies the rules below to a block of trials at once: the
+Carlo harness makes that pass for many trials at once, each trial's test
+row added, by the predictors module's affine rule over a leading axis
+(the pass of a fitted least-squares predictor's predict_batch), and
+applies the rules below to a block of trials at once: the
 bit rule (_regression_bits), the bounds rule (_interval_bounds), the
 incertitude rule (_incertitudes) and the level-set rule
 (_level_set_bounds) are written over a leading axis, and the pipeline's

@@ -10,7 +10,10 @@ The linear predictors evaluate w.x + b in one fixed order, column by
 column with the intercept last, one IEEE operation per step.  A row's
 prediction is therefore the same whichever batch it is in, and equals the
 plain Python-float sum taken in that order; a BLAS matrix-vector product
-promises no such order.
+promises no such order.  The rule (_affine_batch) also takes a stack of
+batches, each with its own (w, b): the Monte Carlo harness predicts the
+trials of a block in one pass of it, from each fitted least-squares
+predictor's affine_map.
 """
 
 from __future__ import annotations
@@ -62,17 +65,23 @@ def _feature_array(X, width: int) -> np.ndarray:
     return X
 
 
-def _affine_batch(coef: tuple, intercept: float, X) -> np.ndarray:
-    """sum_j coef[j] * X[:, j], then + intercept, for every row of X.
+def _affine_batch(coef, intercept, X: np.ndarray) -> np.ndarray:
+    """sum_j coef[..., j] * X[..., j], then + intercept, for every row of X.
 
-    A row that overflows gives +-inf, or NaN from inf - inf, without a
-    warning: the caller decides what a non-finite prediction means.
+    X is an (..., n, d) float64 array, and coef[..., j] and intercept
+    broadcast against X[..., j]: d floats and a float are one affine map
+    for all of X; (stack, 1, d) and (stack, 1) arrays are one map per
+    (n, d) slice of a (stack, n, d) X.  Every element takes the same IEEE
+    operations in the same order either way, so a row's value is the same
+    alone, in its batch or in a stack of batches.  A row that overflows
+    gives +-inf, or NaN from inf - inf, without a warning: the caller
+    decides what a non-finite prediction means.
     """
-    X = _feature_array(X, len(coef))
-    total = np.zeros(len(X))
+    coef = np.asarray(coef, dtype=np.float64)
+    total = np.zeros(X.shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, c in enumerate(coef):
-            total += c * X[:, j]
+        for j in range(X.shape[-1]):
+            total += coef[..., j] * X[..., j]
         return total + intercept
 
 
@@ -147,12 +156,19 @@ class LeastSquaresRegressor:
         self._intercept = float(beta[-1])
         return self
 
+    @property
+    def affine_map(self):
+        """The fitted (coefficients, intercept), a tuple of floats and a
+        float, that predict_batch applies to every row; None before a fit
+        and after the rank fallback."""
+        return None if self._coef is None else (self._coef, self._intercept)
+
     def predict_batch(self, X) -> np.ndarray:
         if self._fallback is not None:
             return self._fallback.predict_batch(X)
         if self._coef is None:
             raise RuntimeError("predictor is not fitted")
-        return _affine_batch(self._coef, self._intercept, X)
+        return _affine_batch(self._coef, self._intercept, _feature_array(X, len(self._coef)))
 
 
 class ConstantClassifier:
@@ -275,4 +291,4 @@ class HingeLossLinearClassifier:
             return self._fallback.predict_batch(X)
         if self._weights is None:
             raise RuntimeError("classifier is not fitted")
-        return _affine_batch(self._weights, self._bias, X)
+        return _affine_batch(self._weights, self._bias, _feature_array(X, len(self._weights)))

@@ -1,13 +1,16 @@
 """Monte Carlo validity harness.
 
 Measures coverage frequencies of the regression pipelines on seeded
-synthetic data.  A trial fits its point predictor as
-fit_regression_pipeline does and predicts all of its rows, its test row
-included, in one pass.  The harness keeps the predictions and labels of
-a block of trials in two arrays and applies the pipelines module's bit,
-bounds, incertitude and level-set rules to the whole block at once.  It
-hashes the seed words of all of a block's trial streams in one array
-pass of numpy's SeedSequence algorithm, so each trial's generator is
+synthetic data.  A trial draws its features and noise and fits its
+point predictor as fit_regression_pipeline does.  Everything else is
+taken for many trials at once: the labels by the generator's label
+rule, the predictions of all of the trials' rows, test rows included,
+by the predictors module's affine rule, and the pipelines module's bit,
+bounds, incertitude and level-set rules over a block of trials.  Each
+rule is the one the per-trial path applies, written over a leading
+axis, so every value is the same bit for bit.  The harness hashes the
+seed words of all of a block's trial streams in one array pass of
+numpy's SeedSequence algorithm, so each trial's generator is
 default_rng([seed, trial]) bit for bit without its per-call cost.  A
 block in which anything raises is replayed trial by trial through the
 public path (generator.sample, fit_regression_pipeline,
@@ -33,6 +36,7 @@ from .pipelines import (
     _regression_bits,
     fit_regression_pipeline,
 )
+from .predictors import _affine_batch
 from .records import Record
 from .reports import ValidityCell, ValidityReport
 
@@ -44,8 +48,10 @@ __all__ = [
 
 
 # A block of trials holds at most this many data rows (each trial's
-# training rows and its test row) and at least one trial, so the
-# harness's arrays stay bounded at any calibration size and trial count.
+# training rows and its test row) and at least one trial, and is staged
+# in parts of at most twice as many feature cells and at least one trial,
+# so the harness's arrays stay bounded at any calibration size, feature
+# count and trial count.
 _BLOCK_ROWS = 1 << 14
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the
@@ -176,7 +182,7 @@ class BoundedNoiseLinearGenerator(Record):
     for the regression measure, the headline case for the engine.  Every
     parameter is checked when the generator is made: finite floats, and
     positive int sizes.  The features and the noise are then finite, but
-    a label can still overflow, so labels are checked per draw.
+    a label can still overflow, so every use of the labels checks them.
     """
 
     __slots__ = (
@@ -227,15 +233,27 @@ class BoundedNoiseLinearGenerator(Record):
             feature_high,
         )
 
+    def _uniforms(self, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+        """The features (n + 1, d) and the noise (n + 1,) of one training
+        sequence plus one test example, in the order the rng draws them:
+        the features, then the noise."""
+        n = self.proper_size + self.calibration_size + 1
+        features = rng.uniform(self.feature_low, self.feature_high, size=(n, len(self.coefficients)))
+        return features, rng.uniform(-self.noise_half_width, self.noise_half_width, size=n)
+
+    def _labels(self, features: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """The labels of (..., n + 1, d) features and (..., n + 1) noise,
+        over any leading axes.  A stack of draws takes one BLAS
+        matrix-vector product per draw, so every label is the same as
+        that of its draw alone."""
+        return features @ np.array(self.coefficients) + self.intercept + noise
+
     def _draw(self, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
         """The features (n + 1, d) and labels (n + 1,) of one training
         sequence plus one test example, all IID; the test example is the
-        last row.  The rng draws the features, then the noise."""
-        n = self.proper_size + self.calibration_size + 1
-        d = len(self.coefficients)
-        features = rng.uniform(self.feature_low, self.feature_high, size=(n, d))
-        noise = rng.uniform(-self.noise_half_width, self.noise_half_width, size=n)
-        return features, features @ np.array(self.coefficients) + self.intercept + noise
+        last row."""
+        features, noise = self._uniforms(rng)
+        return features, self._labels(features, noise)
 
     def sample(self, rng: np.random.Generator) -> Tuple[DataSplit, np.ndarray, float]:
         """Draw one training split plus one test example (x, y), all IID."""
@@ -268,10 +286,12 @@ def monte_carlo_coverage(
     Each trial draws fresh IID data, forms the level-epsilon prediction
     set, and records whether the true test label was excluded.  A
     coverage cell passes when the empirical miscoverage rate is at most
-    epsilon + 3 standard errors.  A trial fits the point predictor on its
-    proper rows and predicts all of its rows, its test row included, in
-    one pass.  The harness keeps the predictions and labels of up to
-    _BLOCK_ROWS data rows of trials, then takes the half-widths and
+    epsilon + 3 standard errors.  The harness counts the trials in blocks
+    of up to _BLOCK_ROWS data rows, and stages a block in parts of up to
+    2 * _BLOCK_ROWS feature cells (_stage_trials): each trial's two
+    draws, the labels of the part in one pass, each trial's fit on its
+    proper rows, and the point predictions of all of the part's rows,
+    test rows included, in one pass.  It then takes the half-widths and
     calibration bits, the test rows' intervals, every method's
     incertitude and level sets, and the miss counts of the whole block,
     each by one array rule of the pipelines module.  Those are, value for
@@ -306,25 +326,20 @@ def monte_carlo_coverage(
     trials, seed = int(trials), int(seed)
 
     methods = ("irp", "icp") if spec.method == "both" else (spec.method,)
-    proper, m = generator.proper_size, generator.calibration_size
-    size = min(trials, max(1, _BLOCK_ROWS // (proper + m + 1)))
-    predictions = np.empty((size, proper + m + 1))
-    labels = np.empty_like(predictions)
+    proper, n = generator.proper_size, generator.proper_size + generator.calibration_size + 1
+    size = min(trials, max(1, _BLOCK_ROWS // n))
+    stage = max(1, 2 * _BLOCK_ROWS // (n * len(generator.coefficients)))
     misses = dict.fromkeys(methods, 0)
     for start in range(0, trials, size):
         filled = min(size, trials - start)
         try:
             states = _trial_states(seed, start, filled)
-            for row in range(filled):
-                rng = np.random.Generator(np.random.PCG64(_TrialState(states[row])))
-                X, y = generator._draw(rng)
-                # the features are finite by the generator's checks
-                if not np.isfinite(y[:-1]).all():
-                    raise ValueError("a training label is not finite")
-                predictor = spec.predictor.build().fit(X[:proper], y[:proper])
-                predictions[row] = predictor.predict_batch(X)
-                labels[row] = y
-            block = _block_misses(predictions[:filled], labels[:filled], proper, methods, epsilon)
+            staged = [
+                _stage_trials(spec.predictor, generator, states[first : first + stage])
+                for first in range(0, filled, stage)
+            ]
+            predictions, labels = (np.concatenate(arrays) for arrays in zip(*staged))
+            block = _block_misses(predictions, labels, proper, methods, epsilon)
         except Exception:
             # the per-trial path raises the first failing trial's error
             for trial in range(start, start + filled):
@@ -366,6 +381,53 @@ def monte_carlo_coverage(
         trials=trials,
         seed=seed,
     )
+
+
+def _stage_trials(
+    predictor_spec, generator: BoundedNoiseLinearGenerator, states: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The point predictions and labels, two (trials, n + 1) arrays with
+    each trial's test row last, of the trials whose streams the rows of
+    states seed: bit for bit those of the trial's own generator._draw and
+    its fitted predictor's predict_batch.
+
+    Each step runs once for all of the trials where it can: the two draws
+    per trial, in trial order; the labels and their finiteness check in
+    one pass each; the fit per trial; the predictions in one pass of the
+    affine rule, for every trial whose predictor exposes an affine_map.
+    A predictor without one (the mean kind, the rank fallback) predicts
+    by its own predict_batch.  Raises ValueError if a training label is
+    not finite.
+    """
+    proper = generator.proper_size
+    n, d = proper + generator.calibration_size + 1, len(generator.coefficients)
+    trials = len(states)
+    features, noise = np.empty((trials, n, d)), np.empty((trials, n))
+    for row in range(trials):
+        rng = np.random.Generator(np.random.PCG64(_TrialState(states[row])))
+        features[row], noise[row] = generator._uniforms(rng)
+    labels = generator._labels(features, noise)
+    # the features are finite by the generator's checks
+    if not np.isfinite(labels[:, :-1]).all():
+        raise ValueError("a training label is not finite")
+    # a trial without an affine map keeps the zero map, whose predictions
+    # its predictor's own replace
+    coefs, intercepts = np.zeros((trials, d)), np.zeros(trials)
+    own = {}
+    for row in range(trials):
+        predictor = predictor_spec.build().fit(features[row, :proper], labels[row, :proper])
+        affine = getattr(predictor, "affine_map", None)
+        if affine is None:
+            own[row] = predictor.predict_batch(features[row])
+        else:
+            coefs[row], intercepts[row] = affine
+    if len(own) < trials:
+        predictions = _affine_batch(coefs[:, np.newaxis], intercepts[:, np.newaxis], features)
+    else:
+        predictions = np.empty((trials, n))
+    for row, values in own.items():
+        predictions[row] = values
+    return predictions, labels
 
 
 def _block_misses(predictions, labels, proper_size, methods, epsilon) -> list:

@@ -148,6 +148,15 @@ class TestReadCsvDataset:
         with pytest.raises(ValueError, match="labels must be -1 or 1"):
             read_csv_dataset(str(path), task="classification")
 
+    def test_unknown_task_rejected(self, tmp_path):
+        # a misspelt task would read a classification file as regression
+        # and skip its label check
+        path = tmp_path / "data.csv"
+        path.write_text("x,y\n1.0,3.5\n")
+        for task in ("classifcation", "Regression", None):
+            with pytest.raises(ValueError, match=f"^task must be .*, got {task!r}$"):
+                read_csv_dataset(str(path), task)
+
     def test_blank_lines_keep_row_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n\n1.0,2.0\n\n\n3.0,oops\n")

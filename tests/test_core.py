@@ -168,6 +168,10 @@ class TestHedgedPrediction:
             HedgedPrediction(prediction_set=FULL_LINE, incertitude=1.5)
         with pytest.raises(ValueError):
             HedgedPrediction(prediction_set=FULL_LINE, incertitude=-0.1)
+        # a bool is not an incertitude, numpy's included
+        for flag in (True, False, np.bool_(True), np.bool_(False)):
+            with pytest.raises(ValueError, match="^incertitude must lie in"):
+                HedgedPrediction(prediction_set=FULL_LINE, incertitude=flag)
 
     def test_contains_dispatches_on_set_type(self):
         labels = HedgedPrediction(prediction_set=frozenset({1}), incertitude=0.1)

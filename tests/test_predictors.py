@@ -13,6 +13,7 @@ from randpred import (
     MeanRegressor,
     PointPredictor,
 )
+from randpred.predictors import _affine_batch
 
 
 def predict_one(model, x):
@@ -108,6 +109,18 @@ class TestLeastSquaresRegressor:
                 LeastSquaresRegressor().fit(A, b), X
             )
         assert model.fallback_reason is None
+
+    def test_affine_map_is_the_fitted_map_or_none(self):
+        X, y = linear_data([1.5, -2.0], 0.3)
+        model = LeastSquaresRegressor()
+        assert model.affine_map is None
+        coef, intercept = model.fit(X, y).affine_map
+        assert (coef, intercept) == (model._coef, model._intercept)
+        assert type(coef) is tuple and type(intercept) is float
+        with pytest.raises(AttributeError):
+            model.affine_map = ((0.0, 0.0), 0.0)
+        # none after the rank fallback, whose predictions are the mean's
+        assert model.fit(X[:1], y[:1]).affine_map is None
 
 
 class TestConstantClassifier:
@@ -366,6 +379,20 @@ class TestBatchMatchesScalar:
                 assert batch.shape == (len(rows),)
                 assert batch.tolist() == python_float_reference(model, rows), type(model).__name__
                 assert [predict_one(model, row) for row in rows] == batch.tolist()
+
+    def test_a_stack_of_batches_matches_each_batch(self):
+        # one (w, b) per batch, overflowing rows included
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((3, 7, 2))
+        X[1, 0] = (1e308, 1e308)
+        coef = np.array([[2.0, -2.0], [1.5, 1.5], [-0.25, 3.0]])
+        intercept = np.array([0.5, -1.0, 1e-3])
+        with np.errstate(all="raise"):
+            stacked = _affine_batch(coef[:, np.newaxis], intercept[:, np.newaxis], X)
+        assert stacked[1, 0] == math.inf
+        for batch in range(3):
+            alone = _affine_batch(tuple(coef[batch].tolist()), float(intercept[batch]), X[batch])
+            assert stacked[batch].tobytes() == alone.tobytes()
 
     def test_batch_shape_is_checked(self):
         model = LeastSquaresRegressor().fit(*linear_data([1.0, 2.0], 0.5))

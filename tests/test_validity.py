@@ -30,8 +30,8 @@ from randpred import (
 )
 from randpred.audits import _sup_coverage_polynomial
 from randpred.pipelines import FittedPipeline
-from randpred.predictors import MeanRegressor
-from randpred.validity import _BLOCK_ROWS, _TrialState, _trial_states
+from randpred.predictors import LeastSquaresRegressor, MeanRegressor
+from randpred.validity import _BLOCK_ROWS, _TrialState, _stage_trials, _trial_states
 
 # 3-decimal reference rows for the asymptotic-numerator table.
 IRP_ROW = (0.368, 0.840, 1.371, 1.942, 2.544, 3.168, 3.812, 4.472)
@@ -437,6 +437,111 @@ class TestMonteCarloBlocks:
         marks = [(x_0, -math.inf)] + marks  # and trial 0's test centre
         with pytest.raises(ValueError, match="^invalid interval: test row 1: point prediction -inf"):
             monte_carlo_coverage(PipelineSpec(predictor=_MarkedRows(marks)), generator, 0.05, 3, 0)
+
+
+class _Alternating:
+    """A predictor spec that builds least-squares and mean predictors in
+    turn, the first one least squares."""
+
+    def __init__(self):
+        self.built = 0
+
+    def build(self):
+        self.built += 1
+        return LeastSquaresRegressor() if self.built % 2 else MeanRegressor()
+
+
+def _per_trial(predictor_spec, generator, seed, trials):
+    """The predictions, labels and affine maps of trials 0, 1, ... drawn
+    and predicted one trial at a time by _draw and predict_batch."""
+    rows, proper = [], generator.proper_size
+    for trial in range(trials):
+        X, y = generator._draw(np.random.default_rng([seed, trial]))
+        predictor = predictor_spec.build().fit(X[:proper], y[:proper])
+        rows.append((predictor.predict_batch(X), y, getattr(predictor, "affine_map", None)))
+    return rows
+
+
+class TestStagedTrials:
+    """A stage of trials draws per trial, takes the labels in one pass,
+    fits per trial and predicts every affine trial in one pass; its labels
+    and predictions are bitwise those of the per-trial path.  On numpy's
+    oldest supported version too, these tests pin the stacked matmul of the
+    label rule to one BLAS matrix-vector product per trial."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("m", [1, 30, 200])
+    def test_labels_and_predictions_equal_the_per_trial_path(self, d, m):
+        coefficients = tuple(np.random.default_rng(d).uniform(-3.0, 3.0, d).tolist())
+        generator = BoundedNoiseLinearGenerator(coefficients, calibration_size=m)
+        for seed in (0, 2026):
+            predictions, labels = _stage_trials(
+                RegressorSpec(), generator, _trial_states(seed, 0, 40)
+            )
+            expected = _per_trial(RegressorSpec(), generator, seed, 40)
+            assert predictions.shape == labels.shape == (40, generator.proper_size + m + 1)
+            for trial, (prediction, label, affine) in enumerate(expected):
+                assert affine is not None
+                assert labels[trial].tobytes() == label.tobytes()
+                assert predictions[trial].tobytes() == prediction.tobytes()
+                split, x, y = generator.sample(np.random.default_rng([seed, trial]))
+                assert split.y.tobytes() == labels[trial, :-1].tobytes()
+                assert y == labels[trial, -1]
+
+    @pytest.mark.parametrize("proper_size", [50, 2])
+    def test_affine_and_own_predictions_in_one_stage(self, proper_size):
+        # least squares on even trials and the mean on odd ones; with two
+        # proper rows below d + 1 = 3, every least-squares fit falls back
+        # to the mean too, and no trial has an affine map
+        generator = BoundedNoiseLinearGenerator(proper_size=proper_size, calibration_size=20)
+        predictions, labels = _stage_trials(_Alternating(), generator, _trial_states(4, 0, 30))
+        expected = _per_trial(_Alternating(), generator, 4, 30)
+        maps = [affine is not None for _, _, affine in expected]
+        assert maps == [proper_size == 50 and trial % 2 == 0 for trial in range(30)]
+        for trial, (prediction, label, _) in enumerate(expected):
+            assert labels[trial].tobytes() == label.tobytes()
+            assert predictions[trial].tobytes() == prediction.tobytes()
+        for make_spec in (lambda: PipelineSpec(predictor=_Alternating()), PipelineSpec):
+            report = monte_carlo_coverage(make_spec(), generator, 0.2, 30, 4)
+            assert report == _recount(make_spec(), generator, 0.2, 30, 4)
+
+    def test_a_successful_run_calls_no_predict_batch(self, monkeypatch):
+        calls = []
+        predict_batch = LeastSquaresRegressor.predict_batch
+
+        def counted(self, X):
+            calls.append(len(X))
+            return predict_batch(self, X)
+
+        monkeypatch.setattr(LeastSquaresRegressor, "predict_batch", counted)
+        monte_carlo_coverage(None, BoundedNoiseLinearGenerator(calibration_size=30), 0.05, 450, 3)
+        assert calls == []
+        # a fitted predictor without an affine map predicts by its own
+        generator = BoundedNoiseLinearGenerator(proper_size=2, calibration_size=30)
+        monte_carlo_coverage(None, generator, 0.05, 5, 3)
+        assert calls == [33] * 5
+
+    @pytest.mark.parametrize("d", [3, 10])
+    def test_wide_stages_stay_within_the_cell_cap(self, monkeypatch, d):
+        # 16 rows a trial and 4 trials a block of 64 rows, staged within
+        # the cap of 128 feature cells: 2 trials (96 cells) a part at d = 3,
+        # and 1 trial a part at d = 10, where one trial has 160 cells
+        monkeypatch.setattr("randpred.validity._BLOCK_ROWS", 64)
+        stages = []
+
+        def staged(predictor_spec, generator, states):
+            stages.append(len(states))
+            return _stage_trials(predictor_spec, generator, states)
+
+        monkeypatch.setattr("randpred.validity._stage_trials", staged)
+        generator = BoundedNoiseLinearGenerator(
+            coefficients=(0.5,) * d, proper_size=12, calibration_size=3
+        )
+        spec = PipelineSpec()
+        report = monte_carlo_coverage(spec, generator, 0.2, 13, 9)
+        assert report == _recount(spec, generator, 0.2, 13, 9)
+        assert stages == ([2, 2, 2, 2, 2, 2, 1] if d == 3 else [1] * 13)
+        assert all(count * 16 * d <= 2 * 64 or count == 1 for count in stages)
 
 
 class TestTrialStates:
