@@ -1,13 +1,24 @@
 """Exact audits over binary summaries.
 
 Everything here recomputes guarantees by routes independent of the
-p-value engine: the exact oracle enumerates binary outcome sequences and
-maximizes the resulting coverage polynomial on a grid refined by
-bisection on the sign of its derivative, the dominance checker compares
-p-variables exhaustively over summary configurations, and the table sets
-the asymptotic numerators a_k beside the rank-based k + 1.  The Monte
-Carlo harness is in the validity module; the two share only the report
-types of the reports module.
+p-value engine.  The audits read one format, a class table: a list of
+(value, ones, weight) entries, each standing for `weight` outcomes of the
+calibration and test summaries that have `ones` ones in all and on which
+the p-variable takes `value`.  For a permutation-symmetric p-variable
+`_class_table` builds one entry per class (k, test bit b), of weight
+C(m, k) at k + b ones, from at most 3(m + 1) p-variable calls.
+
+One worst-case rule reads any set of entries (`_sup_probability`): an IID
+outcome with j ones among n summaries has probability p^j (1-p)^(n-j), so
+the weights sum to Bernstein counts, and the supremum over p of their
+polynomial is found on a grid refined by bisection on the sign of its
+derivative.  `audit_pvariable` applies it to the entries at or below each
+value of the table, `check_dominance` compares two tables entry by entry,
+and `urp_binary_event` enumerates all 2^(m+1) outcomes and applies it to
+the members of an event, each an entry of weight 1.  The table sets the
+asymptotic numerators a_k beside the rank-based k + 1.  The Monte Carlo
+harness is in the validity module; the two share only the report types of
+the reports module.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import EXACT_M_LIMIT
-from .pvalues import asymptotic_constant
+from .pvalues import _integer, asymptotic_constant
 from .records import Record
 from .reports import ValidityCell, ValidityReport
 
@@ -49,15 +60,16 @@ class SummarySequence(Record):
     __slots__ = ("calibration_summaries", "test_summary", "k")
 
     def __init__(self, calibration_summaries: tuple, test_summary: int):
-        bits = tuple(int(b) for b in calibration_summaries)
+        # bits are checked before int(), which would take 0.7 or '1' for a bit
+        bits = tuple(calibration_summaries)
         if not bits:
             raise ValueError("calibration_summaries must be nonempty")
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"summaries must be bits, got {calibration_summaries!r}")
-        t = int(test_summary)
-        if t not in (0, 1):
+        if test_summary not in (0, 1):
             raise ValueError(f"test_summary must be a bit, got {test_summary!r}")
-        super().__init__(bits, t, sum(bits))
+        bits = tuple(int(b) for b in bits)
+        super().__init__(bits, int(test_summary), sum(bits))
 
     @property
     def m(self) -> int:
@@ -99,13 +111,16 @@ def _sup_coverage_polynomial(counts: Sequence[int], n: int) -> float:
     return max(value, _bernstein_sum(counts, n, lo), _bernstein_sum(counts, n, hi))
 
 
-def _check_exact_m(m: int) -> None:
-    """The exact oracle's one m check: an integer from 1 to EXACT_M_LIMIT."""
+def _exact_m(m: int) -> int:
+    """The exact oracle's one m check: an integer from 1 to EXACT_M_LIMIT,
+    numpy's included, returned as an int."""
+    m = _integer(m)
     if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= EXACT_M_LIMIT:
         raise ValueError(
             f"m must be an integer from 1 to {EXACT_M_LIMIT}, got {m!r}; "
             "use monte_carlo_coverage for larger m"
         )
+    return m
 
 
 def urp_binary_event(
@@ -113,40 +128,79 @@ def urp_binary_event(
 ) -> float:
     """Worst-case IID probability of an event over binary summaries.
 
-    Enumerates all 2^(m+1) outcomes (m calibration bits plus a test bit),
-    tallies member outcomes by their total one-count — the product
-    probability p^j (1-p)^(m+1-j) depends on nothing else — and returns
-    the supremum over p of the resulting polynomial.
+    Enumerates all 2^(m+1) outcomes (m calibration bits plus a test bit)
+    and returns the supremum over p of the probability of the member
+    outcomes, each an entry of weight 1 at its total one-count.
     """
-    _check_exact_m(m)
-    counts = [0] * (m + 2)
-    for bits in itertools.product((0, 1), repeat=m):
-        ones = sum(bits)
-        for test_bit in (0, 1):
-            if event(bits, test_bit):
-                counts[ones + test_bit] += 1
-    return _sup_coverage_polynomial(counts, m + 1)
+    m = _exact_m(m)
+    members = (
+        (None, sum(bits) + test_bit, 1)
+        for bits in itertools.product((0, 1), repeat=m)
+        for test_bit in (0, 1)
+        if event(bits, test_bit)
+    )
+    return _sup_probability(members, m + 1)
 
 
-def _class_value_table(pvariable, m: int) -> dict:
-    """p-variable values per (calibration one-count, test bit) class.
+def _sup_probability(classes, n: int) -> float:
+    """Worst-case IID probability of a set of (value, ones, weight) entries.
 
-    The grouped audit is only exact for permutation-symmetric
-    p-variables, so each class is also checked with its bits reversed.
+    The product probability p^j (1-p)^(n-j) of an outcome depends on
+    nothing but its total one-count j, so the weights are summed into
+    Bernstein counts and the supremum over p of their polynomial returned.
     """
-    table = {}
+    counts = [0] * (n + 1)
+    for _, ones, weight in classes:
+        counts[ones] += weight
+    return _sup_coverage_polynomial(counts, n)
+
+
+def _class_table(pvariable, m: int) -> list:
+    """One (value, ones, weight) entry per binary class (k, test bit).
+
+    Entries come in (k, test bit) order.  Class (k, b) holds the C(m, k)
+    outcomes with k ones among the m calibration summaries and test bit b,
+    each with k + b ones in all.  The grouped audit is only exact for
+    permutation-symmetric p-variables, so each class with test bit 1 is
+    also checked with its calibration bits reversed.
+    """
+    m = _exact_m(m)
+    table = []
     for k in range(m + 1):
         bits = (1,) * k + (0,) * (m - k)
         for test_bit in (0, 1):
-            seq = SummarySequence(calibration_summaries=bits, test_summary=test_bit)
-            table[(k, test_bit)] = pvariable(seq)
+            value = pvariable(SummarySequence(calibration_summaries=bits, test_summary=test_bit))
+            if value != value:
+                raise ValueError(f"p-variable is NaN at class (k={k}, test bit={test_bit})")
+            table.append((value, k + test_bit, math.comb(m, k)))
         seq = SummarySequence(calibration_summaries=bits[::-1], test_summary=1)
-        if 0 < k < m and pvariable(seq) != table[(k, 1)]:
+        if 0 < k < m and pvariable(seq) != table[-1][0]:
             raise ValueError(
                 "p-variable is not permutation-symmetric in the calibration "
                 "summaries; the grouped exact audit does not apply"
             )
     return table
+
+
+def _audit_table(classes: list, m: int) -> ValidityReport:
+    """The exceedance audit of a class table over m calibration summaries:
+    one cell per distinct value, which is the only kind of threshold where
+    the exceedance probability can jump."""
+    cells = []
+    for threshold in sorted({value for value, _, _ in classes}):
+        members = [entry for entry in classes if entry[0] <= threshold]
+        probability = _sup_probability(members, m + 1)
+        level = float(threshold)
+        cells.append(
+            ValidityCell(
+                name="exceedance",
+                epsilon=level,
+                probability=probability,
+                passed=probability <= level + _SLACK,
+                detail=f"{len(members)}/{len(classes)} summary classes at or below threshold",
+            )
+        )
+    return ValidityReport(mode="exact", cells=tuple(cells), m=m)
 
 
 def audit_pvariable(pvariable: Callable[[SummarySequence], float], m: int) -> ValidityReport:
@@ -158,29 +212,7 @@ def audit_pvariable(pvariable: Callable[[SummarySequence], float], m: int) -> Va
     weighted by binomial counts computed directly — the oracle shares no
     code with the engine being audited.
     """
-    _check_exact_m(m)
-    table = _class_value_table(pvariable, m)
-    thresholds = sorted(set(table.values()))
-    cells = []
-    for threshold in thresholds:
-        counts = [0] * (m + 2)
-        members = 0
-        for (k, test_bit), value in table.items():
-            if value <= threshold:
-                counts[k + test_bit] += math.comb(m, k)
-                members += 1
-        probability = _sup_coverage_polynomial(counts, m + 1)
-        level = float(threshold)
-        cells.append(
-            ValidityCell(
-                name="exceedance",
-                epsilon=level,
-                probability=probability,
-                passed=probability <= level + _SLACK,
-                detail=f"{members}/{2 * (m + 1)} summary classes at or below threshold",
-            )
-        )
-    return ValidityReport(mode="exact", cells=tuple(cells), m=m)
+    return _audit_table(_class_table(pvariable, m), _integer(m))
 
 
 class DominanceWitness(Record):
@@ -219,24 +251,14 @@ def check_dominance(
     Comparisons use the values exactly as returned (exact rationals stay
     exact), so verdicts are not at the mercy of float rounding.
     """
-    _check_exact_m(m)
-    table1 = _class_value_table(p1, m)
-    table2 = _class_value_table(p2, m)
+    table1, table2 = _class_table(p1, m), _class_table(p2, m)
     strict_witness = None
-    for k in range(m + 1):
-        for test_bit in (0, 1):
-            v1 = table1[(k, test_bit)]
-            v2 = table2[(k, test_bit)]
-            if v1 > v2:
-                return DominanceResult(
-                    verdict="none",
-                    witness=DominanceWitness(k, test_bit, float(v1), float(v2)),
-                )
-            if v1 < v2 and strict_witness is None:
-                strict_witness = DominanceWitness(k, test_bit, float(v1), float(v2))
-    if strict_witness is not None:
-        return DominanceResult(verdict="strict", witness=strict_witness)
-    return DominanceResult(verdict="weak")
+    for index, ((v1, _, _), (v2, _, _)) in enumerate(zip(table1, table2)):
+        if v1 > v2:
+            return DominanceResult("none", DominanceWitness(*divmod(index, 2), float(v1), float(v2)))
+        if v1 < v2 and strict_witness is None:
+            strict_witness = DominanceWitness(*divmod(index, 2), float(v1), float(v2))
+    return DominanceResult("weak" if strict_witness is None else "strict", strict_witness)
 
 
 class TableRow(Record):
@@ -263,6 +285,7 @@ def reproduce_table_k(k_max: int) -> Tuple[TableRow, ...]:
     predictions are asymptotically sharper than the rank-based ones by
     the factor a_k/(k+1).
     """
+    k_max = _integer(k_max)
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
         raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
     if k_max > 64:

@@ -23,7 +23,8 @@ __all__ = [
     "HedgedPrediction",
 ]
 
-# The largest m the exact audits enumerate (2^(m+1) outcomes).  Here, not
+# The largest m of the exact audits (urp_binary_event enumerates 2^(m+1)
+# outcomes, and every audit maximizes a polynomial of degree m + 1).  Here, not
 # in the audits module, because the CLI bounds `dominate --m` by it when
 # it is imported, before any audit runs.
 EXACT_M_LIMIT = 20

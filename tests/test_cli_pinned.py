@@ -13,11 +13,13 @@ below the incertitude (full level sets).
 
 The other four commands are pinned the same way, stdout and exit code,
 in text and --json: table (k up to 7 and up to 64), pvalue (finite,
-degenerate k = m, asymptotic at k = 3, 64 and 65), validate (exact,
-Monte Carlo passing and failing) and dominate.  The table to k = 64 and
-the asymptotic pvalue at k = 64 and 65 were recorded while a_k up to
-k = 64 still came from a bisection on the Poisson stationarity equation,
-and above it from the engine.
+degenerate k = m, asymptotic at k = 3, 64 and 65), validate (exact at
+m = 6 and at the cap m = 20, Monte Carlo passing and failing) and
+dominate (m = 4 and m = 20).  The two m = 20 cases were recorded while
+each audit still built its own (k, test bit) table.  The table to
+k = 64 and the asymptotic pvalue at k = 64 and 65 were recorded while
+a_k up to k = 64 still came from a bisection on the Poisson
+stationarity equation, and above it from the engine.
 
 The --help of the group and of each command is pinned too, at 80
 columns, so that moving code between modules cannot change the CLI
@@ -265,6 +267,8 @@ COMMAND_CASES = {
     "pvalue-asymptotic-k64": ["pvalue", "--m", "100000", "--k", "64", "--asymptotic"],
     "pvalue-asymptotic-k65": ["pvalue", "--m", "100000", "--k", "65", "--asymptotic"],
     "validate-exact": ["validate", "--mode", "exact", "--m", "6"],
+    # the exact oracle's cap, EXACT_M_LIMIT
+    "validate-exact-m20": ["validate", "--mode", "exact", "--m", "20"],
     "validate-mc": ["validate", "--mode", "mc", "--m", "20", "--trials", "200", "--seed", "3"],
     # one trial whose test label falls outside both sets: exit 1
     "validate-mc-fail": [
@@ -272,12 +276,15 @@ COMMAND_CASES = {
         "--epsilon", "0.5",
     ],
     "dominate": ["dominate", "--m", "4", "--threshold", "0.25"],
+    "dominate-m20": ["dominate", "--m", "20"],
 }
 
 # (case, format): (exit code, sha256 of stdout)
 COMMAND_PINNED = {
     ("dominate", "json"): (0, "ab986dcabc1dd6cbecfb8ed6dcb1971e14eab472d0eb9316fd83a6a6500a5139"),
     ("dominate", "text"): (0, "f3b584d0d885eda8e6398dc1d0e83832d1bbe242def40ae41581f8b71f2a336a"),
+    ("dominate-m20", "json"): (0, "2efbbb21ceb163cc8d21bd315673bab9d57c2f117a24f6948650a4b8c92703c8"),
+    ("dominate-m20", "text"): (0, "7c6b3ba254b8b492a60b0d366a05848d0e0c10febf59a18b7d35afb9f7b2b70a"),
     ("pvalue-asymptotic", "json"): (0, "11b8f84d0980cc00fc93660624c3219acc47519a7a39dd95b11d76e2ebe0f217"),
     ("pvalue-asymptotic", "text"): (0, "6fbd38be25a3d0b60448dad83a161f319438097020a9819b5631b4df13159d59"),
     ("pvalue-asymptotic-k64", "json"): (0, "667e900cc2e1959b6fc16ed2dba14af54811e1737459dea17bcc9a472b8cc4f7"),
@@ -294,6 +301,8 @@ COMMAND_PINNED = {
     ("table-k64", "text"): (0, "6c5f5d6226e23c5ae01365bb49829cff2acdd2a75d7bc1f3727fa94ab51a4692"),
     ("validate-exact", "json"): (0, "86234b7d8fc481b11ff02b02a83e07dd5d71949d7f5540bb146710658f2cc500"),
     ("validate-exact", "text"): (0, "bb84f2264d804798d540383f96ba360b323daa5b352be10c01abe0f2dc8ce505"),
+    ("validate-exact-m20", "json"): (0, "e784c36f69496ccbdaf97c113220159b3c714eeed830b0ec61a2bd666158663b"),
+    ("validate-exact-m20", "text"): (0, "db8b6094d4a790381516b15b6591e0194b86db1b7b2ad02d5eba15488bb642fd"),
     ("validate-mc", "json"): (0, "0dca361e664c7090379eb6aec4b3c31b065a5384f7267182dbec480197bcf2bd"),
     ("validate-mc", "text"): (0, "e97b31eceb0ee93cb862bc0037de4fac694eb834f575459f43517d9e489f770e"),
     ("validate-mc-fail", "json"): (1, "5fa6df3866b3d4525a4d61d9e63392e97803263c7cc973ac49998af4b0a4dc2e"),

@@ -114,6 +114,16 @@ class TestSummarySequence:
             SummarySequence(calibration_summaries=(0, 2), test_summary=0)
         with pytest.raises(ValueError):
             SummarySequence(calibration_summaries=(0, 1), test_summary=3)
+        # checked before int(), which would truncate 0.7 and 1.9 to bits
+        # and parse '1'
+        with pytest.raises(ValueError, match="summaries must be bits"):
+            SummarySequence(calibration_summaries=(0.7, 1.9), test_summary=0.5)
+        with pytest.raises(ValueError, match="summaries must be bits"):
+            SummarySequence(calibration_summaries=("1", "0"), test_summary="1")
+        with pytest.raises(ValueError, match="test_summary must be a bit"):
+            SummarySequence(calibration_summaries=(0, 1), test_summary=0.5)
+        with pytest.raises(ValueError, match="test_summary must be a bit"):
+            SummarySequence(calibration_summaries=(0, 1), test_summary="1")
 
     def test_rejects_empty_calibration(self):
         with pytest.raises(ValueError):

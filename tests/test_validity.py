@@ -28,7 +28,7 @@ from randpred import (
     reproduce_table_k,
     urp_binary_event,
 )
-from randpred.audits import _sup_coverage_polynomial
+from randpred.audits import _audit_table, _sup_coverage_polynomial
 from randpred.pipelines import FittedPipeline
 from randpred.predictors import LeastSquaresRegressor, MeanRegressor
 from randpred.validity import _BLOCK_ROWS, _TrialState, _stage_trials, _trial_states
@@ -63,6 +63,12 @@ class TestUrpBinaryEvent:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             urp_binary_event(0, lambda bits, t: True)
+        for m in (np.int64(0), np.int64(21), np.bool_(True), True, 3.0):
+            with pytest.raises(ValueError, match="must be an integer"):
+                urp_binary_event(m, lambda bits, t: True)
+        # numpy's integers are integers
+        event = lambda bits, t: t == 1 and sum(bits) == 0
+        assert urp_binary_event(np.int64(3), event) == urp_binary_event(3, event)
 
 
 def _reference_sup(counts, n, mpmath):
@@ -176,6 +182,58 @@ class TestAuditPvariable:
     def test_m_cap(self):
         with pytest.raises(ValueError):
             audit_pvariable(binary_irp_pvariable, 25)
+        for m in (np.int64(25), np.int64(0), np.bool_(True), 5.0):
+            with pytest.raises(ValueError, match="must be an integer"):
+                audit_pvariable(icp_pvariable, m)
+        # numpy's integers are integers, and the report holds an int
+        report = audit_pvariable(icp_pvariable, np.int64(5))
+        assert report == audit_pvariable(icp_pvariable, 5) and type(report.m) is int
+
+    def test_nan_value_rejected(self):
+        # NaN compares false with every threshold, so the class would drop
+        # out of every cell, and at 0 < k < m the symmetry probe would
+        # report an asymmetry; the error names the class instead
+        def nan_at(k, test_bit):
+            def pvariable(seq):
+                if (seq.k, seq.test_summary) == (k, test_bit):
+                    return math.nan
+                return float(icp_pvariable(seq))
+
+            return pvariable
+
+        for k, test_bit in ((0, 0), (2, 1), (4, 1)):
+            with pytest.raises(ValueError, match=rf"NaN at class \(k={k}, test bit={test_bit}\)"):
+                audit_pvariable(nan_at(k, test_bit), 4)
+
+    def test_audits_a_toy_table_of_two_classes_per_k(self):
+        # The first calibration bit splits each class (k, b) in two, of
+        # C(m-1, k-1) and C(m-1, k) outcomes.  The toy p-variable reads that
+        # bit, so it is not symmetric and the binary table cannot take it,
+        # but the same audit over the split table is exact: each cell
+        # equals the enumerated worst case of its exceedance event.
+        m = 5
+
+        def value(first, k, test_bit):
+            return (k + 2 * test_bit + first + 1) / (m + 4)
+
+        table = [
+            (value(first, k, test_bit), k + test_bit, math.comb(m - 1, k - first))
+            for k in range(m + 1)
+            for test_bit in (0, 1)
+            for first in (0, 1)
+            if first <= k <= m - 1 + first
+        ]
+        assert sum(weight for _, _, weight in table) == 2**(m + 1)
+        report = _audit_table(table, m)
+        assert report.mode == "exact" and report.m == m
+        assert len(report.cells) == len({entry[0] for entry in table})
+        for cell in report.cells:
+            expected = urp_binary_event(
+                m, lambda bits, t: value(bits[0], sum(bits), t) <= cell.epsilon
+            )
+            assert cell.probability == expected, cell
+            assert cell.passed == (expected <= cell.epsilon + 1e-9)
+            assert cell.detail.endswith(f"/{len(table)} summary classes at or below threshold")
 
 
 class TestCheckDominance:
@@ -209,6 +267,20 @@ class TestCheckDominance:
             check_dominance(icp_pvariable, icp_pvariable, 0)
         with pytest.raises(ValueError):
             check_dominance(icp_pvariable, icp_pvariable, 21)
+        for m in (np.int64(21), np.bool_(True), 5.0):
+            with pytest.raises(ValueError, match="must be an integer"):
+                check_dominance(icp_pvariable, icp_pvariable, m)
+        # numpy's integers are integers
+        assert check_dominance(dominating_pvariable, icp_pvariable, np.int64(5)) == (
+            check_dominance(dominating_pvariable, icp_pvariable, 5)
+        )
+
+    def test_nan_value_rejected(self):
+        # a NaN compares false both ways, so a NaN p-variable used to come
+        # out equal to every other one, "weak"
+        for p1, p2 in ((lambda seq: math.nan, icp_pvariable), (icp_pvariable, lambda seq: math.nan)):
+            with pytest.raises(ValueError, match=r"NaN at class \(k=0, test bit=0\)"):
+                check_dominance(p1, p2, 1)
 
 
 class TestMonteCarloCoverage:
@@ -784,6 +856,11 @@ class TestReproduceTable:
             reproduce_table_k(-1)
         with pytest.raises(ValueError):
             reproduce_table_k(65)
+        for k_max in (np.int64(-1), np.bool_(True), 3.0):
+            with pytest.raises(ValueError, match="must be a nonnegative integer"):
+                reproduce_table_k(k_max)
+        # numpy's integers are integers
+        assert reproduce_table_k(np.int64(3)) == reproduce_table_k(3)
 
 
 class TestValidityReportInvariants:
