@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import EXACT_M_LIMIT
-from .pvalues import _integer, asymptotic_constant
+from .pvalues import _integer, _value_error, asymptotic_constant
 from .records import Record
 from .reports import ValidityCell, ValidityReport
 
@@ -111,16 +111,11 @@ def _sup_coverage_polynomial(counts: Sequence[int], n: int) -> float:
     return max(value, _bernstein_sum(counts, n, lo), _bernstein_sum(counts, n, hi))
 
 
-def _exact_m(m: int) -> int:
-    """The exact oracle's one m check: an integer from 1 to EXACT_M_LIMIT,
-    numpy's included, returned as an int."""
-    m = _integer(m)
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= EXACT_M_LIMIT:
-        raise ValueError(
-            f"m must be an integer from 1 to {EXACT_M_LIMIT}, got {m!r}; "
-            "use monte_carlo_coverage for larger m"
-        )
-    return m
+def _m_error(m) -> ValueError:
+    return ValueError(
+        f"m must be an integer from 1 to {EXACT_M_LIMIT}, got {m!r}; "
+        "use monte_carlo_coverage for larger m"
+    )
 
 
 def urp_binary_event(
@@ -132,7 +127,7 @@ def urp_binary_event(
     and returns the supremum over p of the probability of the member
     outcomes, each an entry of weight 1 at its total one-count.
     """
-    m = _exact_m(m)
+    m = _integer(m, 1, EXACT_M_LIMIT, _m_error)
     members = (
         (None, sum(bits) + test_bit, 1)
         for bits in itertools.product((0, 1), repeat=m)
@@ -164,7 +159,7 @@ def _class_table(pvariable, m: int) -> list:
     permutation-symmetric p-variables, so each class with test bit 1 is
     also checked with its calibration bits reversed.
     """
-    m = _exact_m(m)
+    m = _integer(m, 1, EXACT_M_LIMIT, _m_error)
     table = []
     for k in range(m + 1):
         bits = (1,) * k + (0,) * (m - k)
@@ -212,7 +207,8 @@ def audit_pvariable(pvariable: Callable[[SummarySequence], float], m: int) -> Va
     weighted by binomial counts computed directly — the oracle shares no
     code with the engine being audited.
     """
-    return _audit_table(_class_table(pvariable, m), _integer(m))
+    m = _integer(m, 1, EXACT_M_LIMIT, _m_error)
+    return _audit_table(_class_table(pvariable, m), m)
 
 
 class DominanceWitness(Record):
@@ -285,9 +281,7 @@ def reproduce_table_k(k_max: int) -> Tuple[TableRow, ...]:
     predictions are asymptotically sharper than the rank-based ones by
     the factor a_k/(k+1).
     """
-    k_max = _integer(k_max)
-    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
-        raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
+    k_max = _integer(k_max, 0, math.inf, _value_error("k_max must be a nonnegative integer"))
     if k_max > 64:
         raise ValueError(f"k_max is capped at 64, got {k_max}")
     rows = []

@@ -12,6 +12,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from .pvalues import _integer
 from .records import Record
 
 __all__ = [
@@ -41,6 +42,10 @@ def xy_arrays(X, y) -> Tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def _size_type_error(size) -> TypeError:
+    return TypeError(f"proper_size must be an int, got {type(size).__name__}")
+
+
 class DataSplit(Record):
     """A training sequence split into a proper part (fits the point
     predictor) and a calibration part (drives the p-value).
@@ -57,8 +62,7 @@ class DataSplit(Record):
     __hash__ = object.__hash__
 
     def __init__(self, X: np.ndarray, y: np.ndarray, proper_size: int):
-        if not isinstance(proper_size, (int, np.integer)) or isinstance(proper_size, bool):
-            raise TypeError(f"proper_size must be an int, got {type(proper_size).__name__}")
+        proper_size = _integer(proper_size, -math.inf, math.inf, _size_type_error)
         # np.array copies, so freezing X and y below leaves the caller's arrays writable.
         X = np.array(X, dtype=np.float64)
         y = np.array(y, dtype=np.float64)
@@ -72,7 +76,7 @@ class DataSplit(Record):
             )
         X.setflags(write=False)
         y.setflags(write=False)
-        super().__init__(X, y, int(proper_size))
+        super().__init__(X, y, proper_size)
 
     @property
     def proper(self) -> Tuple[np.ndarray, np.ndarray]:

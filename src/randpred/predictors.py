@@ -24,6 +24,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .core import xy_arrays
+from .pvalues import _integer, _value_error
 
 __all__ = [
     "PointPredictor",
@@ -210,16 +211,15 @@ class HingeLossLinearClassifier:
             learning_rate > 0 and math.isfinite(learning_rate)
         ):
             raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
-        if not isinstance(epochs, (int, np.integer)) or isinstance(epochs, bool) or epochs < 1:
-            raise ValueError(f"epochs must be an int of at least 1, got {epochs!r}")
+        epochs = _integer(epochs, 1, math.inf, _value_error("epochs must be an int of at least 1"))
         if isinstance(l2, (bool, np.bool_)) or not (l2 >= 0 and math.isfinite(l2)):
             raise ValueError(f"l2 must be nonnegative and finite, got {l2!r}")
-        if seed is not None and (
-            not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0
-        ):
-            raise ValueError(f"seed must be None or a nonnegative integer, got {seed!r}")
+        if seed is not None:
+            seed = _integer(
+                seed, 0, math.inf, _value_error("seed must be None or a nonnegative integer")
+            )
         self.learning_rate = float(learning_rate)
-        self.epochs = int(epochs)
+        self.epochs = epochs
         self.l2 = float(l2)
         self.seed = seed
         self._weights = None

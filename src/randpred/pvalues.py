@@ -249,23 +249,36 @@ def m_error(m, least: int = 1) -> ValueError:
     )
 
 
-def _integer(x):
-    """x as an int where it is an integer that is not a bool, numpy's
-    included (operator.index, so no numpy is loaded); anything else as it
-    is, for the checks to reject."""
-    if type(x) is int or isinstance(x, bool) or getattr(x, "dtype", None) == bool:
+def _integer(x, low, high, error):
+    """x as an int from low to high, or the exception error(x) raised: the
+    package's one integer rule.  x must be an integer that is not a bool:
+    Python's, numpy's or a 0-d integer array, read by operator.index, so
+    no numpy is loaded.  A numpy integer out of range reaches error as
+    its int."""
+    if type(x) is not int:
+        if isinstance(x, bool) or getattr(x, "dtype", None) == bool:
+            raise error(x)
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise error(x) from None
+    if low <= x <= high:
         return x
-    try:
-        return operator.index(x)
-    except TypeError:
-        return x
+    raise error(x)
 
 
-def _validate_mk(m: int, k: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= M_MAX:
-        raise m_error(m)
-    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= m:
-        raise ValueError(f"k must be an integer in [0, m={m}], got {k!r}")
+def _value_error(message: str):
+    """The error builder of ValueError(f"{message}, got {x!r}")."""
+    return lambda x: ValueError(f"{message}, got {x!r}")
+
+
+def _m_and_k(m, k) -> Tuple[int, int]:
+    """(m, k) as ints, m from 1 to M_MAX and k from 0 to m.  An int k in
+    range skips the rule, which would build k's error closure first."""
+    m = _integer(m, 1, M_MAX, m_error)
+    if type(k) is not int or not 0 <= k <= m:
+        k = _integer(k, 0, m, _value_error(f"k must be an integer in [0, m={m}]"))
+    return m, k
 
 
 def _stirlerr(n: int) -> float:
@@ -407,8 +420,7 @@ def objective(m: int, k: int, p: float) -> float:
     of p, and in the sum the rounding of q/p compounds over the terms
     that count: 8e-13 near the rate at k = 1e8.
     """
-    m, k = _integer(m), _integer(k)
-    _validate_mk(m, k)
+    m, k = _m_and_k(m, k)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     if k == m:
@@ -458,9 +470,7 @@ def maximize_objective(m: int, k: int) -> Tuple[float, float]:
     Past the engine's range (the module docstring) it raises
     RuntimeError.
     """
-    m, k = _integer(m), _integer(k)
-    _validate_mk(m, k)
-    return _maximize(m, k)
+    return _maximize(*_m_and_k(m, k))
 
 
 def _maximize(m: int, k: int) -> Tuple[float, float]:
@@ -582,8 +592,7 @@ def binary_irp_pvalue(m: int, k: int) -> float:
     k = m case returns exactly 1: the objective collapses to p and the
     event becomes sure under p = 1.
     """
-    m, k = _integer(m), _integer(k)
-    _validate_mk(m, k)
+    m, k = _m_and_k(m, k)
     if k == m:
         return 1.0
     return _pvalue_cached(m, k)
@@ -597,9 +606,7 @@ def exact_pvalue_k0(m: int) -> float:
     of exp(-log1p(m) - m*log1p(1/m)) does.  Satisfies
     exact_pvalue_k0(m) <= exp(-1)/m for every m >= 1.
     """
-    m = _integer(m)
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= M_MAX:
-        raise m_error(m)
+    m = _integer(m, 1, M_MAX, m_error)
     return math.exp(-m * math.log1p(1.0 / m)) / (m + 1)
 
 
@@ -614,9 +621,7 @@ def optimal_p_k1(m: int) -> float:
     From m ~ 6e153, 5m^2 overflows a float.  There the terms in 1/m are
     far below an ulp of the root, which rounds to phi/m.
     """
-    m = _integer(m)
-    if not isinstance(m, int) or isinstance(m, bool) or not 2 <= m <= M_MAX:
-        raise m_error(m, least=2)
+    m = _integer(m, 2, M_MAX, lambda m: m_error(m, least=2))
     square = 5.0 * m * m
     if square == math.inf:
         return _PHI / m
@@ -639,9 +644,7 @@ def asymptotic_constant(k: int) -> AsymptoticConstant:
     raises ValueError naming k; past the engine's range (the module
     docstring) it raises RuntimeError.
     """
-    k = _integer(k)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    k = _integer(k, 0, math.inf, _value_error("k must be a nonnegative integer"))
     m = max(k, 1) << _POISSON_SHIFT
     if m > M_MAX:
         raise ValueError(

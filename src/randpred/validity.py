@@ -37,6 +37,7 @@ from .pipelines import (
     fit_regression_pipeline,
 )
 from .predictors import _affine_batch
+from .pvalues import _integer, _value_error
 from .records import Record
 from .reports import ValidityCell, ValidityReport
 
@@ -72,19 +73,6 @@ def _finite_float(name: str, value) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
         return float(value)
     raise ValueError(f"{name} must be a finite float, got {value!r}")
-
-
-def _is_int(value) -> bool:
-    """Whether value is an int or a numpy integer (bools excluded)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _positive_size(name: str, value) -> int:
-    """value as an int, or ValueError naming the field unless it is a
-    positive int (bools excluded)."""
-    if _is_int(value) and value >= 1:
-        return int(value)
-    raise ValueError(f"{name} must be a positive int, got {value!r}")
 
 
 def _words(value: int) -> list:
@@ -212,8 +200,10 @@ class BoundedNoiseLinearGenerator(Record):
         noise_half_width = _finite_float("noise_half_width", noise_half_width)
         feature_low = _finite_float("feature_low", feature_low)
         feature_high = _finite_float("feature_high", feature_high)
-        proper_size = _positive_size("proper_size", proper_size)
-        calibration_size = _positive_size("calibration_size", calibration_size)
+        proper_size, calibration_size = (
+            _integer(size, 1, math.inf, _value_error(f"{name} must be a positive int"))
+            for name, size in (("proper_size", proper_size), ("calibration_size", calibration_size))
+        )
         if noise_half_width < 0:
             raise ValueError("noise_half_width must be nonnegative")
         if not feature_low < feature_high:
@@ -319,11 +309,8 @@ def monte_carlo_coverage(
     generator = data_generator_spec or BoundedNoiseLinearGenerator()
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not (_is_int(trials) and trials >= 1):
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if not (_is_int(seed) and seed >= 0):
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    trials, seed = int(trials), int(seed)
+    trials = _integer(trials, 1, math.inf, _value_error("trials must be a positive integer"))
+    seed = _integer(seed, 0, math.inf, _value_error("seed must be a nonnegative integer"))
 
     methods = ("irp", "icp") if spec.method == "both" else (spec.method,)
     proper, n = generator.proper_size, generator.proper_size + generator.calibration_size + 1

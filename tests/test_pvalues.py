@@ -766,13 +766,13 @@ def test_a_cold_call_checks_m_and_k_once(monkeypatch):
     # binary_irp_pvalue checks (m, k) before its cache; the engine behind
     # the cache does not check them again
     checks = []
-    check = pvalues_module._validate_mk
+    check = pvalues_module._m_and_k
 
     def counted(m, k):
         checks.append((m, k))
-        check(m, k)
+        return check(m, k)
 
-    monkeypatch.setattr(pvalues_module, "_validate_mk", counted)
+    monkeypatch.setattr(pvalues_module, "_m_and_k", counted)
     pvalues_module._pvalue_cached.cache_clear()
     for m, k in [(1000, 0), (1000, 1), (1000, 7), (10**6, 500)]:
         binary_irp_pvalue(m, k)
