@@ -401,11 +401,14 @@ def read_csv_dataset(path: str, task: str = "regression") -> Tuple[list, np.ndar
     """
     if task not in ("regression", "classification"):
         raise ValueError(f"task must be 'regression' or 'classification', got {task!r}")
-    with open(path, newline="") as handle:
-        header = _read_header(path, csv.reader(handle))
-        rows = _numpy_rows(handle, len(header), task)
-        if rows is None:
-            header, rows = _reference_rows(path, handle, task)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            header = _read_header(path, csv.reader(handle))
+            rows = _numpy_rows(handle, len(header), task)
+            if rows is None:
+                header, rows = _reference_rows(path, handle, task)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return header, rows
 
 

@@ -42,6 +42,31 @@ def xy_arrays(X, y) -> Tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def _real(x) -> float:
+    """x as a float, or NaN where x is not a real number: the package's one
+    rule for reals, whose every caller rejects NaN with its own message.
+
+    A real is an int or a float, numpy's and their 0-d arrays included,
+    or any other value with __float__, such as a Fraction.  A bool, a
+    string, a complex number and an array of rank 1 or more are not, on
+    every numpy (float() takes a one-element array on some), and neither
+    is a value past the largest float, such as 10**400.
+    """
+    if isinstance(x, float):
+        return float(x)
+    dtype = getattr(x, "dtype", None)
+    if dtype is None:
+        real = hasattr(x, "__float__") and not isinstance(x, bool)
+    else:
+        real = dtype.kind in "iuf" and x.ndim == 0
+    if real:
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    return math.nan
+
+
 def _size_type_error(size) -> TypeError:
     return TypeError(f"proper_size must be an int, got {type(size).__name__}")
 
@@ -103,7 +128,7 @@ class Interval(Record):
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower: float, upper: float):
-        lo, hi = float(lower), float(upper)
+        lo, hi = _real(lower), _real(upper)
         if math.isnan(lo) or math.isnan(hi) or lo > hi:
             raise ValueError(f"invalid interval [{lower!r}, {upper!r}]")
         super().__init__(lo, hi)
@@ -139,10 +164,10 @@ class HedgedPrediction(Record):
     def __init__(
         self, prediction_set: PredictionSet, incertitude: float, k: int = None, m: int = None
     ):
-        # a bool is no incertitude: True would read as the degenerate 1.0
-        if isinstance(incertitude, (bool, np.bool_)) or not 0.0 <= float(incertitude) <= 1.0:
+        value = _real(incertitude)
+        if not 0.0 <= value <= 1.0:
             raise ValueError(f"incertitude must lie in [0, 1], got {incertitude!r}")
-        super().__init__(prediction_set, float(incertitude), k, m)
+        super().__init__(prediction_set, value, k, m)
 
     @property
     def degenerate(self) -> bool:

@@ -41,6 +41,7 @@ from .core import (
     HedgedPrediction,
     Interval,
     PredictionSet,
+    _real,
 )
 from .predictors import (
     HingeLossLinearClassifier,
@@ -87,7 +88,8 @@ class RegressorSpec(Record):
 
 class ClassifierSpec(Record):
     """Configuration for the margin classifier, checked when it is made:
-    a setting HingeLossLinearClassifier rejects raises ValueError here."""
+    a setting HingeLossLinearClassifier rejects raises ValueError here,
+    and each field holds the Python int or float the classifier keeps."""
 
     __slots__ = ("learning_rate", "epochs", "l2", "seed")
 
@@ -98,8 +100,9 @@ class ClassifierSpec(Record):
         l2: float = 1e-3,
         seed: Optional[int] = None,
     ):
-        super().__init__(learning_rate, epochs, l2, seed)
-        self.build()  # the classifier checks its own settings
+        # the classifier checks its own settings; the spec keeps them as checked
+        checked = HingeLossLinearClassifier(learning_rate, epochs, l2, seed)
+        super().__init__(checked.learning_rate, checked.epochs, checked.l2, checked.seed)
 
     def build(self) -> PointPredictor:
         return HingeLossLinearClassifier(
@@ -301,10 +304,11 @@ def prediction_set(prediction: HedgedPrediction, epsilon: float) -> PredictionSe
     (the boundary value epsilon is not strictly greater, so non-members
     drop out), and the whole label space otherwise.
     """
-    if not 0.0 < epsilon < 1.0:
+    level = _real(epsilon)
+    if not 0.0 < level < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     conforming = prediction.prediction_set
-    if _keeps_conforming_set(prediction.incertitude, epsilon):
+    if _keeps_conforming_set(prediction.incertitude, level):
         return conforming
     return FULL_LINE if isinstance(conforming, Interval) else ALL_LABELS
 

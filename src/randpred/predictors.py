@@ -23,7 +23,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .core import xy_arrays
+from .core import _real, xy_arrays
 from .pvalues import _integer, _value_error
 
 __all__ = [
@@ -207,20 +207,20 @@ class HingeLossLinearClassifier:
     """
 
     def __init__(self, learning_rate=0.5, epochs=200, l2=1e-3, seed=None):
-        if isinstance(learning_rate, (bool, np.bool_)) or not (
-            learning_rate > 0 and math.isfinite(learning_rate)
-        ):
+        rate = _real(learning_rate)
+        if not (rate > 0 and math.isfinite(rate)):
             raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
         epochs = _integer(epochs, 1, math.inf, _value_error("epochs must be an int of at least 1"))
-        if isinstance(l2, (bool, np.bool_)) or not (l2 >= 0 and math.isfinite(l2)):
+        penalty = _real(l2)
+        if not (penalty >= 0 and math.isfinite(penalty)):
             raise ValueError(f"l2 must be nonnegative and finite, got {l2!r}")
         if seed is not None:
             seed = _integer(
                 seed, 0, math.inf, _value_error("seed must be None or a nonnegative integer")
             )
-        self.learning_rate = float(learning_rate)
+        self.learning_rate = rate
         self.epochs = epochs
-        self.l2 = float(l2)
+        self.l2 = penalty
         self.seed = seed
         self._weights = None
         self._bias = None

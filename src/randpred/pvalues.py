@@ -93,6 +93,11 @@ route at every k.  The module also provides the closed forms available
 at k=0 and k=1.  The rank-based conformal p-value, the construction that
 strictly dominates it and the p-variables are in the ranks module.
 
+_integer is the package's one integer rule: every public count, size
+and seed, here and in the other modules, is checked and made a Python
+int by it.  It accepts Python's and numpy's integers and 0-d integer
+arrays, and no bool.
+
 Importing the module loads only math, operator, sys, functools and
 typing, so `import randpred` stays cheap: it compiles this module from
 source where no bytecode is kept.  The tails module is loaded by the
@@ -274,7 +279,8 @@ def _value_error(message: str):
 
 def _m_and_k(m, k) -> Tuple[int, int]:
     """(m, k) as ints, m from 1 to M_MAX and k from 0 to m.  An int k in
-    range skips the rule, which would build k's error closure first."""
+    range skips the rule, whose error builder for k would cost more than
+    the check on every engine call."""
     m = _integer(m, 1, M_MAX, m_error)
     if type(k) is not int or not 0 <= k <= m:
         k = _integer(k, 0, m, _value_error(f"k must be an integer in [0, m={m}]"))

@@ -21,13 +21,12 @@ exact audits, which need no sampling, are in the audits module.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Optional, Tuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .core import DataSplit
+from .core import DataSplit, _real
 from .pipelines import (
     RegressorSpec,
     _incertitudes,
@@ -70,8 +69,9 @@ _POOL_SIZE = 4
 def _finite_float(name: str, value) -> float:
     """value as a float, or ValueError naming the field unless it is a
     finite real number (bools excluded)."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-        return float(value)
+    real = _real(value)
+    if math.isfinite(real):
+        return real
     raise ValueError(f"{name} must be a finite float, got {value!r}")
 
 
@@ -307,8 +307,9 @@ def monte_carlo_coverage(
     """
     spec = pipeline_spec or PipelineSpec()
     generator = data_generator_spec or BoundedNoiseLinearGenerator()
+    epsilon, given = _real(epsilon), epsilon
     if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+        raise ValueError(f"epsilon must lie in (0, 1), got {given!r}")
     trials = _integer(trials, 1, math.inf, _value_error("trials must be a positive integer"))
     seed = _integer(seed, 0, math.inf, _value_error("seed must be a nonnegative integer"))
 

@@ -111,18 +111,44 @@ class TestReadCsvDataset:
 
     @pytest.mark.parametrize(
         "text, reference",
-        [("x,y\n1.0,2.0\n3.0,4.0\n", False), ('x,y\n"1.0",2.0\n3.0,4.0\n', True)],
-        ids=["numpy", "reference"],
+        [
+            ("x,y\n1.0,2.0\n3.0,4.0\n", False),
+            ('x,y\n"1.0",2.0\n3.0,4.0\n', True),
+            ("\ufeffx,y\n1.0,2.0\n3.0,4.0\n", False),
+            ('\ufeffx,y\n"1.0",2.0\n3.0,4.0\n', True),
+        ],
+        ids=["numpy", "reference", "numpy-bom", "reference-bom"],
     )
     def test_opens_its_path_once(self, tmp_path, text, reference):
+        # a UTF-8 byte-order mark is no part of the first column's name, in
+        # either pass: the reference pass reads the file again from its mark
         path = tmp_path / "data.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         reference_rows = mock.patch.object(cli, "_reference_rows", wraps=cli._reference_rows)
         with reference_rows as spy, mock.patch("builtins.open", wraps=open) as opened:
             header, rows = read_csv_dataset(str(path))
         assert spy.called == reference
         assert opened.call_count == 1
         assert header == ["x", "y"] and rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize(
+        "head, reread",
+        [(b"x,y\n", False), (b"x,y\n" + b"1.0,2.0\n" * 2000, True),
+         (b'x,y\n"1.0",2.0\n' + b"1.0,2.0\n" * 2000, True)],
+        ids=["header", "numpy", "reference"],
+    )
+    def test_non_utf8_file_names_its_path(self, tmp_path, head, reread):
+        # the byte 0xe9 (e acute in Latin-1) in the header's first read,
+        # which decodes 8192 bytes, or past it, where the numpy pass meets
+        # it and the reference pass reads the file again and raises, with or
+        # without a quoted cell that sends the file there anyway
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(head + b"caf\xe9,1.0\n")
+        with mock.patch.object(cli, "_reference_rows", wraps=cli._reference_rows) as spy:
+            with pytest.raises(ValueError) as info:
+                read_csv_dataset(str(path))
+        assert str(info.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xe9")
+        assert spy.called == reread
 
     def test_malformed_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -264,7 +290,7 @@ class TestReadCsvDataset:
 def reference_read(path, task):
     """csv.reader and float, cell by cell, skipping blank rows: the header
     and the rows, or the message of the first fault."""
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader)
         rows = []

@@ -736,10 +736,12 @@ def test_invalid_m_and_k_messages(call, m, k, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16], ids=lambda t: t.__name__)
+@pytest.mark.parametrize(
+    "integer", [np.int64, np.int32, np.uint16, np.array], ids=lambda t: t.__name__
+)
 def test_numpy_integers_are_accepted(monkeypatch, integer):
-    # the engine converts them with operator.index, so it runs, and its
-    # cache is keyed, on Python ints
+    # the engine converts them, 0-d integer arrays included, with
+    # operator.index, so it runs, and its cache is keyed, on Python ints
     m, k = integer(30), integer(2)
     assert binary_irp_pvalue(m, k) == binary_irp_pvalue(30, 2)
     assert binary_irp_pvalue(m, m) == 1.0

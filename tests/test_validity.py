@@ -316,7 +316,7 @@ class TestMonteCarloCoverage:
         with pytest.raises(ValueError, match="seed"):
             monte_carlo_coverage(None, None, 0.05, 5, seed)
 
-    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16, np.array])
     def test_numpy_integers_accepted(self, kind):
         report = monte_carlo_coverage(None, None, 0.05, kind(40), kind(7))
         assert report == monte_carlo_coverage(None, None, 0.05, 40, 7)
