@@ -1,5 +1,6 @@
 """Shared domain types: train/calibration splits and hedged prediction
-sets, and the exact oracle's calibration-size cap.
+sets, the exact oracle's calibration-size cap, and the package's one
+rule for real arguments (_real; the integer rule is pvalues._integer).
 
 All types are records (the records module): immutable after
 construction and safe to share across threads.
