@@ -111,11 +111,13 @@ def _sup_coverage_polynomial(counts: Sequence[int], n: int) -> float:
     return max(value, _bernstein_sum(counts, n, lo), _bernstein_sum(counts, n, hi))
 
 
-def _m_error(m) -> ValueError:
-    return ValueError(
+def _exact_m(m) -> int:
+    """The exact oracle's one m check: an integer from 1 to EXACT_M_LIMIT,
+    returned as an int."""
+    return _integer(m, 1, EXACT_M_LIMIT, lambda m: ValueError(
         f"m must be an integer from 1 to {EXACT_M_LIMIT}, got {m!r}; "
         "use monte_carlo_coverage for larger m"
-    )
+    ))
 
 
 def urp_binary_event(
@@ -127,7 +129,7 @@ def urp_binary_event(
     and returns the supremum over p of the probability of the member
     outcomes, each an entry of weight 1 at its total one-count.
     """
-    m = _integer(m, 1, EXACT_M_LIMIT, _m_error)
+    m = _exact_m(m)
     members = (
         (None, sum(bits) + test_bit, 1)
         for bits in itertools.product((0, 1), repeat=m)
@@ -157,9 +159,9 @@ def _class_table(pvariable, m: int) -> list:
     outcomes with k ones among the m calibration summaries and test bit b,
     each with k + b ones in all.  The grouped audit is only exact for
     permutation-symmetric p-variables, so each class with test bit 1 is
-    also checked with its calibration bits reversed.
+    also checked with its calibration bits reversed.  m is the caller's
+    checked m.
     """
-    m = _integer(m, 1, EXACT_M_LIMIT, _m_error)
     table = []
     for k in range(m + 1):
         bits = (1,) * k + (0,) * (m - k)
@@ -207,7 +209,7 @@ def audit_pvariable(pvariable: Callable[[SummarySequence], float], m: int) -> Va
     weighted by binomial counts computed directly — the oracle shares no
     code with the engine being audited.
     """
-    m = _integer(m, 1, EXACT_M_LIMIT, _m_error)
+    m = _exact_m(m)
     return _audit_table(_class_table(pvariable, m), m)
 
 
@@ -247,6 +249,7 @@ def check_dominance(
     Comparisons use the values exactly as returned (exact rationals stay
     exact), so verdicts are not at the mercy of float rounding.
     """
+    m = _exact_m(m)
     table1, table2 = _class_table(p1, m), _class_table(p2, m)
     strict_witness = None
     for index, ((v1, _, _), (v2, _, _)) in enumerate(zip(table1, table2)):
