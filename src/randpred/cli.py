@@ -408,8 +408,23 @@ def read_csv_dataset(path: str, task: str = "regression") -> Tuple[list, np.ndar
             if rows is None:
                 header, rows = _reference_rows(path, handle, task)
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {_decode_error(path, exc)}") from None
     return header, rows
+
+
+def _decode_error(path: str, exc: UnicodeDecodeError) -> str:
+    """The text of exc with the bad bytes' offset in the file: the codec
+    counts from the start of the chunk it was decoding, so the file's
+    bytes are decoded again in one piece to find them."""
+    with open(path, "rb") as handle:
+        try:
+            handle.read().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+    return (
+        f"'{exc.encoding}' codec can't decode byte 0x{exc.object[exc.start]:02x} "
+        f"at offset {exc.start} of the file: {exc.reason}"
+    )
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})

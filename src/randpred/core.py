@@ -1,6 +1,5 @@
 """Shared domain types: train/calibration splits and hedged prediction
-sets, the exact oracle's calibration-size cap, and the package's one
-rule for real arguments (_real; the integer rule is pvalues._integer).
+sets, and the exact oracle's calibration-size cap.
 
 All types are records (the records module): immutable after
 construction and safe to share across threads.
@@ -13,7 +12,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .pvalues import _integer
+from .pvalues import _integer, _real, _value_error
 from .records import Record
 
 __all__ = [
@@ -41,31 +40,6 @@ def xy_arrays(X, y) -> Tuple[np.ndarray, np.ndarray]:
             f"expected X of shape (n, d) and y of shape (n,), got {X.shape} and {y.shape}"
         )
     return X, y
-
-
-def _real(x) -> float:
-    """x as a float, or NaN where x is not a real number: the package's one
-    rule for reals, whose every caller rejects NaN with its own message.
-
-    A real is an int or a float, numpy's and their 0-d arrays included,
-    or any other value with __float__, such as a Fraction.  A bool, a
-    string, a complex number and an array of rank 1 or more are not, on
-    every numpy (float() takes a one-element array on some), and neither
-    is a value past the largest float, such as 10**400.
-    """
-    if isinstance(x, float):
-        return float(x)
-    dtype = getattr(x, "dtype", None)
-    if dtype is None:
-        real = hasattr(x, "__float__") and not isinstance(x, bool)
-    else:
-        real = dtype.kind in "iuf" and x.ndim == 0
-    if real:
-        try:
-            return float(x)
-        except OverflowError:
-            pass
-    return math.nan
 
 
 def _size_type_error(size) -> TypeError:
@@ -149,6 +123,10 @@ ALL_LABELS = frozenset({-1, 1})
 PredictionSet = Union[Interval, frozenset]
 
 
+_m_field_error = _value_error("m must be None or a positive integer")
+_k_field_error = _value_error("k must be None or an integer from 0 to m")
+
+
 class HedgedPrediction(Record):
     """A prediction set together with its incertitude.
 
@@ -157,7 +135,9 @@ class HedgedPrediction(Record):
     every label conforms; it is allowed but flagged.  A vacuous prediction
     (both labels, as for a classification test object inside the margin)
     keeps its computed incertitude but excludes no label.  Both flags are
-    read from the fields.
+    read from the fields.  k and m, the calibration one-count and size
+    behind the incertitude, are each None or an int, with m >= 1 and
+    0 <= k <= m.
     """
 
     __slots__ = ("prediction_set", "incertitude", "k", "m")
@@ -168,6 +148,10 @@ class HedgedPrediction(Record):
         value = _real(incertitude)
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"incertitude must lie in [0, 1], got {incertitude!r}")
+        if m is not None:
+            m = _integer(m, 1, math.inf, _m_field_error)
+        if k is not None:
+            k = _integer(k, 0, math.inf if m is None else m, _k_field_error)
         super().__init__(prediction_set, value, k, m)
 
     @property

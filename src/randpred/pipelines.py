@@ -41,7 +41,6 @@ from .core import (
     HedgedPrediction,
     Interval,
     PredictionSet,
-    _real,
 )
 from .predictors import (
     HingeLossLinearClassifier,
@@ -49,7 +48,7 @@ from .predictors import (
     MeanRegressor,
     PointPredictor,
 )
-from .pvalues import binary_irp_pvalue
+from .pvalues import _real, binary_irp_pvalue
 from .records import Record
 
 __all__ = [

@@ -23,8 +23,8 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .core import _real, xy_arrays
-from .pvalues import _integer, _value_error
+from .core import xy_arrays
+from .pvalues import _integer, _real, _value_error
 
 __all__ = [
     "PointPredictor",

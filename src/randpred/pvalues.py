@@ -96,7 +96,8 @@ strictly dominates it and the p-variables are in the ranks module.
 _integer is the package's one integer rule: every public count, size
 and seed, here and in the other modules, is checked and made a Python
 int by it.  It accepts Python's and numpy's integers and 0-d integer
-arrays, and no bool.
+arrays, and no bool.  _real is its rule for reals, objective's p here
+and every public real argument elsewhere.
 
 Importing the module loads only math, operator, sys, functools and
 typing, so `import randpred` stays cheap: it compiles this module from
@@ -277,6 +278,32 @@ def _value_error(message: str):
     return lambda x: ValueError(f"{message}, got {x!r}")
 
 
+def _real(x) -> float:
+    """x as a float, or NaN where x is not a real number: the package's one
+    rule for reals, whose every caller rejects NaN with its own message.
+
+    A real is an int or a float, numpy's and their 0-d arrays included,
+    or any other value with __float__, such as a Fraction.  A bool, a
+    string, a complex number and an array of rank 1 or more are not, on
+    every numpy (float() takes a one-element array on some), and neither
+    is a value past the largest float, such as 10**400.  numpy's values
+    are told by their dtype, read by getattr, so no numpy is loaded.
+    """
+    if isinstance(x, float):
+        return float(x)
+    dtype = getattr(x, "dtype", None)
+    if dtype is None:
+        real = hasattr(x, "__float__") and not isinstance(x, bool)
+    else:
+        real = dtype.kind in "iuf" and x.ndim == 0
+    if real:
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    return math.nan
+
+
 def _m_and_k(m, k) -> Tuple[int, int]:
     """(m, k) as ints, m from 1 to M_MAX and k from 0 to m.  An int k in
     range skips the rule, whose error builder for k would cost more than
@@ -427,8 +454,9 @@ def objective(m: int, k: int, p: float) -> float:
     that count: 8e-13 near the rate at k = 1e8.
     """
     m, k = _m_and_k(m, k)
+    p, given = _real(p), p
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+        raise ValueError(f"p must lie in [0, 1], got {given!r}")
     if k == m:
         return p
     if p == 0.0 or p == 1.0:

@@ -1,9 +1,10 @@
 """Monte Carlo validity harness.
 
 Measures coverage frequencies of the regression pipelines on seeded
-synthetic data.  A trial draws its features and noise and fits its
-point predictor as fit_regression_pipeline does.  Everything else is
-taken for many trials at once: the labels by the generator's label
+synthetic data.  A trial draws its features' and its noise's uniforms
+in one call and fits its point predictor as fit_regression_pipeline
+does.  Everything else is taken for many trials at once: the scaling of
+the uniforms to features and noise, the labels by the generator's label
 rule, the predictions of all of the trials' rows, test rows included,
 by the predictors module's affine rule, and the pipelines module's bit,
 bounds, incertitude and level-set rules over a block of trials.  Each
@@ -26,7 +27,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .core import DataSplit, _real
+from .core import DataSplit
 from .pipelines import (
     RegressorSpec,
     _incertitudes,
@@ -36,7 +37,7 @@ from .pipelines import (
     fit_regression_pipeline,
 )
 from .predictors import _affine_batch
-from .pvalues import _integer, _value_error
+from .pvalues import _integer, _real, _value_error
 from .records import Record
 from .reports import ValidityCell, ValidityReport
 
@@ -223,13 +224,31 @@ class BoundedNoiseLinearGenerator(Record):
             feature_high,
         )
 
+    def _scale(self, draws: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The features (..., n + 1, d) and the noise (..., n + 1) that
+        (..., (n + 1)(d + 1)) uniform draws in [0, 1) stand for, over any
+        leading axes: the first (n + 1) d draws of a row are its features
+        in row order, the last n + 1 its noise.  Each draw u is scaled in
+        place to low + (high - low) u, the arithmetic of numpy's uniform,
+        so the values are bit for bit those of rng.uniform(feature_low,
+        feature_high, (n + 1, d)) then rng.uniform(-h, h, n + 1) drawn
+        from the same stream."""
+        n, d = self.proper_size + self.calibration_size + 1, len(self.coefficients)
+        features, noise = draws[..., : n * d], draws[..., n * d :]
+        for part, low, high in (
+            (features, self.feature_low, self.feature_high),
+            (noise, -self.noise_half_width, self.noise_half_width),
+        ):
+            part *= high - low
+            part += low
+        return features.reshape(draws.shape[:-1] + (n, d)), noise
+
     def _uniforms(self, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
         """The features (n + 1, d) and the noise (n + 1,) of one training
-        sequence plus one test example, in the order the rng draws them:
-        the features, then the noise."""
+        sequence plus one test example, from one rng.random call: the
+        features, then the noise."""
         n = self.proper_size + self.calibration_size + 1
-        features = rng.uniform(self.feature_low, self.feature_high, size=(n, len(self.coefficients)))
-        return features, rng.uniform(-self.noise_half_width, self.noise_half_width, size=n)
+        return self._scale(rng.random(n * (len(self.coefficients) + 1)))
 
     def _labels(self, features: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """The labels of (..., n + 1, d) features and (..., n + 1) noise,
@@ -278,10 +297,11 @@ def monte_carlo_coverage(
     coverage cell passes when the empirical miscoverage rate is at most
     epsilon + 3 standard errors.  The harness counts the trials in blocks
     of up to _BLOCK_ROWS data rows, and stages a block in parts of up to
-    2 * _BLOCK_ROWS feature cells (_stage_trials): each trial's two
-    draws, the labels of the part in one pass, each trial's fit on its
-    proper rows, and the point predictions of all of the part's rows,
-    test rows included, in one pass.  It then takes the half-widths and
+    2 * _BLOCK_ROWS feature cells (_stage_trials): each trial's uniform
+    draws in one call, their scaling to features and noise and the labels
+    of the part in one pass each, each trial's fit on its proper rows,
+    and the point predictions of all of the part's rows, test rows
+    included, in one pass.  It then takes the half-widths and
     calibration bits, the test rows' intervals, every method's
     incertitude and level sets, and the miss counts of the whole block,
     each by one array rule of the pipelines module.  Those are, value for
@@ -379,9 +399,11 @@ def _stage_trials(
     states seed: bit for bit those of the trial's own generator._draw and
     its fitted predictor's predict_batch.
 
-    Each step runs once for all of the trials where it can: the two draws
-    per trial, in trial order; the labels and their finiteness check in
-    one pass each; the fit per trial; the predictions in one pass of the
+    Each step runs once for all of the trials where it can: one call of
+    the trial's generator's random per trial, in trial order, into its row
+    of one buffer; the scaling of the buffer to features and noise
+    (generator._scale), the labels and their finiteness check in one pass
+    each; the fit per trial; the predictions in one pass of the
     affine rule, for every trial whose predictor exposes an affine_map.
     A predictor without one (the mean kind, the rank fallback) predicts
     by its own predict_batch.  Raises ValueError if a training label is
@@ -390,10 +412,10 @@ def _stage_trials(
     proper = generator.proper_size
     n, d = proper + generator.calibration_size + 1, len(generator.coefficients)
     trials = len(states)
-    features, noise = np.empty((trials, n, d)), np.empty((trials, n))
+    draws = np.empty((trials, n * (d + 1)))
     for row in range(trials):
-        rng = np.random.Generator(np.random.PCG64(_TrialState(states[row])))
-        features[row], noise[row] = generator._uniforms(rng)
+        np.random.Generator(np.random.PCG64(_TrialState(states[row]))).random(out=draws[row])
+    features, noise = generator._scale(draws)
     labels = generator._labels(features, noise)
     # the features are finite by the generator's checks
     if not np.isfinite(labels[:, :-1]).all():

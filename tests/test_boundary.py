@@ -1,7 +1,7 @@
 """Every public integer and real argument against one table of inputs.
 
 The package has one integer rule (pvalues._integer) and one rule for
-reals (core._real).  Each site below feeds its argument the same inputs:
+reals (pvalues._real).  Each site below feeds its argument the same inputs:
 the rejected ones must raise the site's own exception, with its message,
 and the accepted ones must be stored, or used, as the Python int or
 float they stand for.
@@ -140,9 +140,24 @@ INTEGER_SITES = {
         "seed must be None or a nonnegative integer, got ",
     ),
     "DataSplit-proper_size": (_split, TypeError, "proper_size must be an int, got "),
+    "HedgedPrediction-k": (
+        lambda v: HedgedPrediction(Interval(0.0, 1.0), 0.5, k=v, m=5).k,
+        ValueError,
+        "k must be None or an integer from 0 to m, got ",
+    ),
+    "HedgedPrediction-m": (
+        lambda v: HedgedPrediction(Interval(0.0, 1.0), 0.5, k=0, m=v).m,
+        ValueError,
+        "m must be None or a positive integer, got ",
+    ),
 }
-# None is a seed: no seed at all
-NONE_ACCEPTED = {"HingeLossLinearClassifier-seed", "ClassifierSpec-seed"}
+# None is a seed: no seed at all; and a hedged prediction without its (k, m)
+NONE_ACCEPTED = {
+    "HingeLossLinearClassifier-seed",
+    "ClassifierSpec-seed",
+    "HedgedPrediction-k",
+    "HedgedPrediction-m",
+}
 
 
 def _generator(name):
@@ -162,6 +177,7 @@ REAL_SITES = {
         ValueError,
         "incertitude must lie in [0, 1], got ",
     ),
+    "objective-p": (lambda v: objective(5, 1, v), ValueError, "p must lie in [0, 1], got "),
     "prediction_set-epsilon": (
         lambda v: prediction_set(HedgedPrediction(Interval(0.0, 1.0), 0.5), v),
         ValueError,
@@ -226,3 +242,19 @@ def test_integer_arguments(site, value, accepted):
 @pytest.mark.parametrize("site", REAL_SITES)
 def test_real_arguments(site, value, accepted):
     _check(site, *REAL_SITES[site], value, accepted, 0.5)
+
+
+@pytest.mark.parametrize(
+    "k, m, message",
+    [
+        (4, 3, "k must be None or an integer from 0 to m, got 4"),
+        (-1, 3, "k must be None or an integer from 0 to m, got -1"),
+        (-1, None, "k must be None or an integer from 0 to m, got -1"),
+        (0, 0, "m must be None or a positive integer, got 0"),
+        (None, np.int64(-2), "m must be None or a positive integer, got -2"),
+    ],
+)
+def test_hedged_prediction_k_and_m_ranges(k, m, message):
+    with pytest.raises(ValueError) as info:
+        HedgedPrediction(Interval(0.0, 1.0), 0.5, k=k, m=m)
+    assert str(info.value) == message

@@ -768,6 +768,38 @@ class TestGenerators:
         assert np.array_equal(split.y, labels[:-1])
         assert np.array_equal(x, features[-1]) and y == labels[-1]
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"noise_half_width": 0.0},
+            {"coefficients": (0.7,)},
+            {"coefficients": tuple(np.linspace(-1.0, 1.0, 200)), "calibration_size": 3},
+            {"feature_low": 2.5, "feature_high": 3.0, "noise_half_width": 1e-9},
+            {"feature_low": -1e300, "feature_high": 1e300, "noise_half_width": 1e307},
+        ],
+        ids=["default", "no-noise", "d=1", "d=200", "shifted", "wide"],
+    )
+    def test_one_random_call_is_the_two_uniform_calls(self, kwargs):
+        # the one rng.random call, scaled, is bit for bit numpy's
+        # uniform(low, high) of the features and then of the noise
+        gen = BoundedNoiseLinearGenerator(**kwargs)
+        n, d = gen.proper_size + gen.calibration_size + 1, len(gen.coefficients)
+        h = gen.noise_half_width
+        for seed in range(5):
+            rng = np.random.default_rng([seed, 7])
+            features = rng.uniform(gen.feature_low, gen.feature_high, size=(n, d))
+            noise = rng.uniform(-h, h, size=n)
+            labels = features @ np.array(gen.coefficients) + gen.intercept + noise
+            drawn = gen._uniforms(np.random.default_rng([seed, 7]))
+            assert [a.shape for a in drawn] == [(n, d), (n,)]
+            assert drawn[0].tobytes() == features.tobytes()
+            assert drawn[1].tobytes() == noise.tobytes()
+            split, x, y = gen.sample(np.random.default_rng([seed, 7]))
+            assert split.X.tobytes() == features[:-1].tobytes()
+            assert split.y.tobytes() == labels[:-1].tobytes()
+            assert x.tobytes() == features[-1].tobytes() and y == labels[-1]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BoundedNoiseLinearGenerator(coefficients=())
