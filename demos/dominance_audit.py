@@ -3,7 +3,9 @@ Validity audits and the inadmissibility of the rank-based p-variable
 ====================================================================
 
 A p-variable is valid when P(p <= eps) <= eps for every eps, uniformly
-over exchangeable data sources.  Validity can be checked *exactly* for
+over IID data sources, here IID Bernoulli bits.  (The rank-based one is
+valid under exchangeability alone; the engine's and the dominating one
+need IID data.)  Validity can be checked *exactly* for
 binary summaries: enumerate all 2^(m+1) bit configurations, weight them
 by p^ones (1-p)^zeros, and take the supremum over the bias p.  The
 audit below does this at every realized threshold.

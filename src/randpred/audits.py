@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,11 +82,22 @@ def _bernstein_sum(coefficients: Sequence[int], n: int, p: float) -> float:
     return math.fsum(c * p**j * (1.0 - p) ** (n - j) for j, c in enumerate(coefficients) if c)
 
 
+@lru_cache(maxsize=4)
+def _grid(n: int) -> tuple:
+    """The 4097-point grid ps on [0, 1] and its powers ps**j and
+    (1 - ps)**(n - j) for j = 0..n: one degree's Bernstein basis, which
+    every threshold of an audit shares.  At most 4 degrees are kept,
+    1.4 MB each at the exact cap's degree m + 1 = 21."""
+    ps = np.linspace(0.0, 1.0, 4097)
+    return ps, [ps**j for j in range(n + 1)], [(1.0 - ps) ** (n - j) for j in range(n + 1)]
+
+
 def _sup_coverage_polynomial(counts: Sequence[int], n: int) -> float:
     """Supremum over p in [0,1] of P(p) = sum_j counts[j] p^j (1-p)^(n-j).
 
     counts has n + 1 entries.  A 4097-point grid brackets the global
-    maximum between the neighbours of its best point.  The derivative is
+    maximum between the neighbours of its best point; its powers come
+    from _grid, one basis per degree.  The derivative is
     P'(p) = sum_{j<n} t_j p^j (1-p)^(n-1-j) with integer t_j =
     (j+1) counts[j+1] - (n-j) counts[j].  Where P' > 0 at the left end of
     the bracket and P' <= 0 at the right end, bisection on the sign of P'
@@ -95,11 +107,11 @@ def _sup_coverage_polynomial(counts: Sequence[int], n: int) -> float:
     """
     if not any(counts):
         return 0.0
-    ps = np.linspace(0.0, 1.0, 4097)
+    ps, powers, co_powers = _grid(n)
     values = np.zeros_like(ps)
     for j, count in enumerate(counts):
         if count:
-            values += count * ps**j * (1.0 - ps) ** (n - j)
+            values += count * powers[j] * co_powers[j]
     best = int(np.argmax(values))
     value = _bernstein_sum(counts, n, float(ps[best]))
     lo, hi = float(ps[max(best - 1, 0)]), float(ps[min(best + 1, len(ps) - 1)])

@@ -14,15 +14,16 @@ predict reads each CSV with read_csv_dataset, which opens the file once
 and returns the header and the rows as one (n, d + 1) float64 array.
 
 Importing the module loads what predict and pvalue run: numpy, the
-pipelines and the p-value engine; pvalue takes the rank-based
-(k+1)/(m+1) from the pipelines and reduces it with math.gcd, so it loads
-nothing more.  The other commands import what they need when they run:
-table, validate --mode exact and dominate the exact audits (the audits
-module), validate --mode exact and dominate also the p-variables
-(ranks), and validate --mode mc the Monte Carlo harness (validity),
-which replays a failing block of trials through the per-trial pipeline
-path to raise that path's error.  Each call reads the function from its
-module then, so a wrapper set on the module applies.
+pipelines and the p-value engine, whose method table (pvalues.METHODS)
+gives predict's incertitudes and pvalue's rank-based value, as a float
+and as a fraction reduced with math.gcd, so pvalue loads nothing more.
+The other commands import what they need when they run: table,
+validate --mode exact and dominate the exact audits (the audits module),
+validate --mode exact and dominate also the p-variables (ranks), and
+validate --mode mc the Monte Carlo harness (validity), which replays a
+failing block of trials through the per-trial pipeline path to raise
+that path's error.  Each call reads the function from its module then,
+so a wrapper set on the module applies.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import re
 import sys
 import warnings
@@ -44,12 +46,11 @@ from .core import EXACT_M_LIMIT, DataSplit, HedgedPrediction, Interval
 from .pipelines import (
     ClassifierSpec,
     RegressorSpec,
-    _incertitude,
     fit_classification_pipeline,
     fit_regression_pipeline,
     prediction_set,
 )
-from .pvalues import M_MAX, asymptotic_constant, binary_irp_pvalue, m_error
+from .pvalues import M_MAX, METHODS, asymptotic_constant, binary_irp_pvalue, m_error
 from .records import Record
 
 SCHEMA_VERSION = "1"
@@ -472,6 +473,12 @@ def table(k_max: int, as_json: bool) -> None:
     _emit(as_json, {"k_max": k_max, "rows": rows}, lines)
 
 
+def _reduced_fraction(numerator: int, denominator: int) -> str:
+    """The text "a/b" of numerator/denominator in lowest terms."""
+    gcd = math.gcd(numerator, denominator)
+    return f"{numerator // gcd}/{denominator // gcd}"
+
+
 @main.command()
 @click.option("--m", type=click.IntRange(min=1), required=True)
 @click.option("--k", type=click.IntRange(min=0), required=True)
@@ -501,9 +508,8 @@ def pvalue(m: int, k: int, finite: bool, as_json: bool) -> None:
     except ValueError as exc:
         # a k too large for the a_k/m approximation (asymptotic_constant)
         raise click.BadParameter(str(exc), param_hint="'--k'") from None
-    icp = _incertitude("icp", m, k)
-    gcd = math.gcd(k + 1, m + 1)
-    exact = f"{(k + 1) // gcd}/{(m + 1) // gcd}"
+    icp = METHODS["icp"](m, k, operator.truediv)
+    exact = METHODS["icp"](m, k, _reduced_fraction)
     payload = {
         **extra,
         "m": m,
@@ -543,7 +549,14 @@ def pvalue(m: int, k: int, finite: bool, as_json: bool) -> None:
     show_default=True,
 )
 @click.option("--epsilon", type=float, default=0.05, show_default=True)
-@click.option("--method", type=click.Choice(["irp", "icp"]), default="irp", show_default=True)
+@click.option(
+    "--method",
+    type=click.Choice(list(METHODS)),
+    default="irp",
+    show_default=True,
+    help="irp, the engine's worst case over IID Bernoulli rates, needs IID data; "
+    "icp, the rank-based (k+1)/(m+1), needs only exchangeable data.",
+)
 @click.option(
     "--seed", type=click.IntRange(min=0), default=None, help="Classifier initialization seed."
 )

@@ -30,6 +30,8 @@ interval_bounds, so it needs no copy of their checks.
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -48,7 +50,7 @@ from .predictors import (
     MeanRegressor,
     PointPredictor,
 )
-from .pvalues import _real, binary_irp_pvalue
+from .pvalues import METHODS, _integer, _real, _value_error
 from .records import Record
 
 __all__ = [
@@ -118,7 +120,8 @@ class FittedPipeline(Record):
 
     task is "regression" or "classification".  width is the half-width of
     the conforming band: the largest proper-training residual for
-    regression, the margin (1 in score units) for classification.
+    regression, the margin (1 in score units) for classification, kept
+    as a float; k and m are ints with m >= 1 and 0 <= k <= m.
     interval_bounds (regression) and label_sets (classification) give the
     sets of a whole array of test objects; predict is a one-row call of
     them, so per-row and batch sets agree by construction.  Every method
@@ -131,9 +134,12 @@ class FittedPipeline(Record):
     def __init__(self, task: str, predictor: PointPredictor, width: float, k: int, m: int):
         if task not in ("regression", "classification"):
             raise ValueError(f"task must be 'regression' or 'classification', got {task!r}")
-        if not width >= 0:  # NaN is not
+        h = _real(width)
+        if not h >= 0:  # NaN is not
             raise ValueError(f"width must be nonnegative, got {width!r}")
-        super().__init__(task, predictor, width, k, m)
+        m = _integer(m, 1, math.inf, _value_error("m must be a positive integer"))
+        k = _integer(k, 0, m, _value_error(f"k must be an integer in [0, m={m}]"))
+        super().__init__(task, predictor, h, k, m)
 
     @property
     def fallback_reason(self) -> Optional[str]:
@@ -141,10 +147,11 @@ class FittedPipeline(Record):
         return getattr(self.predictor, "fallback_reason", None)
 
     def incertitude(self, method: str = "irp") -> float:
-        """The incertitude of every prediction: the engine p-value at
-        (m, k) for irp, the rank-based (k+1)/(m+1) for icp.  With k = 0
-        (the typical regime under bounded noise) the irp incertitude is
-        m^m/(m+1)^(m+1), roughly 0.37/m."""
+        """The incertitude of every prediction: the method's value at
+        (m, k) in pvalues.METHODS, the engine p-value for irp and the
+        rank-based (k+1)/(m+1) for icp.  With k = 0 (the typical regime
+        under bounded noise) the irp incertitude is m^m/(m+1)^(m+1),
+        roughly 0.37/m."""
         return _incertitude(method, self.m, self.k)
 
     def _check_task(self, task: str, method: str) -> None:
@@ -201,14 +208,14 @@ class FittedPipeline(Record):
 
 
 def _incertitude(method: str, m: int, k: int) -> float:
-    """The incertitude at (m, k): the engine p-value for irp, the
-    rank-based (k+1)/(m+1) for icp."""
-    if method == "irp":
-        return binary_irp_pvalue(m, k)
-    if method == "icp":
-        # int true division is correctly rounded: the float nearest the ratio
-        return (k + 1) / (m + 1)
-    raise ValueError(f"method must be 'irp' or 'icp', got {method!r}")
+    """The incertitude at (m, k): the method's rule in pvalues.METHODS,
+    as a float.  int true division is correctly rounded, so a ratio-valued
+    rule gives the float nearest its exact value."""
+    rule = METHODS.get(method) if isinstance(method, str) else None
+    if rule is None:
+        names = " or ".join(map(repr, METHODS))
+        raise ValueError(f"method must be {names}, got {method!r}")
+    return rule(m, k, operator.truediv)
 
 
 def _incertitudes(method: str, m: int, k: np.ndarray) -> np.ndarray:

@@ -90,8 +90,10 @@ With p = c/m and m growing, the equation tends to a Poisson one.
 asymptotic_constant reads its root c_star and the limit a_k of
 m * pvalue(m, k) off the engine's maximum at m = max(k, 1) 2^60, by one
 route at every k.  The module also provides the closed forms available
-at k=0 and k=1.  The rank-based conformal p-value, the construction that
-strictly dominates it and the p-variables are in the ranks module.
+at k=0 and k=1.  METHODS holds each method's value at (m, k), the
+engine's and the rank-based (k+1)/(m+1).  The rank-based conformal
+p-value over alphas, the construction that strictly dominates it and the
+p-variables are in the ranks module.
 
 _integer is the package's one integer rule: every public count, size
 and seed, here and in the other modules, is checked and made a Python
@@ -630,6 +632,17 @@ def binary_irp_pvalue(m: int, k: int) -> float:
     if k == m:
         return 1.0
     return _pvalue_cached(m, k)
+
+
+# Each method's p-value at (m, k) for a nonconforming test summary, the
+# one definition that predict prints and the audits check: rule(m, k,
+# ratio), where ratio divides the integers of a ratio-valued rule,
+# operator.truediv for the printed float and fractions.Fraction for the
+# exact value.  irp reads binary_irp_pvalue from this module at each call.
+METHODS = {
+    "irp": lambda m, k, ratio: binary_irp_pvalue(m, k),
+    "icp": lambda m, k, ratio: ratio(k + 1, m + 1),
+}
 
 
 def exact_pvalue_k0(m: int) -> float:

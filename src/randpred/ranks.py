@@ -2,12 +2,15 @@
 
 The rank-based p-value, a construction that strictly dominates it, and
 the three p-variables that the exact audits compare: the engine's
-worst-case p-value (pvalues.binary_irp_pvalue, read from its module at
-each call, so a wrapper set on it applies), the rank-based one and the
-dominating one.  The engine module does not need them, and
-`import randpred` compiles it from source where no bytecode is kept, so
-they live here and load on first use.  The rank-based functions return
-exact Fractions and import fractions, which loads decimal, when called.
+worst-case p-value, the rank-based one and the dominating one.  The
+first two are the rules of pvalues.METHODS, the table that also gives
+what predict prints, taken exactly: the engine's float
+(pvalues.binary_irp_pvalue, read from its module at each call, so a
+wrapper set on it applies) and the rank-based Fraction.  The engine
+module does not need the rest, and `import randpred` compiles it from
+source where no bytecode is kept, so they live here and load on first
+use.  The rank-based functions return exact Fractions and import
+fractions, which loads decimal, when called.
 """
 
 from typing import TYPE_CHECKING, Sequence
@@ -85,6 +88,17 @@ def dominating_pvalue(
     return icp_pvalue(alphas, test_alpha)
 
 
+def _pvariable(method: str, seq: "SummarySequence"):
+    """The rule of pvalues.METHODS[method] on a binary summary sequence,
+    exact: at (m, k) for a nonconforming test summary.  A conforming one
+    takes the rule's value at k = m, which is 1, as every configuration
+    conforms there, in the type of the rule's other values."""
+    from fractions import Fraction
+
+    k = seq.k if seq.test_summary else seq.m
+    return pvalues.METHODS[method](seq.m, k, Fraction)
+
+
 def binary_irp_pvariable(seq: "SummarySequence") -> float:
     """Engine p-variable on a binary summary sequence.
 
@@ -101,14 +115,15 @@ def binary_irp_pvariable(seq: "SummarySequence") -> float:
     binary_irp_pvalue(m, k) < (k+1)/(m+1), the rank-based p-value; both
     are 1 for a conforming test summary and at k = m.
     """
-    if seq.test_summary == 0:
-        return 1.0
-    return pvalues.binary_irp_pvalue(seq.m, seq.k)
+    return _pvariable("irp", seq)
 
 
 def icp_pvariable(seq: "SummarySequence") -> "Fraction":
-    """Rank-based conformal p-variable on a binary summary sequence."""
-    return icp_pvalue(seq.calibration_summaries, seq.test_summary)
+    """Rank-based conformal p-variable on a binary summary sequence: the
+    exact Fraction (k+1)/(m+1) for a nonconforming test summary, 1 for a
+    conforming one.  It equals icp_pvalue on the summaries, with the
+    test summary counting itself."""
+    return _pvariable("icp", seq)
 
 
 def dominating_pvariable(seq: "SummarySequence", threshold_a: float = 0.5) -> "Fraction":

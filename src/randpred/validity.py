@@ -37,7 +37,7 @@ from .pipelines import (
     fit_regression_pipeline,
 )
 from .predictors import _affine_batch
-from .pvalues import _integer, _real, _value_error
+from .pvalues import METHODS, _integer, _real, _value_error
 from .records import Record
 from .reports import ValidityCell, ValidityReport
 
@@ -272,14 +272,16 @@ class BoundedNoiseLinearGenerator(Record):
 
 
 class PipelineSpec(Record):
-    """Which regression pipeline the Monte Carlo harness should exercise;
+    """Which regression pipeline the Monte Carlo harness should exercise:
+    method is a name in pvalues.METHODS, or "both" for every one of them;
     predictor None is the default RegressorSpec()."""
 
     __slots__ = ("method", "predictor")
 
     def __init__(self, method: str = "both", predictor: Optional[RegressorSpec] = None):
-        if method not in ("irp", "icp", "both"):
-            raise ValueError(f"method must be 'irp', 'icp', or 'both', got {method!r}")
+        if method not in (*METHODS, "both"):
+            names = ", ".join(map(repr, METHODS))
+            raise ValueError(f"method must be {names}, or 'both', got {method!r}")
         super().__init__(method, RegressorSpec() if predictor is None else predictor)
 
 
@@ -333,7 +335,7 @@ def monte_carlo_coverage(
     trials = _integer(trials, 1, math.inf, _value_error("trials must be a positive integer"))
     seed = _integer(seed, 0, math.inf, _value_error("seed must be a nonnegative integer"))
 
-    methods = ("irp", "icp") if spec.method == "both" else (spec.method,)
+    methods = tuple(METHODS) if spec.method == "both" else (spec.method,)
     proper, n = generator.proper_size, generator.proper_size + generator.calibration_size + 1
     size = min(trials, max(1, _BLOCK_ROWS // n))
     stage = max(1, 2 * _BLOCK_ROWS // (n * len(generator.coefficients)))
@@ -371,7 +373,7 @@ def monte_carlo_coverage(
                 detail=f"{misses[method]}/{trials} test labels excluded",
             )
         )
-    if len(methods) == 2:
+    if spec.method == "both":
         cells.append(
             ValidityCell(
                 name="interval-identity",

@@ -17,9 +17,11 @@ from randpred import (
     BoundedNoiseLinearGenerator,
     ClassifierSpec,
     DataSplit,
+    FittedPipeline,
     HedgedPrediction,
     HingeLossLinearClassifier,
     Interval,
+    MeanRegressor,
     asymptotic_constant,
     audit_pvariable,
     binary_irp_pvalue,
@@ -150,6 +152,16 @@ INTEGER_SITES = {
         ValueError,
         "m must be None or a positive integer, got ",
     ),
+    "FittedPipeline-k": (
+        lambda v: FittedPipeline("regression", MeanRegressor(), 1.0, v, 5).k,
+        ValueError,
+        "k must be an integer in [0, m=5], got ",
+    ),
+    "FittedPipeline-m": (
+        lambda v: FittedPipeline("regression", MeanRegressor(), 1.0, 0, v).m,
+        ValueError,
+        "m must be a positive integer, got ",
+    ),
 }
 # None is a seed: no seed at all; and a hedged prediction without its (k, m)
 NONE_ACCEPTED = {
@@ -178,6 +190,11 @@ REAL_SITES = {
         "incertitude must lie in [0, 1], got ",
     ),
     "objective-p": (lambda v: objective(5, 1, v), ValueError, "p must lie in [0, 1], got "),
+    "FittedPipeline-width": (
+        lambda v: FittedPipeline("regression", MeanRegressor(), v, 0, 5).width,
+        ValueError,
+        "width must be nonnegative, got ",
+    ),
     "prediction_set-epsilon": (
         lambda v: prediction_set(HedgedPrediction(Interval(0.0, 1.0), 0.5), v),
         ValueError,

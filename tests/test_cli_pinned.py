@@ -336,7 +336,8 @@ HELP_PINNED = {
     "randpred": "cc04a3c61944ec0ffe68bbf922debc6173a9af35ddcc3846a7cb11490f499895",
     "table": "45d5276c9166da96bf049db22607ac4e30f8e41fec0aae0c1efad6ac958981f9",
     "pvalue": "f91c973e344b36721905af811ae8db7b778bee7b969f9e72d336400590c5a535",
-    "predict": "ee73a7b8e0b381cbd992a49dc829fe6c960e149c392d682fbf133c536a2dd5be",
+    # re-pinned when --method's help came to name each method's assumption
+    "predict": "5bbb4b68cf23e3e52f6bf598a70c83f85dd4919145599697d05f0b258a69b819",
     "validate": "3f6d1e329d3c552e52abcd1e7030d140ce8ac9e2b0c7b06bb4d641341cecf9d5",
     "dominate": "aa40107d4470e1290e9da9e8159c5335a078d2d77dfd41d86e1fd7968c1d542c",
 }

@@ -104,3 +104,35 @@ def test_imports_are_exactly_the_declared_dependencies():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"randpred"}
     assert third_party == declared == {"numpy", "click"}
+
+
+def test_predict_and_monte_carlo_load_no_exact_arithmetic(tmp_path):
+    # predict and validate --mode mc take their values as floats from the
+    # method table, so neither loads fractions (with decimal) or the
+    # p-variables; each is checked after its own run, in a fresh interpreter
+    rows = "x,y\n" + "".join(f"{i / 10},{i / 5 + (i % 3) / 10}\n" for i in range(20))
+    (tmp_path / "data.csv").write_text(rows)
+    code = (
+        "import sys, randpred.cli\n"
+        "unwanted = {'fractions', 'decimal', 'randpred.ranks'}\n"
+        "for argv in (\n"
+        "    ['predict', '--train', 'data.csv', '--split-at', '10', '--test', 'data.csv',\n"
+        "     '--method', 'icp', '--json'],\n"
+        "    ['validate', '--mode', 'mc', '--trials', '10'],\n"
+        "):\n"
+        "    randpred.cli.main(argv, standalone_mode=False)\n"
+        "    loaded = sorted(unwanted & set(sys.modules))\n"
+        "    assert not loaded, (argv[0], loaded)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert '"method": "icp"' in result.stdout and "mode=mc" in result.stdout

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,15 +14,22 @@ from randpred import (
     DataSplit,
     HedgedPrediction,
     Interval,
+    MeanRegressor,
+    PipelineSpec,
     RegressorSpec,
+    SummarySequence,
     binary_irp_pvalue,
+    binary_irp_pvariable,
     exact_pvalue_k0,
     FittedPipeline,
     fit_classification_pipeline,
     fit_regression_pipeline,
+    icp_pvariable,
     prediction_set,
 )
-from randpred.pipelines import _margin_bits
+from randpred.cli import main
+from randpred.pipelines import _incertitude, _margin_bits
+from randpred.pvalues import METHODS
 
 
 def predict_regression(split, test_x, method="irp", spec=None):
@@ -186,6 +194,60 @@ class TestClassificationPipelines:
         split = cls_split(seed=11)
         pred = predict_classification(split, (0.9, 0.9), "icp")
         assert pred.incertitude == pytest.approx((pred.k + 1) / (pred.m + 1), abs=1e-15)
+
+
+def _sequence(m, k, test_summary=1):
+    return SummarySequence((1,) * k + (0,) * (m - k), test_summary)
+
+
+class TestMethodTable:
+    """Each method's value at (m, k) is defined once, in pvalues.METHODS:
+    the incertitude predict prints is the audited p-variable's value."""
+
+    @pytest.mark.parametrize(
+        "method, pvariable", [("irp", binary_irp_pvariable), ("icp", icp_pvariable)]
+    )
+    def test_printed_incertitude_is_the_audited_value(self, method, pvariable):
+        for m in range(1, 21):
+            for k in range(m + 1):
+                assert _incertitude(method, m, k) == float(pvariable(_sequence(m, k)))
+
+    def test_one_rule_changes_every_reader(self, monkeypatch):
+        monkeypatch.setitem(METHODS, "icp", lambda m, k, ratio: ratio(k + 2, m + 2))
+        pipeline = FittedPipeline("regression", MeanRegressor(), 1.0, 3, 10)
+        assert pipeline.incertitude("icp") == 5 / 12
+        assert icp_pvariable(_sequence(10, 3)) == Fraction(5, 12)
+        result = CliRunner().invoke(main, ["pvalue", "--m", "10", "--k", "3"])
+        assert "rank p-value   : 0.416666666667  (5/12)" in result.output
+
+    def test_names_come_from_the_table(self):
+        assert list(METHODS) == ["irp", "icp"]
+        with pytest.raises(ValueError, match="^method must be 'irp' or 'icp', got 'bayes'$"):
+            _incertitude("bayes", 5, 1)
+        with pytest.raises(ValueError, match=r"^method must be 'irp' or 'icp', got \['irp'\]$"):
+            _incertitude(["irp"], 5, 1)
+        message = "^method must be 'irp', 'icp', or 'both', got 'bayes'$"
+        with pytest.raises(ValueError, match=message):
+            PipelineSpec(method="bayes")
+
+
+class TestFittedPipelineFields:
+    """The ranges of the fields; their types are rows of test_boundary."""
+
+    @pytest.mark.parametrize(
+        "width, k, m, message",
+        [
+            (-1.0, 0, 10, "width must be nonnegative, got -1.0"),
+            (1.0, 1.5, 10, "k must be an integer in [0, m=10], got 1.5"),
+            (1.0, 11, 10, "k must be an integer in [0, m=10], got 11"),
+            (1.0, -1, 10, "k must be an integer in [0, m=10], got -1"),
+            (1.0, 0, 0, "m must be a positive integer, got 0"),
+        ],
+    )
+    def test_invalid_fields_raise(self, width, k, m, message):
+        with pytest.raises(ValueError) as info:
+            FittedPipeline("regression", MeanRegressor(), width, k, m)
+        assert str(info.value) == message
 
 
 class TestFittedPipelineTask:

@@ -1118,6 +1118,9 @@ class TestPvariables:
         seq = SummarySequence(calibration_summaries=(1, 0, 1), test_summary=0)
         assert binary_irp_pvariable(seq) == 1.0
         assert icp_pvariable(seq) == Fraction(1, 1)
+        # in the type of each p-variable's other values
+        assert type(binary_irp_pvariable(seq)) is float
+        assert type(icp_pvariable(seq)) is Fraction
 
     def test_engine_pvariable_matches_pvalue(self):
         seq = SummarySequence(calibration_summaries=(1, 0, 0, 0, 1), test_summary=1)
