@@ -113,6 +113,12 @@ def _verdict(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """UsageError unless --epsilon lies strictly between 0 and 1."""
+    if not 0.0 < epsilon < 1.0:
+        raise click.UsageError(f"--epsilon must lie strictly between 0 and 1, got {epsilon}")
+
+
 def _set_payload(s) -> dict:
     if isinstance(s, Interval):
         return {"type": "interval", **s._asdict()}
@@ -576,8 +582,7 @@ def predict(
     Both files share the header: feature columns then a label column.
     Test labels are parsed but not used for prediction.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise click.UsageError(f"--epsilon must lie strictly between 0 and 1, got {epsilon}")
+    _check_epsilon(epsilon)
     try:
         train_header, train_rows = read_csv_dataset(train, task)
         test_header, test_rows = read_csv_dataset(test, "regression")
@@ -653,10 +658,7 @@ def validate(
             for cell in report.cells
         ]
     else:
-        if not 0.0 < epsilon < 1.0:
-            raise click.UsageError(
-                f"--epsilon must lie strictly between 0 and 1, got {epsilon}"
-            )
+        _check_epsilon(epsilon)
         from . import validity
 
         generator = validity.BoundedNoiseLinearGenerator(calibration_size=30 if m is None else m)

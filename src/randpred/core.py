@@ -123,6 +123,7 @@ ALL_LABELS = frozenset({-1, 1})
 PredictionSet = Union[Interval, frozenset]
 
 
+_set_error = _value_error("prediction_set must be an Interval or a nonempty frozenset of -1 and 1")
 _m_field_error = _value_error("m must be None or a positive integer")
 _k_field_error = _value_error("k must be None or an integer from 0 to m")
 
@@ -135,7 +136,8 @@ class HedgedPrediction(Record):
     every label conforms; it is allowed but flagged.  A vacuous prediction
     (both labels, as for a classification test object inside the margin)
     keeps its computed incertitude but excludes no label.  Both flags are
-    read from the fields.  k and m, the calibration one-count and size
+    read from the fields.  The set is an Interval or a nonempty frozenset
+    of the labels -1 and +1.  k and m, the calibration one-count and size
     behind the incertitude, are each None or an int, with m >= 1 and
     0 <= k <= m.
     """
@@ -145,6 +147,9 @@ class HedgedPrediction(Record):
     def __init__(
         self, prediction_set: PredictionSet, incertitude: float, k: int = None, m: int = None
     ):
+        labels = isinstance(prediction_set, frozenset) and prediction_set
+        if not (isinstance(prediction_set, Interval) or labels and labels <= ALL_LABELS):
+            raise _set_error(prediction_set)
         value = _real(incertitude)
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"incertitude must lie in [0, 1], got {incertitude!r}")

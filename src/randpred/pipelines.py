@@ -18,14 +18,19 @@ from one prediction pass over all of the split's rows; the
 classification pipeline predicts its calibration rows only.  The Monte
 Carlo harness makes that pass for many trials at once, each trial's test
 row added, by the predictors module's affine rule over a leading axis
-(the pass of a fitted least-squares predictor's predict_batch), and
+(the pass of every linear predictor's predict_batch), and
 applies the rules below to a block of trials at once: the
 bit rule (_regression_bits), the bounds rule (_interval_bounds), the
 incertitude rule (_incertitudes) and the level-set rule
 (_level_set_bounds) are written over a leading axis, and the pipeline's
 own methods follow the same rules.  The errors are the pipeline's own:
 the harness replays a failing block through fit_regression_pipeline and
-interval_bounds, so it needs no copy of their checks.
+interval_bounds, so it needs no copy of their checks, and checks its
+level by the one epsilon rule here (_epsilon).
+
+Each spec builds its predictor from its own fields: a RegressorSpec's
+kind names a class in one table (_REGRESSORS), and a ClassifierSpec's
+fields are the hinge classifier's keyword arguments.
 """
 
 from __future__ import annotations
@@ -70,21 +75,22 @@ _MARGIN = 1.0
 # score (0: inside the margin, both labels).
 _LABEL_SETS = {1: frozenset({1}), -1: frozenset({-1}), 0: ALL_LABELS}
 
+_REGRESSORS = {"least_squares": LeastSquaresRegressor, "mean": MeanRegressor}
+
 
 class RegressorSpec(Record):
-    """Configuration for the regression point predictor."""
+    """Configuration for the regression point predictor: kind is a name
+    in _REGRESSORS."""
 
     __slots__ = ("kind",)
 
     def __init__(self, kind: str = "least_squares"):
-        if kind not in ("least_squares", "mean"):
+        if not isinstance(kind, str) or kind not in _REGRESSORS:
             raise ValueError(f"unknown regressor kind {kind!r}")
         super().__init__(kind)
 
     def build(self) -> PointPredictor:
-        if self.kind == "mean":
-            return MeanRegressor()
-        return LeastSquaresRegressor()
+        return _REGRESSORS[self.kind]()
 
 
 class ClassifierSpec(Record):
@@ -106,12 +112,7 @@ class ClassifierSpec(Record):
         super().__init__(checked.learning_rate, checked.epochs, checked.l2, checked.seed)
 
     def build(self) -> PointPredictor:
-        return HingeLossLinearClassifier(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            l2=self.l2,
-            seed=self.seed,
-        )
+        return HingeLossLinearClassifier(**self._asdict())
 
 
 class FittedPipeline(Record):
@@ -310,13 +311,21 @@ def prediction_set(prediction: HedgedPrediction, epsilon: float) -> PredictionSe
     (the boundary value epsilon is not strictly greater, so non-members
     drop out), and the whole label space otherwise.
     """
-    level = _real(epsilon)
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    level = _epsilon(epsilon)
     conforming = prediction.prediction_set
     if _keeps_conforming_set(prediction.incertitude, level):
         return conforming
     return FULL_LINE if isinstance(conforming, Interval) else ALL_LABELS
+
+
+def _epsilon(epsilon) -> float:
+    """epsilon as a float, or ValueError unless it is a real number in
+    (0, 1): the level check of prediction_set and the Monte Carlo
+    harness."""
+    level = _real(epsilon)
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    return level
 
 
 def _keeps_conforming_set(incertitude, epsilon: float):

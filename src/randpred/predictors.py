@@ -2,9 +2,17 @@
 
 The nonconformity measures treat the point predictor as a black box with a
 ``fit(X, y)`` / ``predict_batch(X)`` surface, so anything honouring that
-protocol can be plugged in.  Two deterministic references are provided:
-ordinary least squares for regression and a hinge-loss linear classifier
-for binary classification.
+protocol can be plugged in.  Four deterministic references are provided,
+on two private bases that hold every fitted-state rule once:
+
+- _Affine: a fitted map (w, b) or a constant fallback with its
+  fallback_reason, the affine_map property and one predict_batch.
+  Ordinary least squares for regression (LeastSquaresRegressor) and a
+  hinge-loss linear classifier for binary classification
+  (HingeLossLinearClassifier) share it; each writes only its own fit.
+- _Constant: one value for every row of the fitted width.  The mean-label
+  regressor (MeanRegressor) and the infinite-margin classifier
+  (ConstantClassifier) share it; they are the two fallbacks.
 
 The linear predictors evaluate w.x + b in one fixed order, column by
 column with the intercept last, one IEEE operation per step.  A row's
@@ -99,80 +107,37 @@ def _mean(y: np.ndarray) -> float:
     return min(max(mean, float(y.min())), float(y.max()))
 
 
-class MeanRegressor:
-    """Constant predictor returning the mean training label.
+class _Constant:
+    """A predictor of one value for every row.
 
     It answers rows of the width it was fitted on, as the linear
-    predictors do.
+    predictors do; unfitted, it answers rows of any width if its value is
+    fixed at construction, and raises RuntimeError if not.
     """
 
-    def __init__(self):
-        self._mean = None
+    def __init__(self, value=None):
+        self._value = value
         self._width = None
+
+    def predict_batch(self, X) -> np.ndarray:
+        if self._value is None:
+            raise RuntimeError("predictor is not fitted")
+        if self._width is not None:
+            X = _feature_array(X, self._width)
+        return np.full(len(X), self._value)
+
+
+class MeanRegressor(_Constant):
+    """Constant predictor returning the mean training label."""
 
     def fit(self, X, y):
         X, y = _training_arrays(X, y)
-        self._mean = _mean(y)
+        self._value = _mean(y)
         self._width = X.shape[1]
         return self
 
-    def predict_batch(self, X) -> np.ndarray:
-        if self._mean is None:
-            raise RuntimeError("predictor is not fitted")
-        return np.full(len(_feature_array(X, self._width)), self._mean)
 
-
-class LeastSquaresRegressor:
-    """Ordinary least squares with an intercept.
-
-    A rank-deficient design matrix (too few rows, collinear features) falls
-    back to the mean-label constant predictor; ``fallback_reason`` records
-    when that happened.  The rank is the one ``lstsq`` reports, which
-    counts singular values above eps * max(n, d + 1) * sigma_max, the
-    ``matrix_rank`` default.
-    """
-
-    def __init__(self):
-        self._coef = None
-        self._intercept = None
-        self._fallback = None
-        self.fallback_reason = None
-
-    def fit(self, X, y):
-        # a refit keeps nothing of an earlier fit, its fallback included
-        self._coef = self._intercept = self._fallback = self.fallback_reason = None
-        X, y = _training_arrays(X, y)
-        design = np.empty((len(y), X.shape[1] + 1))
-        design[:, :-1] = X
-        design[:, -1] = 1.0
-        beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        if rank < design.shape[1]:
-            self._fallback = MeanRegressor().fit(X, y)
-            self.fallback_reason = (
-                f"rank-deficient design (rank {rank} < {design.shape[1]}); "
-                "using the mean-label constant predictor"
-            )
-            return self
-        self._coef = tuple(beta[:-1].tolist())
-        self._intercept = float(beta[-1])
-        return self
-
-    @property
-    def affine_map(self):
-        """The fitted (coefficients, intercept), a tuple of floats and a
-        float, that predict_batch applies to every row; None before a fit
-        and after the rank fallback."""
-        return None if self._coef is None else (self._coef, self._intercept)
-
-    def predict_batch(self, X) -> np.ndarray:
-        if self._fallback is not None:
-            return self._fallback.predict_batch(X)
-        if self._coef is None:
-            raise RuntimeError("predictor is not fitted")
-        return _affine_batch(self._coef, self._intercept, _feature_array(X, len(self._coef)))
-
-
-class ConstantClassifier:
+class ConstantClassifier(_Constant):
     """Degenerate classifier that always predicts one class with an
     infinite margin score.  Used as the single-class fallback.
 
@@ -183,20 +148,76 @@ class ConstantClassifier:
     def __init__(self, label: int):
         if label not in (-1, 1):
             raise ValueError(f"label must be -1 or +1, got {label!r}")
-        self._score = math.inf if label > 0 else -math.inf
-        self._width = None
+        super().__init__(math.inf if label > 0 else -math.inf)
 
     def fit(self, X, y):
         self._width = _training_arrays(X, y)[0].shape[1]
         return self
 
+
+class _Affine:
+    """A predictor of w.x + b, whose fit sets the map (w, b) or falls back
+    to a constant predictor, recorded in fallback_reason.
+
+    A refit keeps nothing of an earlier fit, its fallback included.
+    """
+
+    def _clear(self):
+        """Forget any fit: a new predictor and every fit start here."""
+        self._fall_back(None, None)
+
+    __init__ = _clear
+
+    def _fall_back(self, predictor, reason):
+        """Predict by predictor, the fitted constant one, with no affine
+        map, and say why in fallback_reason; with neither, the predictor
+        is unfitted."""
+        self._map, self._fallback, self.fallback_reason = None, predictor, reason
+        return self
+
+    @property
+    def affine_map(self):
+        """The fitted (coefficients, intercept), a tuple of floats and a
+        float, that predict_batch applies to every row; None before a fit
+        and after a fallback."""
+        return self._map
+
     def predict_batch(self, X) -> np.ndarray:
-        if self._width is not None:
-            X = _feature_array(X, self._width)
-        return np.full(len(X), self._score)
+        if self._fallback is not None:
+            return self._fallback.predict_batch(X)
+        if self._map is None:
+            raise RuntimeError("predictor is not fitted")
+        coef, intercept = self._map
+        return _affine_batch(coef, intercept, _feature_array(X, len(coef)))
 
 
-class HingeLossLinearClassifier:
+class LeastSquaresRegressor(_Affine):
+    """Ordinary least squares with an intercept.
+
+    A rank-deficient design matrix (too few rows, collinear features) falls
+    back to the mean-label constant predictor.  The rank is the one
+    ``lstsq`` reports, which counts singular values above
+    eps * max(n, d + 1) * sigma_max, the ``matrix_rank`` default.
+    """
+
+    def fit(self, X, y):
+        self._clear()
+        X, y = _training_arrays(X, y)
+        design = np.empty((len(y), X.shape[1] + 1))
+        design[:, :-1] = X
+        design[:, -1] = 1.0
+        beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        if rank < design.shape[1]:
+            return self._fall_back(
+                MeanRegressor().fit(X, y),
+                f"rank-deficient design (rank {rank} < {design.shape[1]}); "
+                "using the mean-label constant predictor",
+            )
+        self._map = (tuple(beta[:-1].tolist()), float(beta[-1]))
+        return self
+
+
+class HingeLossLinearClassifier(_Affine):
     """Large-margin linear classifier trained by full-batch hinge-loss
     subgradient descent for a fixed number of epochs.
 
@@ -222,14 +243,10 @@ class HingeLossLinearClassifier:
         self.epochs = epochs
         self.l2 = penalty
         self.seed = seed
-        self._weights = None
-        self._bias = None
-        self._fallback = None
-        self.fallback_reason = None
+        self._clear()
 
     def fit(self, X, y):
-        # a refit keeps nothing of an earlier fit, its fallback included
-        self._weights = self._bias = self._fallback = self.fallback_reason = None
+        self._clear()
         X, y = _training_arrays(X, y)
         bad = (y != 1.0) & (y != -1.0)
         if bad.any():
@@ -239,12 +256,11 @@ class HingeLossLinearClassifier:
             )
         if (y == y[0]).all():
             only = int(y[0])
-            self._fallback = ConstantClassifier(only).fit(X, y)
-            self.fallback_reason = (
+            return self._fall_back(
+                ConstantClassifier(only).fit(X, y),
                 f"single-class training sequence (all labels {only:+d}); "
-                "using a constant classifier with infinite margin score"
+                "using a constant classifier with infinite margin score",
             )
-            return self
 
         n, d = X.shape
         if self.seed is None:
@@ -282,13 +298,5 @@ class HingeLossLinearClassifier:
                 grad_b = -(2 * positives - violations) / n
             w = w - self.learning_rate * grad_w
             b = b - self.learning_rate * grad_b
-        self._weights = tuple(w.tolist())
-        self._bias = float(b)
+        self._map = (tuple(w.tolist()), float(b))
         return self
-
-    def predict_batch(self, X) -> np.ndarray:
-        if self._fallback is not None:
-            return self._fallback.predict_batch(X)
-        if self._weights is None:
-            raise RuntimeError("classifier is not fitted")
-        return _affine_batch(self._weights, self._bias, _feature_array(X, len(self._weights)))

@@ -15,8 +15,11 @@ numpy's SeedSequence algorithm, so each trial's generator is
 default_rng([seed, trial]) bit for bit without its per-call cost.  A
 block in which anything raises is replayed trial by trial through the
 public path (generator.sample, fit_regression_pipeline,
-interval_bounds), so the harness raises that path's first error.  The
-exact audits, which need no sampling, are in the audits module.
+interval_bounds), so the harness raises that path's first error.  Its
+arguments are checked by the package's rules: epsilon by the pipelines
+module's level rule, which prediction_set applies too, and the counts
+by pvalues._integer.  The exact audits, which need no sampling, are in
+the audits module.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .core import DataSplit
 from .pipelines import (
     RegressorSpec,
+    _epsilon,
     _incertitudes,
     _interval_bounds,
     _level_set_bounds,
@@ -329,9 +333,7 @@ def monte_carlo_coverage(
     """
     spec = pipeline_spec or PipelineSpec()
     generator = data_generator_spec or BoundedNoiseLinearGenerator()
-    epsilon, given = _real(epsilon), epsilon
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {given!r}")
+    epsilon = _epsilon(epsilon)
     trials = _integer(trials, 1, math.inf, _value_error("trials must be a positive integer"))
     seed = _integer(seed, 0, math.inf, _value_error("seed must be a nonnegative integer"))
 

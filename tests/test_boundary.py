@@ -4,7 +4,7 @@ The package has one integer rule (pvalues._integer) and one rule for
 reals (pvalues._real).  Each site below feeds its argument the same inputs:
 the rejected ones must raise the site's own exception, with its message,
 and the accepted ones must be stored, or used, as the Python int or
-float they stand for.
+float they stand for.  A hedged prediction's set has a table of its own.
 """
 
 import math
@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from randpred import (
+    ALL_LABELS,
+    FULL_LINE,
     BoundedNoiseLinearGenerator,
     ClassifierSpec,
     DataSplit,
@@ -275,3 +277,38 @@ def test_hedged_prediction_k_and_m_ranges(k, m, message):
     with pytest.raises(ValueError) as info:
         HedgedPrediction(Interval(0.0, 1.0), 0.5, k=k, m=m)
     assert str(info.value) == message
+
+
+# (value, accepted): a prediction set is an Interval or a nonempty
+# frozenset of the labels -1 and 1.  A tuple would pass for a label set
+# in prediction_set, and a mutable set would leave the record unhashable.
+PREDICTION_SETS = [
+    (Interval(0.0, 1.0), True),
+    (FULL_LINE, True),
+    (frozenset({1}), True),
+    (frozenset({-1}), True),
+    (ALL_LABELS, True),
+    ((0.0, 1.0), False),
+    ("abc", False),
+    (None, False),
+    (frozenset(), False),
+    (frozenset({2}), False),
+    (frozenset({-1, 1, 2}), False),
+    ({1}, False),
+    ([1], False),
+]
+
+
+@pytest.mark.parametrize("value, accepted", PREDICTION_SETS, ids=repr)
+def test_hedged_prediction_set_argument(value, accepted):
+    if accepted:
+        prediction = HedgedPrediction(value, 0.5)
+        assert prediction.prediction_set is value
+        hash(prediction)
+    else:
+        with pytest.raises(ValueError) as info:
+            HedgedPrediction(value, 0.5)
+        assert str(info.value) == (
+            "prediction_set must be an Interval or a nonempty frozenset of -1 and 1, "
+            f"got {value!r}"
+        )

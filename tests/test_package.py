@@ -1,7 +1,7 @@
 """The package namespace: the p-value engine on import, every other name on first use."""
 
 import ast
-import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -136,3 +136,42 @@ def test_predict_and_monte_carlo_load_no_exact_arithmetic(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert '"method": "icp"' in result.stdout and "mode=mc" in result.stdout
+
+
+def test_code_lines_counts_neither_comments_nor_docstrings(tmp_path):
+    # tools/code_lines.py gives the per-module code lines the change log cites
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", SRC.parent / "tools" / "code_lines.py"
+    )
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    source = (
+        '"""Module docstring,\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import math  # counted: code with a trailing comment\n"
+        "\n"
+        "\n"
+        "class A:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        "        '''Method docstring.'''\n"
+        "        text = '''a string that is\n"
+        "        no docstring'''\n"
+        '        "an expression, not first in the body"\n'
+        "        return text\n"
+    )
+    # import, class, def, the two lines of text, the expression, return
+    assert code_lines.code_lines(source) == 7
+    (tmp_path / "a.py").write_text(source)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    result = subprocess.run(
+        [sys.executable, str(SRC.parent / "tools" / "code_lines.py"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stdout.split("\n") == ["     7  a.py", "     1  b.py", "     8  total", ""]

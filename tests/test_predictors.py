@@ -13,7 +13,7 @@ from randpred import (
     MeanRegressor,
     PointPredictor,
 )
-from randpred.predictors import _affine_batch
+from randpred.predictors import _affine_batch, _Constant
 
 
 def predict_one(model, x):
@@ -109,18 +109,6 @@ class TestLeastSquaresRegressor:
                 LeastSquaresRegressor().fit(A, b), X
             )
         assert model.fallback_reason is None
-
-    def test_affine_map_is_the_fitted_map_or_none(self):
-        X, y = linear_data([1.5, -2.0], 0.3)
-        model = LeastSquaresRegressor()
-        assert model.affine_map is None
-        coef, intercept = model.fit(X, y).affine_map
-        assert (coef, intercept) == (model._coef, model._intercept)
-        assert type(coef) is tuple and type(intercept) is float
-        with pytest.raises(AttributeError):
-            model.affine_map = ((0.0, 0.0), 0.0)
-        # none after the rank fallback, whose predictions are the mean's
-        assert model.fit(X[:1], y[:1]).affine_map is None
 
 
 class TestConstantClassifier:
@@ -263,8 +251,7 @@ class TestHingeLossLinearClassifier:
                 grad_b = -y[violating].sum() / n
             w = w - model.learning_rate * grad_w
             b = b - model.learning_rate * grad_b
-        assert model._weights == tuple(w.tolist())
-        assert model._bias == float(b)
+        assert model.affine_map == (tuple(w.tolist()), float(b))
         if last_share is not None:
             # the share of violating rows over the later half of the epochs
             low, high = last_share
@@ -305,14 +292,47 @@ class TestHingeLossLinearClassifier:
             HingeLossLinearClassifier(l2=-0.1)
 
 
+class TestAffineCore:
+    """What the two linear predictors share: the fitted map, the fallback
+    and predict_batch, which applies the map by the affine rule."""
+
+    @staticmethod
+    def fits(kind):
+        """The class, a fit with an affine map and a fit that falls back."""
+        X, y = linear_data([1.5, -2.0], 0.3)
+        if kind == "least_squares":
+            # one row, three design columns: the rank fallback
+            return LeastSquaresRegressor, (X, y), (X[:1], y[:1])
+        signs = np.where(y > 0.0, 1.0, -1.0)
+        return HingeLossLinearClassifier, (X, signs), (X, np.ones(len(y)))
+
+    @pytest.mark.parametrize("kind", ["least_squares", "hinge"])
+    def test_affine_map_is_the_fitted_map_or_none(self, kind):
+        cls, fitting, falling = self.fits(kind)
+        X = fitting[0]
+        model = cls()
+        assert model.affine_map is None
+        with pytest.raises(RuntimeError, match="^predictor is not fitted$"):
+            model.predict_batch(X)
+        coef, intercept = model.fit(*fitting).affine_map
+        assert type(coef) is tuple and type(intercept) is float and len(coef) == 2
+        assert model.fallback_reason is None
+        assert model.predict_batch(X).tobytes() == _affine_batch(coef, intercept, X).tobytes()
+        with pytest.raises(AttributeError):
+            model.affine_map = ((0.0, 0.0), 0.0)
+        # none after the fallback, whose predictions are the constant's
+        assert model.fit(*falling).affine_map is None
+        assert model.fallback_reason is not None
+        assert len(set(model.predict_batch(X).tolist())) == 1
+        # a refit clears the fallback and its reason
+        assert model.fit(*fitting).fallback_reason is None
+        assert model.affine_map == (coef, intercept)
+        assert model.predict_batch(X).tobytes() == _affine_batch(coef, intercept, X).tobytes()
+
+
 def fitted_state(model, X):
     """What a fitted linear predictor holds, and its predictions for X."""
-    return (
-        getattr(model, "_weights", getattr(model, "_coef", None)),
-        getattr(model, "_bias", getattr(model, "_intercept", None)),
-        model.fallback_reason,
-        model.predict_batch(X).tolist(),
-    )
+    return model.affine_map, model.fallback_reason, model.predict_batch(X).tolist()
 
 
 def _fitted_predictors(X, y, signs):
@@ -335,14 +355,9 @@ def python_float_reference(model, X):
     linear model, w.x summed column by column, then the intercept."""
     while getattr(model, "_fallback", None) is not None:
         model = model._fallback
-    if isinstance(model, MeanRegressor):
-        return [model._mean] * len(X)
-    if isinstance(model, ConstantClassifier):
-        return [model._score] * len(X)
-    if isinstance(model, LeastSquaresRegressor):
-        coef, intercept = model._coef, model._intercept
-    else:
-        coef, intercept = model._weights, model._bias
+    if isinstance(model, _Constant):
+        return [model._value] * len(X)
+    coef, intercept = model.affine_map
     predictions = []
     for row in X.tolist():
         total = 0.0

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from randpred import (
     ClassifierSpec,
     DataSplit,
+    HingeLossLinearClassifier,
+    LeastSquaresRegressor,
+    MeanRegressor,
     RegressorSpec,
     fit_classification_pipeline,
     fit_regression_pipeline,
@@ -88,6 +91,18 @@ class TestFitRegressionMeasure:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             RegressorSpec("boosted")
+
+    @pytest.mark.parametrize("kind", ["boosted", None, ["mean"], b"mean"])
+    def test_unknown_kind_of_any_type_rejected(self, kind):
+        with pytest.raises(ValueError, match="unknown regressor kind"):
+            RegressorSpec(kind)
+
+    @pytest.mark.parametrize(
+        "kind, cls", [("least_squares", LeastSquaresRegressor), ("mean", MeanRegressor)]
+    )
+    def test_each_kind_builds_its_regressor(self, kind, cls):
+        first, second = RegressorSpec(kind).build(), RegressorSpec(kind).build()
+        assert type(first) is cls and first is not second
 
 
 class TestScoreRegression:
@@ -179,6 +194,12 @@ class TestClassifierSpecDomain:
         assert ClassifierSpec().seed is None
         assert ClassifierSpec(seed=0, epochs=1, l2=0.0).seed == 0
         assert ClassifierSpec(epochs=np.int64(3)).build().epochs == 3
+
+    def test_build_passes_every_field(self):
+        spec = ClassifierSpec(learning_rate=0.25, epochs=3, l2=0.0, seed=4)
+        classifier = spec.build()
+        assert type(classifier) is HingeLossLinearClassifier
+        assert {name: getattr(classifier, name) for name in spec.__slots__} == spec._asdict()
 
     def test_kind_is_not_an_option(self):
         with pytest.raises(TypeError):
