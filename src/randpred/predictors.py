@@ -10,6 +10,10 @@ on two private bases that hold every fitted-state rule once:
   Ordinary least squares for regression (LeastSquaresRegressor) and a
   hinge-loss linear classifier for binary classification
   (HingeLossLinearClassifier) share it; each writes only its own fit.
+  The least-squares fit is its design (_design: the features and a
+  column of ones) and one rule (_least_squares: one lstsq call, whose
+  solution is None below full rank), which the Monte Carlo harness
+  applies to the trials of a staged part without building a predictor.
 - _Constant: one value for every row of the fitted width.  The mean-label
   regressor (MeanRegressor) and the infinite-margin classifier
   (ConstantClassifier) share it; they are the two fallbacks.
@@ -20,8 +24,8 @@ prediction is therefore the same whichever batch it is in, and equals the
 plain Python-float sum taken in that order; a BLAS matrix-vector product
 promises no such order.  The rule (_affine_batch) also takes a stack of
 batches, each with its own (w, b): the Monte Carlo harness predicts the
-trials of a block in one pass of it, from each fitted least-squares
-predictor's affine_map.
+trials of a staged part in one pass of it, from each trial's
+least-squares solution.
 """
 
 from __future__ import annotations
@@ -146,8 +150,10 @@ class ConstantClassifier(_Constant):
     """
 
     def __init__(self, label: int):
-        if label not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {label!r}")
+        error = _value_error("label must be -1 or +1")
+        label = _integer(label, -1, 1, error)
+        if label == 0:
+            raise error(label)
         super().__init__(math.inf if label > 0 else -math.inf)
 
     def fit(self, X, y):
@@ -191,6 +197,25 @@ class _Affine:
         return _affine_batch(coef, intercept, _feature_array(X, len(coef)))
 
 
+def _design(X: np.ndarray) -> np.ndarray:
+    """The least-squares design of (..., n, d) features over any leading
+    axes: a new C-contiguous (..., n, d + 1) array, each row its features
+    and then 1.0 for the intercept."""
+    design = np.empty(X.shape[:-1] + (X.shape[-1] + 1,))
+    design[..., :-1] = X
+    design[..., -1] = 1.0
+    return design
+
+
+def _least_squares(design: np.ndarray, y: np.ndarray):
+    """The least-squares rule: (solution, rank) of y on an (n, d + 1)
+    design.  The solution is the d + 1 floats of lstsq, the coefficients
+    and then the intercept, or None when the rank lstsq reports is below
+    d + 1."""
+    solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    return (None if rank < design.shape[1] else solution), rank
+
+
 class LeastSquaresRegressor(_Affine):
     """Ordinary least squares with an intercept.
 
@@ -203,17 +228,15 @@ class LeastSquaresRegressor(_Affine):
     def fit(self, X, y):
         self._clear()
         X, y = _training_arrays(X, y)
-        design = np.empty((len(y), X.shape[1] + 1))
-        design[:, :-1] = X
-        design[:, -1] = 1.0
-        beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        if rank < design.shape[1]:
+        design = _design(X)
+        solution, rank = _least_squares(design, y)
+        if solution is None:
             return self._fall_back(
                 MeanRegressor().fit(X, y),
                 f"rank-deficient design (rank {rank} < {design.shape[1]}); "
                 "using the mean-label constant predictor",
             )
-        self._map = (tuple(beta[:-1].tolist()), float(beta[-1]))
+        self._map = (tuple(solution[:-1].tolist()), float(solution[-1]))
         return self
 
 

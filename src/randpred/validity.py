@@ -2,7 +2,10 @@
 
 Measures coverage frequencies of the regression pipelines on seeded
 synthetic data.  A trial draws its features' and its noise's uniforms
-in one call and fits its point predictor as fit_regression_pipeline
+in one call, and solves its least-squares fit by the predictors
+module's least-squares rule, the one LeastSquaresRegressor.fit calls, on
+its slice of one design array of its staged part; a rank-deficient
+trial and every other predictor kind fit as fit_regression_pipeline
 does.  Everything else is taken for many trials at once: the scaling of
 the uniforms to features and noise, the labels by the generator's label
 rule, the predictions of all of the trials' rows, test rows included,
@@ -40,7 +43,7 @@ from .pipelines import (
     _regression_bits,
     fit_regression_pipeline,
 )
-from .predictors import _affine_batch
+from .predictors import _affine_batch, _design, _least_squares
 from .pvalues import METHODS, _integer, _real, _value_error
 from .records import Record
 from .reports import ValidityCell, ValidityReport
@@ -305,12 +308,13 @@ def monte_carlo_coverage(
     of up to _BLOCK_ROWS data rows, and stages a block in parts of up to
     2 * _BLOCK_ROWS feature cells (_stage_trials): each trial's uniform
     draws in one call, their scaling to features and noise and the labels
-    of the part in one pass each, each trial's fit on its proper rows,
-    and the point predictions of all of the part's rows, test rows
-    included, in one pass.  It then takes the half-widths and
-    calibration bits, the test rows' intervals, every method's
-    incertitude and level sets, and the miss counts of the whole block,
-    each by one array rule of the pipelines module.  Those are, value for
+    of the part in one pass each, each trial's fit on its proper rows (by
+    the shared least-squares rule on the part's design array, for the
+    least-squares kind), and the point predictions of all of the part's
+    rows, test rows included, in one pass.  It then takes the
+    half-widths and calibration bits, the test rows' intervals, every
+    method's incertitude and level sets, and the miss counts of the whole
+    block, each by one array rule of the pipelines module.  Those are, value for
     value, the pipeline of fit_regression_pipeline and the sets of
     interval_bounds, hedge and prediction_set for generator.sample's
     split and test row.  If anything in a block raises (a non-finite
@@ -407,11 +411,21 @@ def _stage_trials(
     the trial's generator's random per trial, in trial order, into its row
     of one buffer; the scaling of the buffer to features and noise
     (generator._scale), the labels and their finiteness check in one pass
-    each; the fit per trial; the predictions in one pass of the
-    affine rule, for every trial whose predictor exposes an affine_map.
-    A predictor without one (the mean kind, the rank fallback) predicts
-    by its own predict_batch.  Raises ValueError if a training label is
-    not finite.
+    each; the fit per trial; the predictions in one pass of the affine
+    rule, for every trial with an affine map.
+
+    For a RegressorSpec of the least-squares kind, the proper rows of
+    every trial go into one (trials, proper, d + 1) design array in one
+    pass (predictors._design), at most (d + 1)/d times the part's
+    features, and each trial's fit is one call of the least-squares rule
+    that LeastSquaresRegressor.fit calls (predictors._least_squares) on
+    its C-contiguous slice, its solution written straight into the
+    part's maps: no predictor is built and no input is checked again.
+    A trial whose rank is deficient, and every trial of any other spec,
+    fits through spec.build().fit, which stays the one definition of the
+    fallback; a predictor with an affine_map gives its map, and one
+    without (the mean kind, the rank fallback) predicts by its own
+    predict_batch.  Raises ValueError if a training label is not finite.
     """
     proper = generator.proper_size
     n, d = proper + generator.calibration_size + 1, len(generator.coefficients)
@@ -424,19 +438,30 @@ def _stage_trials(
     # the features are finite by the generator's checks
     if not np.isfinite(labels[:, :-1]).all():
         raise ValueError("a training label is not finite")
-    # a trial without an affine map keeps the zero map, whose predictions
+    # row t is trial t's affine map, its coefficients and then its
+    # intercept; a trial without one keeps the zero map, whose predictions
     # its predictor's own replace
-    coefs, intercepts = np.zeros((trials, d)), np.zeros(trials)
+    maps = np.zeros((trials, d + 1))
+    public = range(trials)
+    if isinstance(predictor_spec, RegressorSpec) and predictor_spec.kind == "least_squares":
+        design = _design(features[:, :proper])
+        public = []
+        for row in range(trials):
+            solution, _ = _least_squares(design[row], labels[row, :proper])
+            if solution is None:
+                public.append(row)
+            else:
+                maps[row] = solution
     own = {}
-    for row in range(trials):
+    for row in public:
         predictor = predictor_spec.build().fit(features[row, :proper], labels[row, :proper])
         affine = getattr(predictor, "affine_map", None)
         if affine is None:
             own[row] = predictor.predict_batch(features[row])
         else:
-            coefs[row], intercepts[row] = affine
+            maps[row, :-1], maps[row, -1] = affine
     if len(own) < trials:
-        predictions = _affine_batch(coefs[:, np.newaxis], intercepts[:, np.newaxis], features)
+        predictions = _affine_batch(maps[:, np.newaxis, :-1], maps[:, -1:], features)
     else:
         predictions = np.empty((trials, n))
     for row, values in own.items():

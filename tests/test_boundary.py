@@ -4,7 +4,8 @@ The package has one integer rule (pvalues._integer) and one rule for
 reals (pvalues._real).  Each site below feeds its argument the same inputs:
 the rejected ones must raise the site's own exception, with its message,
 and the accepted ones must be stored, or used, as the Python int or
-float they stand for.  A hedged prediction's set has a table of its own.
+float they stand for.  A hedged prediction's set and a constant
+classifier's label have tables of their own.
 """
 
 import math
@@ -18,6 +19,7 @@ from randpred import (
     FULL_LINE,
     BoundedNoiseLinearGenerator,
     ClassifierSpec,
+    ConstantClassifier,
     DataSplit,
     FittedPipeline,
     HedgedPrediction,
@@ -312,3 +314,35 @@ def test_hedged_prediction_set_argument(value, accepted):
             "prediction_set must be an Interval or a nonempty frozenset of -1 and 1, "
             f"got {value!r}"
         )
+
+
+# (value, accepted): a constant classifier's label goes through the
+# integer rule, then must be -1 or +1; each accepted value stands for +1.
+LABELS = [
+    (1, True),
+    (np.int64(1), True),
+    (np.int8(1), True),
+    (np.array(1), True),
+    (True, False),
+    (np.True_, False),
+    (1.0, False),
+    ("1", False),
+    (None, False),
+    (np.array([1]), False),
+    (0, False),
+    (np.int64(0), False),
+    (2, False),
+]
+
+
+@pytest.mark.parametrize("value, accepted", LABELS, ids=repr)
+def test_constant_classifier_label(value, accepted):
+    if accepted:
+        for sign in (1, -1):
+            scores = ConstantClassifier(sign * value).predict_batch(np.zeros((2, 1)))
+            assert scores.tolist() == [sign * math.inf] * 2
+    else:
+        with pytest.raises(ValueError) as info:
+            ConstantClassifier(value)
+        shown = int(value) if isinstance(value, np.integer) else value
+        assert str(info.value) == f"label must be -1 or +1, got {shown!r}"

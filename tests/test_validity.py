@@ -30,7 +30,7 @@ from randpred import (
 )
 from randpred.audits import _audit_table, _sup_coverage_polynomial
 from randpred.pipelines import FittedPipeline
-from randpred.predictors import LeastSquaresRegressor, MeanRegressor
+from randpred.predictors import LeastSquaresRegressor, MeanRegressor, _least_squares
 from randpred.validity import _BLOCK_ROWS, _TrialState, _stage_trials, _trial_states
 
 # 3-decimal reference rows for the asymptotic-numerator table.
@@ -576,6 +576,84 @@ class TestStagedTrials:
         for make_spec in (lambda: PipelineSpec(predictor=_Alternating()), PipelineSpec):
             report = monte_carlo_coverage(make_spec(), generator, 0.2, 30, 4)
             assert report == _recount(make_spec(), generator, 0.2, 30, 4)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("m", [1, 30, 200])
+    def test_staged_maps_are_the_fitted_affine_maps(self, monkeypatch, d, m):
+        # the staged least-squares path writes the shared rule's solution
+        # straight into its maps: the bytes of the public fit's affine_map
+        solved = []
+
+        def recorded(design, y):
+            solution, rank = _least_squares(design, y)
+            solved.append(solution)
+            return solution, rank
+
+        monkeypatch.setattr("randpred.validity._least_squares", recorded)
+        coefficients = tuple(np.random.default_rng(d).uniform(-3.0, 3.0, d).tolist())
+        generator = BoundedNoiseLinearGenerator(coefficients, calibration_size=m)
+        proper = generator.proper_size
+        _stage_trials(RegressorSpec(), generator, _trial_states(11, 0, 40))
+        assert len(solved) == 40
+        for trial, solution in enumerate(solved):
+            X, y = generator._draw(np.random.default_rng([11, trial]))
+            coef, intercept = LeastSquaresRegressor().fit(X[:proper], y[:proper]).affine_map
+            assert solution[:-1].tobytes() == np.array(coef).tobytes()
+            assert solution[-1:].tobytes() == np.array([intercept]).tobytes()
+
+    def test_full_rank_and_rank_deficient_fits_in_one_stage(self, monkeypatch):
+        # the shared rule reports a low rank on every other trial's data,
+        # first seen first; that trial falls back to the mean through the
+        # public fit, which reads the same rule and so falls back too
+        deficient = {}
+
+        def alternating(design, y):
+            solution, rank = _least_squares(design, y)
+            if deficient.setdefault(y.tobytes(), len(deficient) % 2):
+                return None, rank - 1
+            return solution, rank
+
+        for target in ("randpred.predictors", "randpred.validity"):
+            monkeypatch.setattr(f"{target}._least_squares", alternating)
+        fits = []
+        fit = LeastSquaresRegressor.fit
+
+        def counted(self, X, y):
+            fits.append(len(y))
+            return fit(self, X, y)
+
+        monkeypatch.setattr(LeastSquaresRegressor, "fit", counted)
+        generator = BoundedNoiseLinearGenerator(calibration_size=20)
+        predictions, labels = _stage_trials(RegressorSpec(), generator, _trial_states(6, 0, 30))
+        assert fits == [50] * 15
+        expected = _per_trial(RegressorSpec(), generator, 6, 30)
+        assert [affine is not None for _, _, affine in expected] == [t % 2 == 0 for t in range(30)]
+        for trial, (prediction, label, _) in enumerate(expected):
+            assert labels[trial].tobytes() == label.tobytes()
+            assert predictions[trial].tobytes() == prediction.tobytes()
+
+    def test_a_successful_default_run_calls_no_fit(self, monkeypatch):
+        fits = []
+        for cls in (LeastSquaresRegressor, MeanRegressor):
+            def counted(self, X, y, fit=cls.fit, name=cls.__name__):
+                fits.append(name)
+                return fit(self, X, y)
+
+            monkeypatch.setattr(cls, "fit", counted)
+        monte_carlo_coverage(None, BoundedNoiseLinearGenerator(calibration_size=30), 0.05, 450, 3)
+        assert fits == []
+        # every other spec, and every rank-deficient trial, fits per trial
+        # through the public route
+        monte_carlo_coverage(PipelineSpec(predictor=RegressorSpec("mean")), None, 0.05, 7, 3)
+        assert fits == ["MeanRegressor"] * 7
+        fits.clear()
+        monte_carlo_coverage(PipelineSpec(predictor=_Alternating()), None, 0.05, 7, 3)
+        assert fits == ["LeastSquaresRegressor", "MeanRegressor"] * 3 + ["LeastSquaresRegressor"]
+        fits.clear()
+        # two proper rows, three design columns: each fit falls back to the mean
+        generator = BoundedNoiseLinearGenerator(proper_size=2, calibration_size=30)
+        monte_carlo_coverage(None, generator, 0.05, 5, 3)
+        assert fits == ["LeastSquaresRegressor", "MeanRegressor"] * 5
 
     def test_a_successful_run_calls_no_predict_batch(self, monkeypatch):
         calls = []
