@@ -452,6 +452,18 @@ def main(ctx: click.Context, config: Optional[str]) -> None:
                 raise click.UsageError(f"--config {config}: invalid JSON ({exc})")
         if not isinstance(defaults, dict):
             raise click.UsageError(f"--config {config}: expected a JSON object")
+        commands = ctx.command.commands
+        for name, entry in defaults.items():
+            if name not in commands:
+                raise click.UsageError(
+                    f"--config {config}: entry {name!r} is not a command ({', '.join(commands)})"
+                )
+            names = [param.name for param in commands[name].params]
+            if not isinstance(entry, dict) or not set(entry) <= set(names):
+                raise click.UsageError(
+                    f"--config {config}: entry {name!r}: expected a JSON object keyed by "
+                    f"the command's parameter names ({', '.join(names)}), got {json.dumps(entry)}"
+                )
         ctx.default_map = defaults
 
 

@@ -29,8 +29,10 @@ interval_bounds, so it needs no copy of their checks, and checks its
 level by the one epsilon rule here (_epsilon).
 
 Each spec builds its predictor from its own fields: a RegressorSpec's
-kind names a class in one table (_REGRESSORS), and a ClassifierSpec's
-fields are the hinge classifier's keyword arguments.
+kind names a class in one table (_REGRESSORS), whose stacked fit rule
+(_maps) the Monte Carlo harness reads from it too, and a ClassifierSpec's
+fields are the hinge classifier's keyword arguments.  A spec argument is
+None, for the default spec, or an instance of its class (_spec).
 """
 
 from __future__ import annotations
@@ -113,6 +115,17 @@ class ClassifierSpec(Record):
 
     def build(self) -> PointPredictor:
         return HingeLossLinearClassifier(**self._asdict())
+
+
+def _spec(value, cls, name: str):
+    """value, or cls() where it is None, and ValueError naming value if it
+    is anything but a cls: the rule of every spec and generator
+    argument."""
+    if value is None:
+        return cls()
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be None or a {cls.__name__}, got {value!r}")
+    return value
 
 
 class FittedPipeline(Record):
@@ -282,9 +295,10 @@ def fit_regression_pipeline(
 
     The half-width and the calibration bits follow _regression_bits.  A
     degenerate design falls back to the mean-label predictor, recorded in
-    its fallback_reason.
+    its fallback_reason.  predictor_spec is None, for RegressorSpec(), or
+    a RegressorSpec; any other value raises ValueError.
     """
-    predictor = (predictor_spec or RegressorSpec()).build().fit(*split.proper)
+    predictor = _spec(predictor_spec, RegressorSpec, "predictor_spec").build().fit(*split.proper)
     width, k = _regression_bits(split.y, predictor.predict_batch(split.X), split.proper_size)
     return FittedPipeline("regression", predictor, float(width), int(k), split.calibration_size)
 
@@ -295,8 +309,10 @@ def fit_classification_pipeline(
     """Fit the margin classifier on the proper part and score the
     calibration part.  A single-class proper part falls back to a
     constant classifier with infinite score, recorded in its
-    fallback_reason."""
-    classifier = (classifier_spec or ClassifierSpec()).build().fit(*split.proper)
+    fallback_reason.  classifier_spec is None, for ClassifierSpec(), or a
+    ClassifierSpec; any other value raises ValueError."""
+    spec = _spec(classifier_spec, ClassifierSpec, "classifier_spec")
+    classifier = spec.build().fit(*split.proper)
     X, y = split.calibration
     k = int(np.count_nonzero(_margin_bits(classifier.predict_batch(X), y)))
     return FittedPipeline("classification", classifier, _MARGIN, k, len(y))

@@ -12,11 +12,17 @@ on two private bases that hold every fitted-state rule once:
   (HingeLossLinearClassifier) share it; each writes only its own fit.
   The least-squares fit is its design (_design: the features and a
   column of ones) and one rule (_least_squares: one lstsq call, whose
-  solution is None below full rank), which the Monte Carlo harness
-  applies to the trials of a staged part without building a predictor.
+  solution is None below full rank).
 - _Constant: one value for every row of the fitted width.  The mean-label
   regressor (MeanRegressor) and the infinite-margin classifier
   (ConstantClassifier) share it; they are the two fallbacks.
+
+Each regressor kind also fits a stack of training sets straight to one
+affine map apiece (its _maps classmethod), without building a predictor:
+the mean-label predictor is the map of zero coefficients and the mean
+label, and a least-squares fit below full rank falls back to that map, as
+LeastSquaresRegressor.fit falls back to MeanRegressor.  The Monte Carlo
+harness fits every trial of a staged part this way.
 
 The linear predictors evaluate w.x + b in one fixed order, column by
 column with the intercept last, one IEEE operation per step.  A row's
@@ -24,8 +30,7 @@ prediction is therefore the same whichever batch it is in, and equals the
 plain Python-float sum taken in that order; a BLAS matrix-vector product
 promises no such order.  The rule (_affine_batch) also takes a stack of
 batches, each with its own (w, b): the Monte Carlo harness predicts the
-trials of a staged part in one pass of it, from each trial's
-least-squares solution.
+trials of a staged part in one pass of it, from each trial's map.
 """
 
 from __future__ import annotations
@@ -140,6 +145,19 @@ class MeanRegressor(_Constant):
         self._width = X.shape[1]
         return self
 
+    @classmethod
+    def _maps(cls, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """The affine maps of the predictors fitted on a stack of training
+        sets, (trials, n, d) features and (trials, n) finite labels, as a
+        (trials, d + 1) array: row t holds trial t's coefficients and then
+        its intercept.  Here they are zero coefficients and _mean of the
+        trial's labels, whose predictions by _affine_batch are fit's
+        value, bit for bit unless that is -0.0.  Nothing is checked
+        again, and no predictor is built."""
+        maps = np.zeros((len(labels), features.shape[-1] + 1))
+        maps[:, -1] = [_mean(y) for y in labels]
+        return maps
+
 
 class ConstantClassifier(_Constant):
     """Degenerate classifier that always predicts one class with an
@@ -238,6 +256,22 @@ class LeastSquaresRegressor(_Affine):
             )
         self._map = (tuple(solution[:-1].tolist()), float(solution[-1]))
         return self
+
+    @classmethod
+    def _maps(cls, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """MeanRegressor._maps for least squares: one design array of
+        every trial, then the least-squares rule on each trial's
+        C-contiguous slice, whose solution is the trial's map; below full
+        rank, the mean-label map, as fit falls back to MeanRegressor."""
+        maps = np.zeros((len(labels), features.shape[-1] + 1))
+        design = _design(features)
+        for row, y in enumerate(labels):
+            solution, _ = _least_squares(design[row], y)
+            if solution is None:
+                maps[row, -1] = _mean(y)
+            else:
+                maps[row] = solution
+        return maps
 
 
 class HingeLossLinearClassifier(_Affine):

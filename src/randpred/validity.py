@@ -2,13 +2,13 @@
 
 Measures coverage frequencies of the regression pipelines on seeded
 synthetic data.  A trial draws its features' and its noise's uniforms
-in one call, and solves its least-squares fit by the predictors
-module's least-squares rule, the one LeastSquaresRegressor.fit calls, on
-its slice of one design array of its staged part; a rank-deficient
-trial and every other predictor kind fit as fit_regression_pipeline
-does.  Everything else is taken for many trials at once: the scaling of
-the uniforms to features and noise, the labels by the generator's label
-rule, the predictions of all of the trials' rows, test rows included,
+in one call.  Everything else is taken for many trials at once: the
+scaling of the uniforms to features and noise, the labels by the
+generator's label rule, the fits by the regressor kind's stacked rule
+in the predictors module, which fits each trial straight to its affine
+map (a least-squares solution, or zero coefficients and the mean label
+for the mean kind and below full rank, as the fitted predictors fall
+back), the predictions of all of the trials' rows, test rows included,
 by the predictors module's affine rule, and the pipelines module's bit,
 bounds, incertitude and level-set rules over a block of trials.  Each
 rule is the one the per-trial path applies, written over a leading
@@ -35,15 +35,17 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .core import DataSplit
 from .pipelines import (
+    _REGRESSORS,
     RegressorSpec,
     _epsilon,
     _incertitudes,
     _interval_bounds,
     _level_set_bounds,
     _regression_bits,
+    _spec,
     fit_regression_pipeline,
 )
-from .predictors import _affine_batch, _design, _least_squares
+from .predictors import _affine_batch
 from .pvalues import METHODS, _integer, _real, _value_error
 from .records import Record
 from .reports import ValidityCell, ValidityReport
@@ -176,9 +178,10 @@ class BoundedNoiseLinearGenerator(Record):
 
     Bounded noise makes a zero calibration one-count the typical regime
     for the regression measure, the headline case for the engine.  Every
-    parameter is checked when the generator is made: finite floats, and
-    positive int sizes.  The features and the noise are then finite, but
-    a label can still overflow, so every use of the labels checks them.
+    parameter is checked when the generator is made: finite floats (the
+    coefficients a nonempty sequence of them), and positive int sizes.
+    The features and the noise are then finite, but a label can still
+    overflow, so every use of the labels checks them.
     """
 
     __slots__ = (
@@ -201,7 +204,10 @@ class BoundedNoiseLinearGenerator(Record):
         feature_low: float = -1.0,
         feature_high: float = 1.0,
     ):
-        coefficients = tuple(_finite_float("coefficients", c) for c in coefficients)
+        try:
+            coefficients = tuple(_finite_float("coefficients", c) for c in coefficients)
+        except TypeError:  # not iterable, as a number is
+            raise ValueError(f"coefficients must be a sequence, got {coefficients!r}") from None
         if not coefficients:
             raise ValueError("coefficients must be nonempty")
         intercept = _finite_float("intercept", intercept)
@@ -281,7 +287,8 @@ class BoundedNoiseLinearGenerator(Record):
 class PipelineSpec(Record):
     """Which regression pipeline the Monte Carlo harness should exercise:
     method is a name in pvalues.METHODS, or "both" for every one of them;
-    predictor None is the default RegressorSpec()."""
+    predictor is None, for the default RegressorSpec(), or a
+    RegressorSpec, and any other value raises ValueError."""
 
     __slots__ = ("method", "predictor")
 
@@ -289,7 +296,7 @@ class PipelineSpec(Record):
         if method not in (*METHODS, "both"):
             names = ", ".join(map(repr, METHODS))
             raise ValueError(f"method must be {names}, or 'both', got {method!r}")
-        super().__init__(method, RegressorSpec() if predictor is None else predictor)
+        super().__init__(method, _spec(predictor, RegressorSpec, "predictor"))
 
 
 def monte_carlo_coverage(
@@ -308,13 +315,13 @@ def monte_carlo_coverage(
     of up to _BLOCK_ROWS data rows, and stages a block in parts of up to
     2 * _BLOCK_ROWS feature cells (_stage_trials): each trial's uniform
     draws in one call, their scaling to features and noise and the labels
-    of the part in one pass each, each trial's fit on its proper rows (by
-    the shared least-squares rule on the part's design array, for the
-    least-squares kind), and the point predictions of all of the part's
-    rows, test rows included, in one pass.  It then takes the
-    half-widths and calibration bits, the test rows' intervals, every
-    method's incertitude and level sets, and the miss counts of the whole
-    block, each by one array rule of the pipelines module.  Those are, value for
+    of the part in one pass each, each trial's fit on its proper rows
+    straight to an affine map (the regressor kind's stacked rule), and
+    the point predictions of all of the part's rows, test rows included,
+    in one pass of those maps.  It then takes the half-widths and
+    calibration bits, the test rows' intervals, every method's
+    incertitude and level sets, and the miss counts of the whole block,
+    each by one array rule of the pipelines module.  Those are, value for
     value, the pipeline of fit_regression_pipeline and the sets of
     interval_bounds, hedge and prediction_set for generator.sample's
     split and test row.  If anything in a block raises (a non-finite
@@ -333,10 +340,12 @@ def monte_carlo_coverage(
     generators from _trial_states, one array pass of numpy's
     SeedSequence hashing over the block's trial indices.  seed must be a
     nonnegative int, as trials must be a positive one; numpy integers
-    count, bools do not.
+    count, bools do not.  pipeline_spec and data_generator_spec are each
+    None, for the default, or an instance of their own class; any other
+    value raises ValueError.
     """
-    spec = pipeline_spec or PipelineSpec()
-    generator = data_generator_spec or BoundedNoiseLinearGenerator()
+    spec = _spec(pipeline_spec, PipelineSpec, "pipeline_spec")
+    generator = _spec(data_generator_spec, BoundedNoiseLinearGenerator, "data_generator_spec")
     epsilon = _epsilon(epsilon)
     trials = _integer(trials, 1, math.inf, _value_error("trials must be a positive integer"))
     seed = _integer(seed, 0, math.inf, _value_error("seed must be a nonnegative integer"))
@@ -400,73 +409,37 @@ def monte_carlo_coverage(
 
 
 def _stage_trials(
-    predictor_spec, generator: BoundedNoiseLinearGenerator, states: np.ndarray
+    predictor_spec: RegressorSpec, generator: BoundedNoiseLinearGenerator, states: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The point predictions and labels, two (trials, n + 1) arrays with
     each trial's test row last, of the trials whose streams the rows of
     states seed: bit for bit those of the trial's own generator._draw and
-    its fitted predictor's predict_batch.
+    the predict_batch of predictor_spec's predictor fitted on its proper
+    rows.
 
     Each step runs once for all of the trials where it can: one call of
     the trial's generator's random per trial, in trial order, into its row
     of one buffer; the scaling of the buffer to features and noise
     (generator._scale), the labels and their finiteness check in one pass
-    each; the fit per trial; the predictions in one pass of the affine
-    rule, for every trial with an affine map.
-
-    For a RegressorSpec of the least-squares kind, the proper rows of
-    every trial go into one (trials, proper, d + 1) design array in one
-    pass (predictors._design), at most (d + 1)/d times the part's
-    features, and each trial's fit is one call of the least-squares rule
-    that LeastSquaresRegressor.fit calls (predictors._least_squares) on
-    its C-contiguous slice, its solution written straight into the
-    part's maps: no predictor is built and no input is checked again.
-    A trial whose rank is deficient, and every trial of any other spec,
-    fits through spec.build().fit, which stays the one definition of the
-    fallback; a predictor with an affine_map gives its map, and one
-    without (the mean kind, the rank fallback) predicts by its own
-    predict_batch.  Raises ValueError if a training label is not finite.
+    each; the fits, by the spec's kind's _maps rule (predictors module),
+    which fits every trial's proper rows straight to its affine map, with
+    no predictor built and no input checked again; and the predictions of
+    every row in one pass of the affine rule.  Raises ValueError if a
+    training label is not finite.
     """
     proper = generator.proper_size
     n, d = proper + generator.calibration_size + 1, len(generator.coefficients)
-    trials = len(states)
-    draws = np.empty((trials, n * (d + 1)))
-    for row in range(trials):
-        np.random.Generator(np.random.PCG64(_TrialState(states[row]))).random(out=draws[row])
+    draws = np.empty((len(states), n * (d + 1)))
+    for row, state in enumerate(states):
+        np.random.Generator(np.random.PCG64(_TrialState(state))).random(out=draws[row])
     features, noise = generator._scale(draws)
     labels = generator._labels(features, noise)
     # the features are finite by the generator's checks
     if not np.isfinite(labels[:, :-1]).all():
         raise ValueError("a training label is not finite")
-    # row t is trial t's affine map, its coefficients and then its
-    # intercept; a trial without one keeps the zero map, whose predictions
-    # its predictor's own replace
-    maps = np.zeros((trials, d + 1))
-    public = range(trials)
-    if isinstance(predictor_spec, RegressorSpec) and predictor_spec.kind == "least_squares":
-        design = _design(features[:, :proper])
-        public = []
-        for row in range(trials):
-            solution, _ = _least_squares(design[row], labels[row, :proper])
-            if solution is None:
-                public.append(row)
-            else:
-                maps[row] = solution
-    own = {}
-    for row in public:
-        predictor = predictor_spec.build().fit(features[row, :proper], labels[row, :proper])
-        affine = getattr(predictor, "affine_map", None)
-        if affine is None:
-            own[row] = predictor.predict_batch(features[row])
-        else:
-            maps[row, :-1], maps[row, -1] = affine
-    if len(own) < trials:
-        predictions = _affine_batch(maps[:, np.newaxis, :-1], maps[:, -1:], features)
-    else:
-        predictions = np.empty((trials, n))
-    for row, values in own.items():
-        predictions[row] = values
-    return predictions, labels
+    # row t is trial t's map, its coefficients and then its intercept
+    maps = _REGRESSORS[predictor_spec.kind]._maps(features[:, :proper], labels[:, :proper])
+    return _affine_batch(maps[:, np.newaxis, :-1], maps[:, -1:], features), labels
 
 
 def _block_misses(predictions, labels, proper_size, methods, epsilon) -> list:

@@ -4,8 +4,9 @@ The package has one integer rule (pvalues._integer) and one rule for
 reals (pvalues._real).  Each site below feeds its argument the same inputs:
 the rejected ones must raise the site's own exception, with its message,
 and the accepted ones must be stored, or used, as the Python int or
-float they stand for.  A hedged prediction's set and a constant
-classifier's label have tables of their own.
+float they stand for.  A hedged prediction's set, a constant
+classifier's label, the spec and generator arguments and a generator's
+coefficients have tables of their own.
 """
 
 import math
@@ -26,12 +27,16 @@ from randpred import (
     HingeLossLinearClassifier,
     Interval,
     MeanRegressor,
+    PipelineSpec,
+    RegressorSpec,
     asymptotic_constant,
     audit_pvariable,
     binary_irp_pvalue,
     check_dominance,
     dominating_pvariable,
     exact_pvalue_k0,
+    fit_classification_pipeline,
+    fit_regression_pipeline,
     icp_pvariable,
     maximize_objective,
     monte_carlo_coverage,
@@ -346,3 +351,86 @@ def test_constant_classifier_label(value, accepted):
             ConstantClassifier(value)
         shown = int(value) if isinstance(value, np.integer) else value
         assert str(info.value) == f"label must be -1 or +1, got {shown!r}"
+
+
+def _fitted(pipeline):
+    return pipeline.task, pipeline.width, pipeline.k, pipeline.m
+
+
+# site: (call, argument name, class).  Each spec or generator argument
+# takes None, for its class's default, or an instance of its class, and
+# raises ValueError naming any other value.
+SPEC_SITES = {
+    "monte_carlo_coverage-pipeline_spec": (
+        lambda v: monte_carlo_coverage(v, None, 0.05, 3, 0), "pipeline_spec", PipelineSpec
+    ),
+    "monte_carlo_coverage-data_generator_spec": (
+        lambda v: monte_carlo_coverage(None, v, 0.05, 3, 0),
+        "data_generator_spec",
+        BoundedNoiseLinearGenerator,
+    ),
+    "PipelineSpec-predictor": (lambda v: PipelineSpec(predictor=v), "predictor", RegressorSpec),
+    "fit_regression_pipeline-predictor_spec": (
+        lambda v: _fitted(fit_regression_pipeline(DataSplit(ROWS[:, np.newaxis], ROWS, 5), v)),
+        "predictor_spec",
+        RegressorSpec,
+    ),
+    "fit_classification_pipeline-classifier_spec": (
+        lambda v: _fitted(
+            fit_classification_pipeline(DataSplit(ROWS[:, np.newaxis], ROWS % 2 * 2 - 1, 5), v)
+        ),
+        "classifier_spec",
+        ClassifierSpec,
+    ),
+}
+SPECS = [
+    None,
+    PipelineSpec(),
+    BoundedNoiseLinearGenerator(),
+    RegressorSpec(),
+    RegressorSpec("mean"),
+    ClassifierSpec(),
+    MeanRegressor(),
+    "least_squares",
+    5,
+]
+
+
+@pytest.mark.parametrize("value", SPECS, ids=lambda v: repr(v)[:30])
+@pytest.mark.parametrize("site", SPEC_SITES)
+def test_spec_arguments(site, value):
+    call, name, cls = SPEC_SITES[site]
+    if value is None:
+        assert call(value) == call(cls())
+    elif isinstance(value, cls):
+        call(value)
+    else:
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == f"{name} must be None or a {cls.__name__}, got {value!r}"
+
+
+# (value, accepted): a generator's coefficients are a nonempty sequence of
+# finite reals, kept as a tuple of floats; each accepted value stands for
+# (1.5, -2.0).
+COEFFICIENTS = [
+    ((1.5, -2.0), True),
+    ([1.5, -2.0], True),
+    (np.array([1.5, -2.0]), True),
+    ((np.float32(1.5), Fraction(-2)), True),
+    (5, False),
+    (np.array(5.0), False),
+    (None, False),
+    ((), False),
+    (("1.5", "-2.0"), False),
+]
+
+
+@pytest.mark.parametrize("value, accepted", COEFFICIENTS, ids=repr)
+def test_generator_coefficients(value, accepted):
+    if accepted:
+        coefficients = BoundedNoiseLinearGenerator(coefficients=value).coefficients
+        assert coefficients == (1.5, -2.0) and all(type(c) is float for c in coefficients)
+    else:
+        with pytest.raises(ValueError, match="^coefficients must be"):
+            BoundedNoiseLinearGenerator(coefficients=value)

@@ -1158,3 +1158,35 @@ class TestConfigDefaults:
         config.write_text("[1, 2]")
         result = runner.invoke(main, ["--config", str(config), "table"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "defaults, message",
+        [
+            # not an object
+            ({"pvalue": 5}, "entry 'pvalue': expected a JSON object keyed by the command's "
+             "parameter names (m, k, finite, as_json), got 5"),
+            # not a command
+            ({"nosuch": {"m": 1}}, "entry 'nosuch' is not a command "
+             "(table, pvalue, predict, validate, dominate)"),
+            # an option name, or one the command lacks, is not a parameter name
+            ({"predict": {"eps": 0.1}}, "entry 'predict': expected a JSON object keyed by"),
+            ({"table": {"json": True}}, "entry 'table': expected a JSON object keyed by"),
+            ({"table": {}, "pvalue": {"m": 1, "k-max": 3}}, "entry 'pvalue': "),
+        ],
+    )
+    def test_config_entry_must_name_a_command_and_its_parameters(
+        self, runner, tmp_path, defaults, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(defaults))
+        result = runner.invoke(main, ["--config", str(config), "table"])
+        assert result.exit_code == 2
+        assert f"Error: --config {config}: {message}" in result.output
+        assert "Traceback" not in result.output
+
+    def test_config_entry_keyed_by_parameter_names(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"table": {"as_json": True, "k_max": 2}}))
+        result = runner.invoke(main, ["--config", str(config), "table"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["k_max"] == 2

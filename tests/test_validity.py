@@ -492,40 +492,44 @@ class TestMonteCarloBlocks:
             with pytest.raises(ValueError, match="^features and labels must be finite$"):
                 generator.sample(np.random.default_rng([1, 3]))
 
-    def test_nan_width_is_raised_in_trial_order(self):
-        # a NaN proper prediction makes a NaN half-width, which the pipeline
-        # rejects; a block raises it, or an earlier trial's centre error
+    def test_nan_width_is_raised_in_trial_order(self, monkeypatch):
+        # a NaN solution makes NaN proper predictions and a NaN half-width,
+        # which the pipeline rejects; an infinite intercept makes an
+        # infinite test centre.  A block raises the width error, or an
+        # earlier trial's centre error
         width_message = "^width must be nonnegative, got nan$"
         with pytest.raises(ValueError, match=width_message):
             FittedPipeline("regression", MeanRegressor(), math.nan, 0, 1)
-        generator = BoundedNoiseLinearGenerator(proper_size=2, calibration_size=1)
-        (split_1, _, _), (_, x_0, _), (_, x_2, _) = (
-            generator.sample(np.random.default_rng([0, trial])) for trial in (1, 0, 2)
+        generator = BoundedNoiseLinearGenerator(calibration_size=1)
+        y_0, y_1, y_2 = (
+            generator.sample(np.random.default_rng([0, trial]))[0].proper[1].tobytes()
+            for trial in range(3)
         )
-        # trial 2's test centre, then a proper row of trial 1
-        marks = [(x_2, math.inf), (split_1.X[0], math.nan)]
+        # trial 2's test centre, then trial 1's half-width
+        marks = {y_2: np.array([0.0, 0.0, math.inf]), y_1: np.full(3, math.nan)}
+        monkeypatch.setattr("randpred.predictors._least_squares", _marked(marks))
         with pytest.raises(ValueError, match=width_message):
-            monte_carlo_coverage(PipelineSpec(predictor=_MarkedRows(marks)), generator, 0.05, 3, 0)
-        marks = [(x_0, -math.inf)] + marks  # and trial 0's test centre
+            monte_carlo_coverage(None, generator, 0.05, 3, 0)
+        marks[y_0] = np.array([0.0, 0.0, -math.inf])  # and trial 0's test centre
         with pytest.raises(ValueError, match="^invalid interval: test row 1: point prediction -inf"):
-            monte_carlo_coverage(PipelineSpec(predictor=_MarkedRows(marks)), generator, 0.05, 3, 0)
+            monte_carlo_coverage(None, generator, 0.05, 3, 0)
 
 
-class _Alternating:
-    """A predictor spec that builds least-squares and mean predictors in
-    turn, the first one least squares."""
+def _marked(marks):
+    """The least-squares rule, except that it solves the proper labels
+    whose bytes are a key of marks by that key's solution."""
 
-    def __init__(self):
-        self.built = 0
+    def solve(design, y):
+        solution, rank = _least_squares(design, y)
+        return marks.get(y.tobytes(), solution), rank
 
-    def build(self):
-        self.built += 1
-        return LeastSquaresRegressor() if self.built % 2 else MeanRegressor()
+    return solve
 
 
 def _per_trial(predictor_spec, generator, seed, trials):
     """The predictions, labels and affine maps of trials 0, 1, ... drawn
-    and predicted one trial at a time by _draw and predict_batch."""
+    and predicted one trial at a time by _draw and the public fit's
+    predict_batch."""
     rows, proper = [], generator.proper_size
     for trial in range(trials):
         X, y = generator._draw(np.random.default_rng([seed, trial]))
@@ -534,12 +538,24 @@ def _per_trial(predictor_spec, generator, seed, trials):
     return rows
 
 
+def _successful_runs():
+    """Runs of every regressor kind that raise nothing: least squares over
+    three blocks, the mean kind, and least squares below full rank on
+    every trial (two proper rows, three design columns)."""
+    mean = PipelineSpec(predictor=RegressorSpec("mean"))
+    monte_carlo_coverage(None, BoundedNoiseLinearGenerator(calibration_size=30), 0.05, 450, 3)
+    monte_carlo_coverage(mean, BoundedNoiseLinearGenerator(calibration_size=30), 0.05, 210, 3)
+    generator = BoundedNoiseLinearGenerator(proper_size=2, calibration_size=30)
+    monte_carlo_coverage(None, generator, 0.05, 5, 3)
+
+
 class TestStagedTrials:
     """A stage of trials draws per trial, takes the labels in one pass,
-    fits per trial and predicts every affine trial in one pass; its labels
-    and predictions are bitwise those of the per-trial path.  On numpy's
-    oldest supported version too, these tests pin the stacked matmul of the
-    label rule to one BLAS matrix-vector product per trial."""
+    fits every trial straight to an affine map by its kind's stacked rule
+    and predicts them all in one pass; its labels and predictions are
+    bitwise those of the per-trial path.  On numpy's oldest supported
+    version too, these tests pin the stacked matmul of the label rule to
+    one BLAS matrix-vector product per trial."""
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     @pytest.mark.parametrize("m", [1, 30, 200])
@@ -561,27 +577,29 @@ class TestStagedTrials:
                 assert y == labels[trial, -1]
 
     @pytest.mark.parametrize("proper_size", [50, 2])
-    def test_affine_and_own_predictions_in_one_stage(self, proper_size):
-        # least squares on even trials and the mean on odd ones; with two
-        # proper rows below d + 1 = 3, every least-squares fit falls back
-        # to the mean too, and no trial has an affine map
+    def test_every_kind_predicts_as_its_fitted_predictor(self, proper_size):
+        # the mean kind, and least squares: full rank with 50 proper rows,
+        # and below it with two, under d + 1 = 3 design columns, where
+        # every fit falls back to the mean
         generator = BoundedNoiseLinearGenerator(proper_size=proper_size, calibration_size=20)
-        predictions, labels = _stage_trials(_Alternating(), generator, _trial_states(4, 0, 30))
-        expected = _per_trial(_Alternating(), generator, 4, 30)
-        maps = [affine is not None for _, _, affine in expected]
-        assert maps == [proper_size == 50 and trial % 2 == 0 for trial in range(30)]
-        for trial, (prediction, label, _) in enumerate(expected):
-            assert labels[trial].tobytes() == label.tobytes()
-            assert predictions[trial].tobytes() == prediction.tobytes()
-        for make_spec in (lambda: PipelineSpec(predictor=_Alternating()), PipelineSpec):
-            report = monte_carlo_coverage(make_spec(), generator, 0.2, 30, 4)
-            assert report == _recount(make_spec(), generator, 0.2, 30, 4)
+        for kind in ("least_squares", "mean"):
+            spec = RegressorSpec(kind)
+            predictions, labels = _stage_trials(spec, generator, _trial_states(4, 0, 30))
+            expected = _per_trial(spec, generator, 4, 30)
+            maps = {affine is not None for _, _, affine in expected}
+            assert maps == {kind == "least_squares" and proper_size == 50}
+            for trial, (prediction, label, _) in enumerate(expected):
+                assert labels[trial].tobytes() == label.tobytes()
+                assert predictions[trial].tobytes() == prediction.tobytes()
+            pipeline_spec = PipelineSpec(predictor=spec)
+            report = monte_carlo_coverage(pipeline_spec, generator, 0.2, 30, 4)
+            assert report == _recount(pipeline_spec, generator, 0.2, 30, 4)
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     @pytest.mark.parametrize("m", [1, 30, 200])
     def test_staged_maps_are_the_fitted_affine_maps(self, monkeypatch, d, m):
-        # the staged least-squares path writes the shared rule's solution
-        # straight into its maps: the bytes of the public fit's affine_map
+        # the staged fit writes the shared rule's solution straight into
+        # its maps: the bytes of the public fit's affine_map
         solved = []
 
         def recorded(design, y):
@@ -589,13 +607,14 @@ class TestStagedTrials:
             solved.append(solution)
             return solution, rank
 
-        monkeypatch.setattr("randpred.validity._least_squares", recorded)
+        monkeypatch.setattr("randpred.predictors._least_squares", recorded)
         coefficients = tuple(np.random.default_rng(d).uniform(-3.0, 3.0, d).tolist())
         generator = BoundedNoiseLinearGenerator(coefficients, calibration_size=m)
         proper = generator.proper_size
         _stage_trials(RegressorSpec(), generator, _trial_states(11, 0, 40))
-        assert len(solved) == 40
-        for trial, solution in enumerate(solved):
+        staged = list(solved)
+        assert len(staged) == 40
+        for trial, solution in enumerate(staged):
             X, y = generator._draw(np.random.default_rng([11, trial]))
             coef, intercept = LeastSquaresRegressor().fit(X[:proper], y[:proper]).affine_map
             assert solution[:-1].tobytes() == np.array(coef).tobytes()
@@ -603,8 +622,9 @@ class TestStagedTrials:
 
     def test_full_rank_and_rank_deficient_fits_in_one_stage(self, monkeypatch):
         # the shared rule reports a low rank on every other trial's data,
-        # first seen first; that trial falls back to the mean through the
-        # public fit, which reads the same rule and so falls back too
+        # first seen first; the stage fits that trial to the mean-label
+        # map, and the public fit, which reads the same rule, falls back
+        # to the mean predictor
         deficient = {}
 
         def alternating(design, y):
@@ -613,63 +633,47 @@ class TestStagedTrials:
                 return None, rank - 1
             return solution, rank
 
-        for target in ("randpred.predictors", "randpred.validity"):
-            monkeypatch.setattr(f"{target}._least_squares", alternating)
-        fits = []
-        fit = LeastSquaresRegressor.fit
-
-        def counted(self, X, y):
-            fits.append(len(y))
-            return fit(self, X, y)
-
-        monkeypatch.setattr(LeastSquaresRegressor, "fit", counted)
+        monkeypatch.setattr("randpred.predictors._least_squares", alternating)
         generator = BoundedNoiseLinearGenerator(calibration_size=20)
         predictions, labels = _stage_trials(RegressorSpec(), generator, _trial_states(6, 0, 30))
-        assert fits == [50] * 15
         expected = _per_trial(RegressorSpec(), generator, 6, 30)
         assert [affine is not None for _, _, affine in expected] == [t % 2 == 0 for t in range(30)]
         for trial, (prediction, label, _) in enumerate(expected):
             assert labels[trial].tobytes() == label.tobytes()
             assert predictions[trial].tobytes() == prediction.tobytes()
 
-    def test_a_successful_default_run_calls_no_fit(self, monkeypatch):
-        fits = []
-        for cls in (LeastSquaresRegressor, MeanRegressor):
-            def counted(self, X, y, fit=cls.fit, name=cls.__name__):
-                fits.append(name)
-                return fit(self, X, y)
+    def test_a_successful_run_calls_no_build_or_fit(self, monkeypatch):
+        calls = []
+        for cls, name in (
+            (RegressorSpec, "build"), (LeastSquaresRegressor, "fit"), (MeanRegressor, "fit")
+        ):
+            def counted(self, *args, method=getattr(cls, name), label=f"{cls.__name__}.{name}"):
+                calls.append(label)
+                return method(self, *args)
 
-            monkeypatch.setattr(cls, "fit", counted)
-        monte_carlo_coverage(None, BoundedNoiseLinearGenerator(calibration_size=30), 0.05, 450, 3)
-        assert fits == []
-        # every other spec, and every rank-deficient trial, fits per trial
-        # through the public route
-        monte_carlo_coverage(PipelineSpec(predictor=RegressorSpec("mean")), None, 0.05, 7, 3)
-        assert fits == ["MeanRegressor"] * 7
-        fits.clear()
-        monte_carlo_coverage(PipelineSpec(predictor=_Alternating()), None, 0.05, 7, 3)
-        assert fits == ["LeastSquaresRegressor", "MeanRegressor"] * 3 + ["LeastSquaresRegressor"]
-        fits.clear()
-        # two proper rows, three design columns: each fit falls back to the mean
-        generator = BoundedNoiseLinearGenerator(proper_size=2, calibration_size=30)
-        monte_carlo_coverage(None, generator, 0.05, 5, 3)
-        assert fits == ["LeastSquaresRegressor", "MeanRegressor"] * 5
+            monkeypatch.setattr(cls, name, counted)
+        _successful_runs()
+        assert calls == []
+        # the counters see the public route
+        split, _, _ = BoundedNoiseLinearGenerator().sample(np.random.default_rng(0))
+        fit_regression_pipeline(split, RegressorSpec("mean"))
+        assert calls == ["RegressorSpec.build", "MeanRegressor.fit"]
 
     def test_a_successful_run_calls_no_predict_batch(self, monkeypatch):
         calls = []
-        predict_batch = LeastSquaresRegressor.predict_batch
+        for cls in (LeastSquaresRegressor, MeanRegressor):
+            def counted(self, X, predict_batch=cls.predict_batch, name=cls.__name__):
+                calls.append(name)
+                return predict_batch(self, X)
 
-        def counted(self, X):
-            calls.append(len(X))
-            return predict_batch(self, X)
-
-        monkeypatch.setattr(LeastSquaresRegressor, "predict_batch", counted)
-        monte_carlo_coverage(None, BoundedNoiseLinearGenerator(calibration_size=30), 0.05, 450, 3)
+            monkeypatch.setattr(cls, "predict_batch", counted)
+        _successful_runs()
         assert calls == []
-        # a fitted predictor without an affine map predicts by its own
-        generator = BoundedNoiseLinearGenerator(proper_size=2, calibration_size=30)
-        monte_carlo_coverage(None, generator, 0.05, 5, 3)
-        assert calls == [33] * 5
+        # the counters see the public route, and the rank fallback's own
+        split, _, _ = BoundedNoiseLinearGenerator(proper_size=2).sample(np.random.default_rng(0))
+        fit_regression_pipeline(split, RegressorSpec("mean"))
+        fit_regression_pipeline(split)
+        assert calls == ["MeanRegressor", "LeastSquaresRegressor", "MeanRegressor"]
 
     @pytest.mark.parametrize("d", [3, 10])
     def test_wide_stages_stay_within_the_cell_cap(self, monkeypatch, d):
@@ -747,28 +751,6 @@ class TestTrialStates:
             with pytest.raises(ValueError, match="^features and labels must be finite$"):
                 monte_carlo_coverage(None, generator, 0.05, 20, 0)
         assert calls and calls[0] == ([0, 0],)
-
-
-class _MarkedRows:
-    """A predictor spec whose predictor ignores its training data and
-    predicts a marked value at every row equal to a marked feature row, 0
-    elsewhere: a row-wise function of X, as a fitted predictor is."""
-
-    def __init__(self, marks):
-        self.marks = marks
-
-    def build(self):
-        return self
-
-    def fit(self, X, y):
-        return self
-
-    def predict_batch(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        predictions = np.zeros(len(X))
-        for row, value in self.marks:
-            predictions[(X == row).all(axis=1)] = value
-        return predictions
 
 
 def _miss_counts(report):

@@ -10,8 +10,9 @@ private functions, and prints each one's cost per trial:
   one Generator.random call per trial into its row of one buffer;
 - scaling and labels: the draws scaled to features and noise, and the
   labels, in one batch pass each;
-- fits: the design array of the part, then the shared least-squares rule
-  once per trial, written into the part's maps;
+- fits: the least-squares kind's stacked rule (LeastSquaresRegressor._maps),
+  the harness's one fit route: the design array of the part, then the
+  shared least-squares rule once per trial, into the part's maps;
 - predictions and misses: the affine predictions of every row in one
   batch pass, and the miss counts of both methods.
 
@@ -41,7 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from randpred import BoundedNoiseLinearGenerator, monte_carlo_coverage  # noqa: E402
-from randpred.predictors import _affine_batch, _design, _least_squares  # noqa: E402
+from randpred.predictors import LeastSquaresRegressor, _affine_batch  # noqa: E402
 from randpred.validity import (  # noqa: E402
     _BLOCK_ROWS,
     _TrialState,
@@ -79,12 +80,7 @@ def main(argv: list) -> int:
 
     def fits():
         features, labels = state["features"], state["labels"]
-        maps = np.zeros((trials, d + 1))
-        design = _design(features[:, :proper])
-        for row in range(trials):
-            solution, _ = _least_squares(design[row], labels[row, :proper])
-            maps[row] = solution
-        state["maps"] = maps
+        state["maps"] = LeastSquaresRegressor._maps(features[:, :proper], labels[:, :proper])
 
     def batch_predictions():
         maps, features = state["maps"], state["features"]
